@@ -32,8 +32,6 @@ from .heatzeta import (
     heat_trace,
     heat_trace_asymptote,
     heat_trace_grid,
-    leading_term_j2,
-    leading_term_j23,
     oscillation_amplitude,
     oscillation_log_period,
     poles,
@@ -112,8 +110,6 @@ __all__ = [
     "heat_trace",
     "heat_trace_asymptote",
     "heat_trace_grid",
-    "leading_term_j2",
-    "leading_term_j23",
     "level_info",
     "level_spectrum",
     "lowest_eigenvalues",

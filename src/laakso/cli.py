@@ -45,16 +45,35 @@ class ReferenceMismatch(Exception):
         self.report = report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ValidationError, so they exit 1 like other
+    invalid input instead of argparse's own exit status 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _number(kind, text: str, what: str):
+    """kind(text) for CLI text, with a malformed number reported as invalid input."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValidationError(f"{what} {text!r} is not a valid {kind.__name__}") from None
+
+
 def _parse_t_grid(spec: str) -> np.ndarray:
     """"a:b:Nlog" -> N log-spaced points in [a, b]; a bare number -> [a]."""
     parts = spec.split(":")
     if len(parts) == 1:
-        return np.array([float(parts[0])])
+        return np.array([_number(float, parts[0], "t")])
     if len(parts) == 3 and parts[2].endswith("log"):
-        n = int(parts[2][:-3])
+        n = _number(int, parts[2][:-3], "t grid point count")
         if n < 1:
             raise ValidationError(f"t grid needs at least one point: {spec!r}")
-        return np.geomspace(float(parts[0]), float(parts[1]), n)
+        lo, hi = (_number(float, part, "t grid end") for part in parts[:2])
+        if lo <= 0 or hi <= 0:
+            raise ValidationError(f"t grid ends must be positive: {spec!r}")
+        return np.geomspace(lo, hi, n)
     raise ValidationError(f"bad t grid {spec!r}; use a:b:Nlog or a single value")
 
 
@@ -62,7 +81,7 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
     lo, _, hi = spec.partition(":")
     if not _:
         raise ValidationError(f"bad m range {spec!r}; use lo:hi")
-    return int(lo), int(hi)
+    return _number(int, lo, "m range end"), _number(int, hi, "m range end")
 
 
 def _emit(args, payload: dict, csv_rows: list[list] | None, csv_header: list[str]):
@@ -286,7 +305,7 @@ def cmd_zeta(args) -> int:
     seq = parse_sequence(args.sequence)
     values = []
     for s_text in args.s:
-        s = complex(s_text)
+        s = _number(complex, s_text, "s")
         row = {"s": s_text}
         if args.mode in ("closed", "both"):
             z = spectral_zeta_closed(seq, s)
@@ -341,7 +360,7 @@ def cmd_poles(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="laakso",
         description="Exact and numerical Laplacian spectra of Laakso spaces",
     )
@@ -423,8 +442,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_m_range(list(argv)))
     try:
+        args = parser.parse_args(_merge_m_range(list(argv)))
         return args.func(args)
     except ReferenceMismatch as err:
         print(f"reference mismatch:\n{err.report}", file=sys.stderr)
@@ -435,9 +454,6 @@ def main(argv=None) -> int:
     except (TailToleranceError, PoleError, DivergenceError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"invalid input: {err}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

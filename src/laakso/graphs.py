@@ -151,25 +151,26 @@ def _assemble(graph: MetricGraph, points_per_edge: int):
     dim = nv + ne * m
 
     # chain along edge e: u, nv+e*m, ..., nv+e*m+m-1, v
-    rows = np.empty(ne * (m + 1), dtype=np.int64)
-    cols = np.empty(ne * (m + 1), dtype=np.int64)
-    for e, (u, v) in enumerate(graph.edges):
-        base = nv + e * m
-        chain = np.concatenate(([u], np.arange(base, base + m), [v]))
-        rows[e * (m + 1) : (e + 1) * (m + 1)] = chain[:-1]
-        cols[e * (m + 1) : (e + 1) * (m + 1)] = chain[1:]
+    ends = np.asarray(graph.edges, dtype=np.int64).reshape(ne, 2)
+    interior = nv + np.arange(ne * m, dtype=np.int64).reshape(ne, m)
+    chains = np.hstack((ends[:, :1], interior, ends[:, 1:]))
+    rows = chains[:, :-1].ravel()
+    cols = chains[:, 1:].ravel()
 
+    # off-diagonal links of weight -1/h both ways, degree * 1/h on the diagonal
     w = 1.0 / h
-    link = sp.coo_matrix(
-        (np.full(rows.shape, -w), (rows, cols)), shape=(dim, dim)
+    deg = np.bincount(np.concatenate((rows, cols)), minlength=dim)
+    diagonal = np.arange(dim)
+    stiffness = sp.csr_matrix(
+        (
+            np.concatenate((np.full(2 * rows.size, -w), w * deg)),
+            (np.concatenate((rows, cols, diagonal)), np.concatenate((cols, rows, diagonal))),
+        ),
+        shape=(dim, dim),
     )
-    stiffness = (link + link.T).tolil()
-    diag = -np.asarray(stiffness.sum(axis=1)).ravel()
-    stiffness.setdiag(diag)
-    stiffness = stiffness.tocsr()
 
     mass = np.full(dim, h)
-    mass[:nv] = graph.degrees() * (h / 2.0)
+    mass[:nv] = deg[:nv] * (h / 2.0)
     return stiffness, mass
 
 
@@ -193,10 +194,9 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     """
     stiffness, mass = _assemble(graph, points_per_edge)
     inv_sqrt = 1.0 / np.sqrt(mass)
-    coo = stiffness.tocoo()
-    data = coo.data * (inv_sqrt[coo.row] * inv_sqrt[coo.col])
-    sym = sp.coo_matrix((data, (coo.row, coo.col)), shape=coo.shape).tocsr()
-    return SparseSymmetricMatrix.from_csr(sym)
+    rows = np.repeat(np.arange(stiffness.shape[0]), np.diff(stiffness.indptr))
+    stiffness.data *= inv_sqrt[rows] * inv_sqrt[stiffness.indices]
+    return SparseSymmetricMatrix.from_csr(stiffness)
 
 
 def mesh_spacing(graph: MetricGraph, points_per_edge: int) -> float:

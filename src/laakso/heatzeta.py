@@ -4,7 +4,8 @@ The heat trace is Z(t) = sum_k g_k exp(-E_k t) over the full spectrum
 (lambda = 0 included), evaluated with certified truncation bounds: each
 shape family's tail is dominated by a geometric series once the quadratic
 eigenvalue growth is linearized past the cut, and the remaining levels are
-dominated through I_n >= 2 I_{n-1}.
+dominated through I_n >= 2 I_{n-1}.  The families, their counts and their
+eigenvalue progressions are read from the spectrum module's family table.
 
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
 has two independent evaluations:
@@ -24,7 +25,7 @@ the familiar 2 pi / log r^2; for longer periods the actual lattice is p
 times finer than the coarse progression, and keeping the finer lattice is
 what makes the residue expansion track the directly-summed trace.  Residues
 at those poles, plus the s = 1/2 and s = 0 contributions, give the small-t
-expansion of Z(t) used by the leading-term evaluators.
+expansion of Z(t) (heat_trace_asymptote).
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ from .errors import (
     TailToleranceError,
     ValidationError,
 )
-from .sequences import EXPLICIT, JSequence, dimensions, parse_sequence
+from .sequences import EXPLICIT, JSequence, dimensions
 from .special import complex_gamma, riemann_zeta
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, _occupied_families
 
 _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
@@ -79,29 +80,29 @@ class _Family:
     kstart: int
 
 
-def _level_families(seq: JSequence, n: int, scale_prev: int, scale: int) -> list[_Family]:
+def _level_families(seq: JSequence, n: int) -> tuple[int, int, list[_Family]]:
+    """I_n, the level weight (sum of the family counts) and the families of level n.
+
+    Each occupied row of the spectrum's family table, keys
+    m = I_n (step k + phase), becomes eigenvalues c (k + offset)^2 with
+    c = pi^2 I_n^2 step^2 / 4 and offset = phase / step.
+    """
+    scale, rows = _occupied_families(seq, n)
     log_c = _LOG_PI_SQ + 2.0 * math.log(scale)
-    jn = seq.j(n)
-    fams = [_Family(n * math.log(2.0), log_c, 0.5, 0)]  # V, count 2^n
-    loop_count = (1 << (n - 1)) * (jn - 2) * scale_prev
-    if loop_count:
-        fams.append(_Family(math.log(loop_count), log_c, 0.0, 1))
-    if n >= 2:
-        cross_count = (1 << (n - 2)) * (scale_prev - 1)
-        if cross_count:
-            fams.append(_Family(math.log(2 * cross_count), log_c, 0.0, 1))
-            fams.append(_Family(math.log(cross_count), log_c - math.log(4.0), 0.0, 1))
-    return fams
+    fams = [
+        _Family(
+            math.log(row.count),
+            log_c + 2.0 * math.log(row.step / 2),
+            row.phase / row.step,
+            row.kstart,
+        )
+        for row in rows
+    ]
+    return scale, sum(row.count for row in rows), fams
 
 
-def _level_weight(seq: JSequence, n: int, scale_prev: int) -> int:
-    """Total multiplicity weight of level n: V + loops + 3x crosses."""
-    jn = seq.j(n)
-    total = 1 << n
-    total += (1 << (n - 1)) * (jn - 2) * scale_prev
-    if n >= 2:
-        total += 3 * (1 << (n - 2)) * (scale_prev - 1)
-    return total
+# the table's line family, m = 2k, without its zero mode k = 0
+_LINE = _Family(0.0, _LOG_PI_SQ, 0.0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +148,10 @@ def _min_exponent(scale: int, t: float) -> float:
 
 
 def _remaining_levels_bound(
-    seq: JSequence, n_first: int, scale_first: int, scale_prev: int, t: float
+    seq: JSequence, scale_first: int, weight_first: int, t: float
 ) -> float:
-    """Certified bound on the total contribution of levels >= n_first."""
+    """Certified bound on the total contribution of the first omitted level
+    (scale I, weight = its total multiplicity count) and every level after it."""
     if _min_exponent(scale_first, t) > math.log(_EXP_FLOOR):
         return 0.0
     lam_min = _PI_SQ * float(scale_first) ** 2 / 4.0
@@ -160,7 +162,7 @@ def _remaining_levels_bound(
     rho = 2.0 * max(seq.values)
     if u > 0.5 or rho * u**3 >= 0.5:
         return math.inf
-    g_first = 3.0 * float(_level_weight(seq, n_first, scale_prev))
+    g_first = 3.0 * float(weight_first)
     # weights grow at most like rho per level while the Boltzmann factors
     # contract like u^(1+3i); sum the dominating geometric series
     return g_first * u / ((1.0 - u) * (1.0 - rho * u**3))
@@ -203,30 +205,25 @@ def heat_trace(
         level_cap = min(level_cap, seq.max_level)
 
     z = 1.0  # lambda = 0
-    partial, bound = _family_partial(_Family(0.0, _LOG_PI_SQ, 0.0, 1), t, tol / 4.0)
+    partial, bound = _family_partial(_LINE, t, tol / 4.0)
     z += partial
 
-    scale_prev = 1
     n = 1
-    while True:
-        if level_cap is not None and n > level_cap:
-            break
-        scale = scale_prev * seq.j(n)
+    while level_cap is None or n <= level_cap:
+        scale, weight, fams = _level_families(seq, n)
         if level_cap is None:
-            remaining = _remaining_levels_bound(seq, n, scale, scale_prev, t)
+            remaining = _remaining_levels_bound(seq, scale, weight, t)
             if remaining <= tol / 2.0:
                 bound += remaining
                 break
         if _min_exponent(scale, t) > math.log(_EXP_FLOOR):
             # every remaining capped level is below double-precision zero
             break
-        fams = _level_families(seq, n, scale_prev, scale)
         level_budget = tol / 2.0 ** (n + 2)
         for fam in fams:
             partial, tb = _family_partial(fam, t, level_budget / len(fams))
             z += partial
             bound += tb
-        scale_prev = scale
         n += 1
 
     if explicit:
@@ -341,15 +338,12 @@ def spectral_zeta_direct(
             level_cap = seq.max_level
         level_cap = min(level_cap, seq.max_level)
 
-    total = _family_zeta(_Family(0.0, _LOG_PI_SQ, 0.0, 1), s)
-    scale_prev = 1
+    total = _family_zeta(_LINE, s)
     n = 1
-    while True:
-        if level_cap is not None and n > level_cap:
-            break
-        scale = scale_prev * seq.j(n)
+    while level_cap is None or n <= level_cap:
+        _, _, fams = _level_families(seq, n)
         level_term = 0.0 + 0.0j
-        for fam in _level_families(seq, n, scale_prev, scale):
+        for fam in fams:
             level_term += _family_zeta(fam, s)
         total += level_term
         if level_cap is None:
@@ -357,7 +351,6 @@ def spectral_zeta_direct(
             ratio = 2.0 * seq.contraction_limit() ** (1.0 - 2.0 * sigma)
             if n >= 2 and abs(level_term) * ratio / (1.0 - ratio) <= atol:
                 break
-        scale_prev = scale
         n += 1
     return total
 
@@ -385,7 +378,6 @@ def _bracket(seq: JSequence, s: complex, *, pole_tol: float = 1e-12) -> complex:
     seq = _periodic_view(seq)
     p = seq.period
     log_block = math.log(math.prod(seq.values))
-    two_2s = cmath.exp(2.0 * s * math.log(2.0))
     w = cmath.exp(p * math.log(2.0) + (1.0 - 2.0 * s) * log_block)
     v = cmath.exp(p * math.log(2.0) - 2.0 * s * log_block)
     for q, family in ((w, "dominant"), (v, "subdominant")):
@@ -395,29 +387,24 @@ def _bracket(seq: JSequence, s: complex, *, pole_tol: float = 1e-12) -> complex:
                 "closed-form zeta",
                 nearest_pole=_nearest_pole(seq, s, family),
             )
-    c_half = two_2s / 2.0  # 2^(2s-1)
-    c_sub = 1.5 * two_2s - 3.0
     j1 = seq.j(1)
-    total = 1.0 + (2.0 * two_2s - 4.0 + j1) * cmath.exp(-2.0 * s * math.log(j1))
-    for rho in range(2, p + 2):
-        scale_prev = seq.scale(rho - 1)
-        j_rho = seq.j(rho)
-        prefix = (2.0 ** (rho - 1)) * cmath.exp(-2.0 * s * math.log(seq.scale(rho)))
-        total += prefix * (
-            scale_prev * (c_half + j_rho - 1.0) / (1.0 - w) + c_sub / (1.0 - v)
-        )
-    return total
+    head = 1.0 + (4.0 * _c_half(s) - 4.0 + j1) * cmath.exp(-2.0 * s * math.log(j1))
+    return head + _n_dominant(seq, s) / (1.0 - w) + _n_subdominant(seq, s) / (1.0 - v)
+
+
+def _pole_real_parts(seq: JSequence) -> dict[str, float]:
+    """Re s of the dominant (1 - w = 0) and subdominant (1 - v = 0) lattices."""
+    p = seq.period
+    log_block = math.log(math.prod(seq.values))
+    return {
+        "dominant": (p * math.log(2.0) + log_block) / (2.0 * log_block),
+        "subdominant": p * math.log(2.0) / (2.0 * log_block),
+    }
 
 
 def _nearest_pole(seq: JSequence, s: complex, family: str) -> complex:
-    p = seq.period
-    log_block = math.log(math.prod(seq.values))
-    fine = math.pi / log_block
-    if family == "dominant":
-        re = (p * math.log(2.0) + log_block) / (2.0 * log_block)
-    else:
-        re = p * math.log(2.0) / (2.0 * log_block)
-    return complex(re, round(s.imag / fine) * fine)
+    fine = fine_pole_spacing(seq)
+    return complex(_pole_real_parts(seq)[family], round(s.imag / fine) * fine)
 
 
 def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
@@ -479,8 +466,13 @@ def oscillation_log_period(seq: JSequence) -> float:
     return 2.0 * math.pi / fine_pole_spacing(seq)
 
 
+def _c_half(s: complex) -> complex:
+    return cmath.exp(2.0 * s * math.log(2.0)) / 2.0  # 2^(2s-1)
+
+
 def _n_dominant(seq: JSequence, s: complex) -> complex:
-    c_half = cmath.exp(2.0 * s * math.log(2.0)) / 2.0
+    """Numerator of the bracket's 1/(1 - w) series."""
+    c_half = _c_half(s)
     total = 0.0 + 0.0j
     for rho in range(2, seq.period + 2):
         total += (
@@ -493,7 +485,8 @@ def _n_dominant(seq: JSequence, s: complex) -> complex:
 
 
 def _n_subdominant(seq: JSequence, s: complex) -> complex:
-    c_sub = 1.5 * cmath.exp(2.0 * s * math.log(2.0)) - 3.0
+    """Numerator of the bracket's 1/(1 - v) series."""
+    c_sub = 3.0 * _c_half(s) - 3.0
     total = 0.0 + 0.0j
     for rho in range(2, seq.period + 2):
         total += (2.0 ** (rho - 1)) * cmath.exp(-2.0 * s * math.log(seq.scale(rho)))
@@ -551,12 +544,11 @@ def sqrt_term_coefficient(seq: JSequence) -> float:
 
 
 def _pole_families(seq: JSequence) -> list[tuple[float, str]]:
-    p = seq.period
-    log_block = math.log(math.prod(seq.values))
-    fams = [((p * math.log(2.0) + log_block) / (2.0 * log_block), "dominant")]
-    if math.prod(seq.values) != 2**p:
+    re_parts = _pole_real_parts(seq)
+    fams = [(re_parts["dominant"], "dominant")]
+    if math.prod(seq.values) != 2**seq.period:
         # for all-2 patterns every subdominant residue vanishes identically
-        fams.append((p * math.log(2.0) / (2.0 * log_block), "subdominant"))
+        fams.append((re_parts["subdominant"], "subdominant"))
     return fams
 
 
@@ -586,37 +578,6 @@ def heat_trace_asymptote(seq: JSequence, t: float, m_terms: int = 5) -> float:
     return total
 
 
-_SEQ_J2 = parse_sequence("2")
-_SEQ_J23 = parse_sequence("2,3")
-
-
-def leading_term_j2(t: float, m_terms: int = 5) -> float:
-    """Residue expansion of Z(t) for the constant-2 space.
-
-    The oscillatory part is (1/(16 t log 2)) (1 + sum_m 2 Re a_m t^(-i m w))
-    with w = 2 pi / log 4 and
-    a_m = 6 zeta_R(2 + 4 pi i m/log4) Gamma(1 + 2 pi i m/log4)
-          / pi^(2 + 4 pi i m/log4).
-    The square-root term is 3/(4 sqrt(pi t)) and the constant is
-    1 + zeta_L(0).  Valid as t -> 0; for large t the trace approaches 1 and
-    this expansion does not apply.
-    """
-    return heat_trace_asymptote(_SEQ_J2, t, m_terms)
-
-
-def leading_term_j23(t: float, m_terms: int = 5) -> float:
-    """Residue expansion of Z(t) for the alternating 2,3 space.
-
-    Dominant lattice at Re s = 1/2 + log2/log6 with coefficient
-    (1/(24 log6)) 2^(-2s) (2^(4s) + 10 * 2^(2s) + 12) Gamma(s) zeta_R(2s)
-    / pi^(2s); subdominant lattice at Re s = log2/log6 with coefficient
-    (3/(8 log6)) (4^(2s) - 4) 4^(-s) Gamma(s) zeta_R(2s) / pi^(2s).  Both
-    lattices are spaced pi/log6 apart in the imaginary direction, and the
-    bracket's zero at s = 1/2 removes the square-root term entirely.
-    """
-    return heat_trace_asymptote(_SEQ_J23, t, m_terms)
-
-
 def oscillation_amplitude(seq: JSequence, m: int = 1) -> float:
     """|a_m|: the m-th dominant oscillation coefficient relative to a_0.
 
@@ -625,7 +586,7 @@ def oscillation_amplitude(seq: JSequence, m: int = 1) -> float:
     """
     seq = _periodic_view(seq)
     fine = fine_pole_spacing(seq)
-    re_dom = _pole_families(seq)[0][0]
+    re_dom = _pole_real_parts(seq)["dominant"]
     base = residue_coefficient(seq, complex(re_dom, 0.0), "dominant").real
     osc = residue_coefficient(seq, complex(re_dom, m * fine), "dominant")
     return abs(osc) / abs(base)

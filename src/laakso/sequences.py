@@ -66,10 +66,11 @@ class JSequence:
         """I_n = j_1 * ... * j_n (exact integer; cell diameter is 1/I_n)."""
         if n < 0:
             raise ValidationError(f"level index {n} < 0")
-        out = 1
-        for i in range(1, n + 1):
-            out *= self.j(i)
-        return out
+        if self.kind == EXPLICIT:
+            return math.prod(self.j(i) for i in range(1, n + 1))
+        # whole periods by exponentiation, so deep levels cost O(log n) products
+        periods, rest = divmod(n, len(self.values))
+        return math.prod(self.values) ** periods * math.prod(self.values[:rest])
 
     @property
     def period(self) -> int:

@@ -1,14 +1,11 @@
 """Exact Laplacian spectrum of a Laakso space, with multiplicities.
 
 Every eigenvalue of the Laplacian on the limit space is of the form
-lambda = (m/2)^2 * pi^2 for a nonnegative integer m, coming from five
-families of one-dimensional eigenproblems:
-
-    line          m = 2k,           k >= 0, once          (the unit interval)
-    V             m = (2k+1) I_n,   k >= 0, 2^n per level n >= 1
-    loop          m = 2k I_n,       k >= 1, one per loop, n >= 1
-    cross-full    m = 2k I_n,       k >= 1, two per cross, n >= 2
-    cross-quarter m = k I_n,        k >= 1, one per cross, n >= 2
+lambda = (m/2)^2 * pi^2 for a nonnegative integer key m.  The keys come from
+one table: at each level n, every shape family has a count and a key
+progression m = I_n (step k + phase), and _family_table is the only place
+that lists them.  The exact spectrum here and the heat trace and zeta sums
+in heatzeta all read that table.
 
 Aggregation of coincident eigenvalues across families is exact integer
 comparison on m, so multiplicities merge without floating-point ties.
@@ -21,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .sequences import EXPLICIT, JSequence, shape_census
@@ -111,55 +109,64 @@ class SpectrumTable:
         return buf.getvalue()
 
 
-def _check_shape_level(shape: str, n: int) -> None:
+class _FamilyRow(NamedTuple):
+    """One shape family of a level: `count` copies, each carrying the keys
+    m = I_n (step k + phase) for k >= kstart."""
+
+    shape: str
+    count: int
+    step: int
+    phase: int
+    kstart: int
+
+
+def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
+    """I_n and the row of every family that lives at level n, empty ones included.
+
+    The line (the unit interval) is level 0; V and loop families start at
+    level 1 and both cross families at level 2.  A family can live at a
+    level and still have no copies (loops when j_n = 2).
+    """
+    if n == 0:
+        return 1, (_FamilyRow(LINE, 1, 2, 0, 0),)
+    census = shape_census(seq, n)
+    rows = (
+        _FamilyRow(V, census.v_count, 2, 1, 0),
+        _FamilyRow(LOOP, census.loop_count, 2, 0, 1),
+    )
+    if n >= 2:
+        rows += (
+            _FamilyRow(CROSS_FULL, 2 * census.cross_count, 2, 0, 1),
+            _FamilyRow(CROSS_QUARTER, census.cross_count, 1, 0, 1),
+        )
+    return census.scale, rows
+
+
+def _occupied_families(seq: JSequence, n: int) -> tuple[int, list[_FamilyRow]]:
+    """I_n and the rows of the level-n families that have at least one copy."""
+    scale, rows = _family_table(seq, n)
+    return scale, [row for row in rows if row.count]
+
+
+def _check_shape_level(shape: str, seq: JSequence, n: int) -> None:
     if shape not in SHAPES:
         raise ValidationError(f"unknown shape {shape!r}; expected one of {SHAPES}")
-    if shape == LINE and n != 0:
-        raise ValidationError("the line family lives at level 0 only")
-    if shape in (V, LOOP) and n < 1:
-        raise ValidationError(f"{shape} families exist for levels n >= 1")
-    if shape in (CROSS_FULL, CROSS_QUARTER) and n < 2:
-        raise ValidationError("cross families exist for levels n >= 2")
+    if n < 0 or all(row.shape != shape for row in _family_table(seq, n)[1]):
+        raise ValidationError(f"the {shape} family does not live at level {n}")
 
 
 def _family_modes(
-    shape: str, seq: JSequence, n: int, lambda_max: float
-) -> list[tuple[int, int, int]]:
-    """(key m, mode index k, multiplicity) triples for one family at one level."""
-    _check_shape_level(shape, n)
-    if lambda_max < 0:
-        return []
-
-    if shape == LINE:
-        out = []
-        k = 0
-        while eigenvalue_of_key(2 * k) <= lambda_max:
-            out.append((2 * k, k, 1))
-            k += 1
-        return out
-
-    census = shape_census(seq, n)
-    scale = census.scale
-    if shape == V:
-        count, first_k, key_of = census.v_count, 0, lambda k: (2 * k + 1) * scale
-    elif shape == LOOP:
-        count, first_k, key_of = census.loop_count, 1, lambda k: 2 * k * scale
-    elif shape == CROSS_FULL:
-        count, first_k, key_of = 2 * census.cross_count, 1, lambda k: 2 * k * scale
-    else:  # CROSS_QUARTER
-        count, first_k, key_of = census.cross_count, 1, lambda k: k * scale
-    if count == 0:
-        return []
-
+    scale: int, row: _FamilyRow, lambda_max: float
+) -> list[tuple[int, int]]:
+    """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max."""
     out = []
-    k = first_k
+    k = row.kstart
     while True:
-        m = key_of(k)
+        m = scale * (row.step * k + row.phase)
         if eigenvalue_of_key(m) > lambda_max:
-            break
-        out.append((m, k, count))
+            return out
+        out.append((m, k))
         k += 1
-    return out
 
 
 def shape_spectrum(
@@ -171,15 +178,14 @@ def shape_spectrum(
     is empty when the shape count at that level is zero (e.g. loops with
     j_n = 2).
     """
-    return [(m, count) for m, _, count in _family_modes(shape, seq, n, lambda_max)]
-
-
-def _families_at_level(n: int) -> tuple[str, ...]:
-    if n == 0:
-        return (LINE,)
-    if n == 1:
-        return (V, LOOP)
-    return (V, LOOP, CROSS_FULL, CROSS_QUARTER)
+    _check_shape_level(shape, seq, n)
+    scale, rows = _occupied_families(seq, n)
+    return [
+        (m, row.count)
+        for row in rows
+        if row.shape == shape
+        for m, _ in _family_modes(scale, row, lambda_max)
+    ]
 
 
 def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> SpectrumTable:
@@ -187,13 +193,15 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
         raise ValidationError(f"lambda_max {lambda_max} < 0")
     collected: dict[int, list[Contribution]] = {}
 
-    def add(shape: str, level: int):
-        for m, k, count in _family_modes(shape, seq, level, lambda_max):
-            collected.setdefault(m, []).append(
-                Contribution(shape=shape, level=level, k=k, count=count)
-            )
+    def add(level: int):
+        scale, rows = _occupied_families(seq, level)
+        for row in rows:
+            for m, k in _family_modes(scale, row, lambda_max):
+                collected.setdefault(m, []).append(
+                    Contribution(shape=row.shape, level=level, k=k, count=row.count)
+                )
 
-    add(LINE, 0)
+    add(0)
 
     truncated_at = None
     n = 1
@@ -203,12 +211,10 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
         if seq.max_level is not None and n > seq.max_level:
             truncated_at = seq.max_level
             break
-        scale = seq.scale(n)
         # smallest positive eigenvalue of any level-n family is (I_n/2)^2 pi^2
-        if eigenvalue_of_key(scale) > lambda_max:
+        if eigenvalue_of_key(seq.scale(n)) > lambda_max:
             break
-        for shape in _families_at_level(n):
-            add(shape, n)
+        add(n)
         n += 1
 
     entries = tuple(

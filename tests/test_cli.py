@@ -246,3 +246,32 @@ def test_config_echoed(tmp_path):
     payload = json.loads(text)
     assert payload["config"]["sequence"] == "2,3"
     assert payload["config"]["command"] == "poles"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "-j", "2", "-n", "x", "-m", "3", "-k", "4"],
+        ["compare", "-n", "2", "-m", "3", "-k", "4"],
+        ["spectrum", "-j", "2", "--count", "many"],
+        ["heat", "-j", "2", "--t", "abc"],
+        ["heat", "-j", "2", "--t", "1e-9:1e-5:xlog"],
+        ["heat", "-j", "2", "--t", "1e-9:x:5log"],
+        ["heat", "-j", "2", "--t", "0:1e-5:5log"],
+        ["poles", "-j", "2", "-m", "a:b"],
+        ["zeta", "-j", "2", "--s", "abc"],
+    ],
+)
+def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, *argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_internal_value_error_is_not_reported_as_invalid_input(tmp_path, monkeypatch):
+    def broken(seq, s):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("laakso.cli.spectral_zeta_closed", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run(tmp_path, "zeta", "-j", "2", "--s", "2", "--mode", "closed")

@@ -20,8 +20,6 @@ from laakso import (
     heat_trace,
     heat_trace_asymptote,
     heat_trace_grid,
-    leading_term_j2,
-    leading_term_j23,
     oscillation_amplitude,
     oscillation_log_period,
     parse_sequence,
@@ -111,16 +109,23 @@ def test_trace_explicit_matches_periodic_when_levels_dormant():
     assert capped.z == pytest.approx(full.z, abs=1e-12)
 
 
-def test_trace_level_cap_targets_the_level_capped_spectrum():
-    t = 1e-3
-    capped = heat_trace(J23, t, 1e-11, level_cap=2)
-    assert capped.level_cap == 2
+@pytest.mark.parametrize("spec", ["2", "3", "2,3", "3,4", "2,5"])
+@pytest.mark.parametrize("cap", [1, 2, 3, 4])
+def test_trace_level_cap_targets_the_level_capped_spectrum(spec, cap):
+    # loops (j >= 3) and deep quarter crosses pin the family table's
+    # key -> (c, offset) mapping in the trace to the exact table's keys
+    seq = parse_sequence(spec)
+    # t scales with the first omitted level so that it stays awake
+    # (t = 1e-3 for 2,3 at cap 2)
+    t = 1e-3 * (12 / seq.scale(cap + 1)) ** 2
+    capped = heat_trace(seq, t, 1e-11, level_cap=cap)
+    assert capped.level_cap == cap
     # independent reference: exponential sum over the truncated exact table
-    table = level_spectrum(J23, 2, 80.0 / t)
+    table = level_spectrum(seq, cap, 80.0 / t)
     reference = sum(e.multiplicity * math.exp(-e.value * t) for e in table.entries)
     assert capped.z == pytest.approx(reference, abs=1e-10)
     # deeper levels are awake at this t, so the full trace is larger
-    full = heat_trace(J23, t, 1e-11)
+    full = heat_trace(seq, t, 1e-11)
     assert full.z > capped.z + 1.0
 
 
@@ -279,14 +284,14 @@ def test_sqrt_coefficient_measured_from_the_trace():
 def test_asymptote_matches_trace_j2():
     for t in (1e-9, 1e-8, 1e-7):
         z = heat_trace(J2, t, 1e-10).z
-        a = leading_term_j2(t)
+        a = heat_trace_asymptote(J2, t)
         assert abs(a - z) / z < 1e-9
 
 
 def test_asymptote_matches_trace_j23():
     for t in (1e-9, 1e-8, 1e-7):
         z = heat_trace(J23, t, 1e-10).z
-        a = leading_term_j23(t)
+        a = heat_trace_asymptote(J23, t)
         assert abs(a - z) / z < 1e-5
 
 
@@ -298,6 +303,16 @@ def test_asymptote_matches_trace_j3():
 
 
 def test_leading_term_m0_decomposition_j2():
+    """Residue expansion of Z(t) for the constant-2 space.
+
+    The oscillatory part is (1/(16 t log 2)) (1 + sum_m 2 Re a_m t^(-i m w))
+    with w = 2 pi / log 4 and
+    a_m = 6 zeta_R(2 + 4 pi i m/log4) Gamma(1 + 2 pi i m/log4)
+          / pi^(2 + 4 pi i m/log4).
+    The square-root term is 3/(4 sqrt(pi t)) and the constant is
+    1 + zeta_L(0).  Valid as t -> 0; for large t the trace approaches 1 and
+    this expansion does not apply.
+    """
     # with no oscillating terms the expansion is the three real residues
     t = 1e-6
     expected = (
@@ -312,9 +327,18 @@ def test_leading_term_m0_decomposition_j2():
 
 
 def test_leading_term_j23_log_slope():
+    """Residue expansion of Z(t) for the alternating 2,3 space.
+
+    Dominant lattice at Re s = 1/2 + log2/log6 with coefficient
+    (1/(24 log6)) 2^(-2s) (2^(4s) + 10 * 2^(2s) + 12) Gamma(s) zeta_R(2s)
+    / pi^(2s); subdominant lattice at Re s = log2/log6 with coefficient
+    (3/(8 log6)) (4^(2s) - 4) 4^(-s) Gamma(s) zeta_R(2s) / pi^(2s).  Both
+    lattices are spaced pi/log6 apart in the imaginary direction, and the
+    bracket's zero at s = 1/2 removes the square-root term entirely.
+    """
     # the expansion's own log-log slope reproduces -(1/2 + log2/log6)
     ts = np.geomspace(1e-9, 1e-6, 61)
-    ys = np.array([leading_term_j23(float(t)) for t in ts])
+    ys = np.array([heat_trace_asymptote(J23, float(t)) for t in ts])
     slope = np.polyfit(np.log(ts), np.log(ys), 1)[0]
     expected = -(0.5 + math.log(2.0) / math.log(6.0))
     assert abs(slope - expected) <= 0.01 * abs(expected)
@@ -341,7 +365,7 @@ def test_period_refined_lattice_is_needed_for_j23():
             )
             coarse += 2.0 * term.real
     assert abs(coarse - z) / z > 3e-3
-    assert abs(leading_term_j23(t) - z) / z < 1e-5
+    assert abs(heat_trace_asymptote(J23, t) - z) / z < 1e-5
 
 
 # -- spectral dimension estimation ------------------------------------------------
