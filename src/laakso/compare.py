@@ -16,6 +16,8 @@ from .sequences import JSequence
 from .solver import cluster_multiplicities, lowest_eigenvalues
 from .spectrum import level_spectrum
 
+_TOL = 1e-7  # residual bound each compared eigenpair must meet
+
 
 @dataclass(frozen=True)
 class ComparisonRow:
@@ -66,8 +68,6 @@ def compare_spectra(
     *,
     rel_gap: float = 0.01,
     seed: int | None = None,
-    tol: float = 1e-7,
-    method: str = "auto",
 ) -> ComparisonReport:
     graph = build_graph(seq, level)
     matrix = discretize(graph, points_per_edge)
@@ -85,9 +85,7 @@ def compare_spectra(
         if running > k:
             break
     block = min(max([8] + relevant) + 4, k + 8)
-    result = lowest_eigenvalues(
-        matrix, k, tol=tol, seed=seed, method=method, block_size=block
-    )
+    result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block)
     clusters = cluster_multiplicities(result, rel_gap)
 
     usable = list(clusters.clusters)
@@ -122,7 +120,7 @@ def compare_spectra(
         k_converged=result.k_converged,
         matrix_dimension=matrix.dimension,
         trust_cutoff=cutoff,
-        tolerance=tol,
+        tolerance=_TOL,
         clusters=clusters.clusters,
         rows=tuple(rows),
     )

@@ -10,13 +10,18 @@ eigenvalue progressions are read from the spectrum module's family table.
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
 has two independent evaluations:
 
-  * direct: family-by-family partial power sums finished with
-    Euler-Maclaurin tails, levels summed until geometric domination;
+  * direct: family-by-family partial power sums finished with the
+    Euler-Maclaurin tail special._power_tail, levels summed until
+    geometric domination;
   * closed: zeta_R(2s) pi^(-2s) times a bracket that resolves, for a
     sequence of period p with block product P, into finitely many geometric
     series in w = 2^p P^(1-2s) and v = 2^p P^(-2s).  This
     rational-in-exponentials form is also the meromorphic continuation,
     which is how the constant zeta_L(0) is obtained.
+
+The two routes share only that tail: riemann_zeta is its explicit head
+plus the same tail.  Both refuse a non-finite s, and because riemann_zeta
+refuses |2s| > 1e4, the closed form and the residues stop at |s| = 5e3.
 
 The closed form's denominators vanish on two vertical lattices,
 Re s = d_s/2 (from w) and Re s = p log2 / (2 log P) (from v), spaced
@@ -44,12 +49,13 @@ from .errors import (
     ValidationError,
 )
 from .sequences import EXPLICIT, JSequence, dimensions
-from .special import complex_gamma, riemann_zeta
-from .spectrum import SpectrumTable, _occupied_families
+from .special import _power_tail, complex_gamma, riemann_zeta
+from .spectrum import SpectrumTable, _level_cap, _occupied_families
 
 _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal-ish double
+_POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
 
 
 @dataclass(frozen=True)
@@ -180,16 +186,17 @@ def heat_trace(
     With no level cap (constant and periodic sequences) the sum runs over
     every level and the omitted-level remainder is dominated geometrically.
     A level cap restricts the target to the level-capped spectrum, the same
-    object level_spectrum describes; explicit prefixes always carry a cap
-    (defaulting to the prefix length) and additionally raise when even the
-    mildest continuation (j = 2 at the next level) would contribute more
-    than tol, since no cap-respecting answer can then speak for the limit
-    space at that accuracy.
+    object level_spectrum describes, under the same rule: a negative cap or
+    one past an explicit prefix raises, and explicit prefixes always carry a
+    cap (defaulting to the prefix length).  They additionally raise when
+    even the mildest continuation (j = 2 at the next level) would contribute
+    more than tol, since no cap-respecting answer can then speak for the
+    limit space at that accuracy.
     """
-    if t <= 0:
-        raise ValidationError(f"t {t} <= 0")
-    if tol <= 0:
-        raise ValidationError(f"tol {tol} <= 0")
+    if not t > 0:
+        raise ValidationError(f"t {t} must be > 0")
+    if not tol > 0:
+        raise ValidationError(f"tol {tol} must be > 0")
     # term-by-term summation needs ~sqrt(745 / (pi^2 t)) line-family terms;
     # refuse once that stops being enumerable (use the residue expansion
     # for the deep asymptotic regime instead)
@@ -199,10 +206,7 @@ def heat_trace(
             "heat_trace_asymptote covers the deep small-t regime"
         )
     explicit = seq.kind == EXPLICIT
-    if explicit:
-        if level_cap is None:
-            level_cap = seq.max_level
-        level_cap = min(level_cap, seq.max_level)
+    level_cap = _level_cap(seq, level_cap)
 
     z = 1.0  # lambda = 0
     partial, bound = _family_partial(_LINE, t, tol / 4.0)
@@ -260,34 +264,7 @@ def heat_trace_grid(
 # direct spectral zeta (power sums + Euler-Maclaurin tails)
 # ---------------------------------------------------------------------------
 
-_EM_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
-
 _EM_CUT = 64
-
-
-def _power_tail(w: complex, kfirst: int, offset: float) -> complex:
-    """sum_{k >= kfirst} (k + offset)^(-w) by Euler-Maclaurin."""
-    a = kfirst + offset
-    la = math.log(a)
-    apow = cmath.exp(-w * la)
-    total = apow * a / (w - 1.0)
-    total += apow / 2.0
-    rising = w
-    apow_j = apow / a
-    for j, b in enumerate(_EM_BERNOULLI, start=1):
-        if j > 1:
-            rising = rising * (w + (2 * j - 3)) * (w + (2 * j - 2))
-        total += (b / math.factorial(2 * j)) * rising * apow_j
-        apow_j /= a * a
-    return total
 
 
 def _family_zeta(fam: _Family, s: complex) -> complex:
@@ -295,8 +272,15 @@ def _family_zeta(fam: _Family, s: complex) -> complex:
     w = 2.0 * s
     ks = np.arange(fam.kstart, _EM_CUT, dtype=np.float64) + fam.offset
     partial = complex(np.sum(np.exp(-w * np.log(ks))))
-    partial += _power_tail(w, _EM_CUT, fam.offset)
+    partial += _power_tail(w, _EM_CUT + fam.offset)
     return cmath.exp(fam.log_count - s * fam.log_c) * partial
+
+
+def _finite_s(s: complex) -> complex:
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise ValidationError(f"s {s} is not finite")
+    return s
 
 
 def convergence_abscissa(seq: JSequence) -> float:
@@ -325,7 +309,7 @@ def spectral_zeta_direct(
             level_cap = table.level_cap
     else:
         seq = table
-    s = complex(s)
+    s = _finite_s(s)
     sigma = s.real
     abscissa = convergence_abscissa(seq)
     if sigma <= abscissa:
@@ -333,10 +317,7 @@ def spectral_zeta_direct(
             f"Re s = {sigma} is at or below the abscissa of convergence "
             f"{abscissa}; the eigenvalue sum diverges"
         )
-    if seq.kind == EXPLICIT:
-        if level_cap is None:
-            level_cap = seq.max_level
-        level_cap = min(level_cap, seq.max_level)
+    level_cap = _level_cap(seq, level_cap)
 
     total = _family_zeta(_LINE, s)
     n = 1
@@ -368,7 +349,7 @@ def _periodic_view(seq: JSequence) -> JSequence:
     return seq
 
 
-def _bracket(seq: JSequence, s: complex, *, pole_tol: float = 1e-12) -> complex:
+def _bracket(seq: JSequence, s: complex) -> complex:
     """The level sum multiplying zeta_R(2s)/pi^(2s) in zeta_L(s).
 
     Exact for constant and periodic sequences: residue classes mod the
@@ -381,9 +362,9 @@ def _bracket(seq: JSequence, s: complex, *, pole_tol: float = 1e-12) -> complex:
     w = cmath.exp(p * math.log(2.0) + (1.0 - 2.0 * s) * log_block)
     v = cmath.exp(p * math.log(2.0) - 2.0 * s * log_block)
     for q, family in ((w, "dominant"), (v, "subdominant")):
-        if abs(1.0 - q) < pole_tol:
+        if abs(1.0 - q) < _POLE_TOL:
             raise PoleError(
-                f"s = {s} is within {pole_tol} of a {family} pole of the "
+                f"s = {s} is within {_POLE_TOL} of a {family} pole of the "
                 "closed-form zeta",
                 nearest_pole=_nearest_pole(seq, s, family),
             )
@@ -414,7 +395,7 @@ def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
     Riemann factor has its pole; in particular s = 0 gives the constant
     term of the small-t trace expansion.
     """
-    s = complex(s)
+    s = _finite_s(s)
     if abs(2.0 * s - 1.0) < 1e-9:
         raise PoleError(
             "s = 1/2 is the pole of the zeta_R(2s) factor",
@@ -561,8 +542,8 @@ def heat_trace_asymptote(seq: JSequence, t: float, m_terms: int = 5) -> float:
     kept on each side of the real axis per family, and conjugate pairs are
     folded into twice the real part.
     """
-    if t <= 0:
-        raise ValidationError(f"t {t} <= 0")
+    if not t > 0:
+        raise ValidationError(f"t {t} must be > 0")
     seq = _periodic_view(seq)
     fine = fine_pole_spacing(seq)
     log_t = math.log(t)

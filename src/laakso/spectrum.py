@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ValidationError
-from .sequences import EXPLICIT, JSequence, shape_census
+from .errors import LevelRangeError, ValidationError
+from .sequences import JSequence, shape_census
 
 LINE = "line"
 V = "V"
@@ -188,9 +188,27 @@ def shape_spectrum(
     ]
 
 
+def _level_cap(seq: JSequence, cap: int | None) -> int | None:
+    """The last level a capped table or sum covers: the one level-cap rule.
+
+    A cap must be a level the sequence has: negative caps and caps past an
+    explicit prefix raise.  No cap means every level, which for an explicit
+    prefix is its length.
+    """
+    if cap is None:
+        return seq.max_level
+    if cap < 0:
+        raise ValidationError(f"level cap {cap} < 0")
+    if seq.max_level is not None and cap > seq.max_level:
+        raise LevelRangeError(
+            f"level cap {cap} exceeds the {seq.max_level}-entry explicit prefix"
+        )
+    return cap
+
+
 def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> SpectrumTable:
-    if lambda_max < 0:
-        raise ValidationError(f"lambda_max {lambda_max} < 0")
+    if not 0 <= lambda_max < math.inf:
+        raise ValidationError(f"lambda_max {lambda_max} must be finite and >= 0")
     collected: dict[int, list[Contribution]] = {}
 
     def add(level: int):
@@ -248,13 +266,7 @@ def level_spectrum(seq: JSequence, n_max: int, lambda_max: float) -> SpectrumTab
     This is what the finite graph F_{n_max} carries, hence the comparison
     target for the mesh eigensolver.
     """
-    if n_max < 0:
-        raise ValidationError(f"n_max {n_max} < 0")
-    if seq.kind == EXPLICIT and seq.max_level is not None and n_max > seq.max_level:
-        raise ValidationError(
-            f"n_max {n_max} exceeds the {seq.max_level}-entry explicit prefix"
-        )
-    return _generate(seq, lambda_max, n_max)
+    return _generate(seq, lambda_max, _level_cap(seq, n_max))
 
 
 def counting_function(table: SpectrumTable, lam: float) -> int:
@@ -276,11 +288,7 @@ def first_distinct(seq: JSequence, count: int) -> SpectrumTable:
     if count < 1:
         raise ValidationError(f"count {count} < 1")
     # the line family alone guarantees >= count distinct values below (count pi)^2
-    lam = eigenvalue_of_key(2 * (count - 1)) + 1.0
-    table = full_spectrum(seq, lam)
-    while len(table.entries) < count:
-        lam *= 2.0
-        table = full_spectrum(seq, lam)
+    table = full_spectrum(seq, eigenvalue_of_key(2 * (count - 1)) + 1.0)
     entries = table.entries[:count]
     return SpectrumTable(
         sequence=seq,

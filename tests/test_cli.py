@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -260,12 +262,34 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "2", "--t", "0:1e-5:5log"],
         ["poles", "-j", "2", "-m", "a:b"],
         ["zeta", "-j", "2", "--s", "abc"],
+        ["zeta", "-j", "2", "--s", "1e400", "--mode", "direct"],
+        ["zeta", "-j", "2", "--s", "1e400", "--mode", "closed"],
+        ["zeta", "-j", "2", "--s", "nan"],
+        ["zeta", "-j", "2", "--s", "2+2e4j", "--mode", "closed"],
+        ["spectrum", "-j", "2", "--lambda-max", "nan"],
+        ["spectrum", "-j", "2", "--lambda-max", "inf"],
+        ["heat", "-j", "2", "--t", "nan"],
+        ["heat", "-j", "2", "--t", "1e-3", "--tol", "nan"],
+        ["heat", "-j", "2", "--t", "1e-3", "--level-cap", "-1"],
+        ["heat", "-j", "seq:2,3", "--t", "1", "--level-cap", "3"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [
+    line for line in README.read_text().splitlines() if line.startswith("laakso ")
+]
+
+
+@pytest.mark.parametrize("command", README_COMMANDS)
+def test_readme_commands_succeed(tmp_path, command):
+    code, _ = run(tmp_path, *shlex.split(command)[1:])
+    assert code == 0
 
 
 def test_internal_value_error_is_not_reported_as_invalid_input(tmp_path, monkeypatch):

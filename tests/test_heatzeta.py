@@ -86,6 +86,18 @@ def test_trace_validates_inputs():
         heat_trace(J2, 1.0, -1e-9)
     with pytest.raises(ValidationError):
         heat_trace(J2, 1e-15, 1e-9)  # below the direct-summation floor
+    for t, tol in ((math.nan, 1e-9), (1.0, math.nan)):
+        with pytest.raises(ValidationError):
+            heat_trace(J2, t, tol)
+    # one level-cap rule for the trace, the direct zeta and level_spectrum
+    prefix = parse_sequence("seq:2,3")
+    for seq, cap in ((J2, -1), (prefix, -1), (prefix, 3)):
+        with pytest.raises(ValidationError):
+            heat_trace(seq, 1.0, 1e-9, level_cap=cap)
+        with pytest.raises(ValidationError):
+            spectral_zeta_direct(seq, 2.0, level_cap=cap)
+        with pytest.raises(ValidationError):
+            level_spectrum(seq, cap, 100.0)
 
 
 def test_trace_explicit_prefix_needs_reachable_tolerance():
@@ -167,6 +179,14 @@ def test_closed_rejects_pole_neighborhood():
 def test_closed_rejects_half():
     with pytest.raises(PoleError):
         spectral_zeta_closed(J23, 0.5)
+
+
+@pytest.mark.parametrize("s", [math.inf, math.nan, complex(2.0, math.inf)])
+def test_zeta_routes_refuse_non_finite_s(s):
+    with pytest.raises(ValidationError):
+        spectral_zeta_direct(J2, s)
+    with pytest.raises(ValidationError):
+        spectral_zeta_closed(J2, s)
 
 
 def test_zeta_at_zero_by_continuation():

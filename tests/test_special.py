@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laakso import PoleError, complex_gamma, riemann_zeta
+from laakso import PoleError, ValidationError, complex_gamma, riemann_zeta
 
 mp.mp.dps = 30
 
@@ -97,6 +97,19 @@ def test_eta_guard_region():
     ours = riemann_zeta(s)
     reference = complex(mp.zeta(mp.mpc(s.real, s.imag)))
     assert abs(ours - reference) < 1e-10
+
+
+@pytest.mark.parametrize("s", [2 + 200j, 2 + 1000j])
+def test_matches_reference_far_up_the_strip(s):
+    # the Euler-Maclaurin term count grows with |s|, so accuracy holds there
+    reference = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+    assert abs(riemann_zeta(s) - reference) <= 1e-12 * abs(reference)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, complex(2.0, math.inf), 2 + 2e4j])
+def test_rejects_non_finite_and_huge_arguments(s):
+    with pytest.raises(ValidationError):
+        riemann_zeta(s)
 
 
 # -- gamma ---------------------------------------------------------------------
