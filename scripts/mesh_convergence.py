@@ -51,7 +51,7 @@ def main() -> None:
     for m in meshes:
         matrix = discretize(graph, m)
         result = lowest_eigenvalues(matrix, min(args.k, matrix.dimension - 1))
-        reps = cluster_multiplicities(result, 0.01).representatives()
+        reps = cluster_multiplicities(result.values, 0.01).representatives()
         for lam in exact:
             closest = min(reps, key=lambda v: abs(v - lam))
             errors[m].append(abs(closest - lam) / lam)

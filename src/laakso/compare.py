@@ -86,7 +86,7 @@ def compare_spectra(
             break
     block = min(max([8] + relevant) + 4, k + 8)
     result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block)
-    clusters = cluster_multiplicities(result, rel_gap)
+    clusters = cluster_multiplicities(result.values, rel_gap)
 
     usable = list(clusters.clusters)
     if len(usable) > 1:

@@ -76,12 +76,6 @@ class SparseSymmetricMatrix:
             shape=(self.dimension, self.dimension),
         )
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ x
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_csr().toarray()
-
     def to_matrix_market(self, path) -> None:
         from scipy.io import mmwrite
 

@@ -10,9 +10,9 @@ eigenvalue progressions are read from the spectrum module's family table.
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
 has two independent evaluations:
 
-  * direct: family-by-family partial power sums finished with the
-    Euler-Maclaurin tail special._power_tail, levels summed until
-    geometric domination;
+  * direct: family-by-family partial power sums, whose explicit head
+    grows with |s| like riemann_zeta's, finished with the Euler-Maclaurin
+    tail special._power_tail, levels summed until geometric domination;
   * closed: zeta_R(2s) pi^(-2s) times a bracket that resolves, for a
     sequence of period p with block product P, into finitely many geometric
     series in w = 2^p P^(1-2s) and v = 2^p P^(-2s).  This
@@ -20,8 +20,9 @@ has two independent evaluations:
     which is how the constant zeta_L(0) is obtained.
 
 The two routes share only that tail: riemann_zeta is its explicit head
-plus the same tail.  Both refuse a non-finite s, and because riemann_zeta
-refuses |2s| > 1e4, the closed form and the residues stop at |s| = 5e3.
+plus the same tail.  Both refuse a non-finite s and |s| > 5e3 (the closed
+form and the residues because riemann_zeta refuses |2s| > 1e4), and a
+closed-form value past the double range raises ValidationError.
 
 The closed form's denominators vanish on two vertical lattices,
 Re s = d_s/2 (from w) and Re s = p log2 / (2 log P) (from v), spaced
@@ -50,7 +51,7 @@ from .errors import (
 )
 from .sequences import EXPLICIT, JSequence, dimensions
 from .special import _power_tail, complex_gamma, riemann_zeta
-from .spectrum import SpectrumTable, _level_cap, _occupied_families
+from .spectrum import _level_cap, _occupied_families
 
 _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
@@ -264,16 +265,24 @@ def heat_trace_grid(
 # direct spectral zeta (power sums + Euler-Maclaurin tails)
 # ---------------------------------------------------------------------------
 
-_EM_CUT = 64
+_EM_CUT = 64  # smallest head; the head grows with |s| past |2s| ~ 36
+_MAX_ABS_S = 5e3  # riemann_zeta's |2s| <= 1e4, which bounds the closed form too
+_DIRECT_ATOL = 1e-13  # bound on the omitted levels of the direct sum
 
 
 def _family_zeta(fam: _Family, s: complex) -> complex:
-    """count * sum_k (c (k+offset)^2)^(-s), Euler-Maclaurin finish."""
+    """count * sum_k (c (k+offset)^2)^(-s), Euler-Maclaurin finish.
+
+    The explicit head grows with |s| by the rule riemann_zeta uses.  The
+    prefactor count * c^(-s) sits in the exponent of every head term, so a
+    (k+offset)^(-2s) past the double range never meets it as inf * 0.
+    """
     w = 2.0 * s
-    ks = np.arange(fam.kstart, _EM_CUT, dtype=np.float64) + fam.offset
-    partial = complex(np.sum(np.exp(-w * np.log(ks))))
-    partial += _power_tail(w, _EM_CUT + fam.offset)
-    return cmath.exp(fam.log_count - s * fam.log_c) * partial
+    cut = max(_EM_CUT, int(1.5 * abs(w)) + 10)
+    pre = fam.log_count - s * fam.log_c
+    ks = np.arange(fam.kstart, cut, dtype=np.float64) + fam.offset
+    head = complex(np.sum(np.exp(pre - w * np.log(ks))))
+    return head + cmath.exp(pre) * _power_tail(w, cut + fam.offset)
 
 
 def _finite_s(s: complex) -> complex:
@@ -291,25 +300,16 @@ def convergence_abscissa(seq: JSequence) -> float:
 
 
 def spectral_zeta_direct(
-    table: SpectrumTable | JSequence,
-    s: complex,
-    *,
-    atol: float = 1e-13,
-    level_cap: int | None = None,
+    seq: JSequence, s: complex, *, level_cap: int | None = None
 ) -> complex:
     """Brute-force zeta_L(s): term-by-term family sums, no closed forms.
 
-    Accepts a SpectrumTable (its sequence and any level cap are used) or a
-    JSequence directly.  Serves as the independent oracle for
-    spectral_zeta_closed on the convergence half-plane.
+    Serves as the independent oracle for spectral_zeta_closed on the
+    convergence half-plane, up to the closed form's |s| <= 5e3.
     """
-    if isinstance(table, SpectrumTable):
-        seq = table.sequence
-        if level_cap is None:
-            level_cap = table.level_cap
-    else:
-        seq = table
     s = _finite_s(s)
+    if abs(s) > _MAX_ABS_S:
+        raise ValidationError(f"the direct zeta needs |s| <= {_MAX_ABS_S:g}, got {s}")
     sigma = s.real
     abscissa = convergence_abscissa(seq)
     if sigma <= abscissa:
@@ -330,7 +330,7 @@ def spectral_zeta_direct(
         if level_cap is None:
             # remaining levels shrink geometrically with ratio 2 r^(1-2 sigma)
             ratio = 2.0 * seq.contraction_limit() ** (1.0 - 2.0 * sigma)
-            if n >= 2 and abs(level_term) * ratio / (1.0 - ratio) <= atol:
+            if n >= 2 and abs(level_term) * ratio / (1.0 - ratio) <= _DIRECT_ATOL:
                 break
         n += 1
     return total
@@ -401,10 +401,17 @@ def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
             "s = 1/2 is the pole of the zeta_R(2s) factor",
             nearest_pole=0.5 + 0.0j,
         )
-    bracket = _bracket(seq, s)
-    if s == 0:
-        return complex(-0.5 * bracket)  # zeta_R(0) = -1/2
-    return riemann_zeta(2.0 * s) * cmath.exp(-2.0 * s * math.log(math.pi)) * bracket
+    try:
+        bracket = _bracket(seq, s)
+        if s == 0:
+            value = complex(-0.5 * bracket)  # zeta_R(0) = -1/2
+        else:
+            value = riemann_zeta(2.0 * s) * cmath.exp(-2.0 * s * math.log(math.pi)) * bracket
+    except OverflowError:
+        value = complex(math.inf)
+    if not cmath.isfinite(value):
+        raise ValidationError(f"zeta_L(s) overflows double precision at s = {s}")
+    return value
 
 
 def zeta_at_zero(seq: JSequence) -> float:

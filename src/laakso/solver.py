@@ -1,17 +1,14 @@
 """Lowest eigenvalues of sparse symmetric PSD matrices, with clustering.
 
-The iterative path is a block shift-invert Krylov iteration: the matrix is
-shifted negative (it is PSD, so A - sigma I is definite), factorized once
-with sparse LU, and a block Krylov basis of the inverse is grown with full
-reorthogonalization until Rayleigh-Ritz residuals certify the requested
-pairs.  Blocks are essential here: the mesh Laplacians have exactly
-degenerate eigenvalues (one copy per congruent shape), and a single-vector
-Krylov space contains only one direction per eigenspace, so multiplicities
-would come out short.  The starting block is deterministic (all-ones first
+One path serves every dimension, a block shift-invert Krylov iteration:
+the matrix is shifted negative (it is PSD, so A - sigma I is definite),
+factorized once with sparse LU, and a block Krylov basis of the inverse is
+grown with full reorthogonalization until Rayleigh-Ritz residuals certify
+the requested pairs.  Blocks are essential here: the mesh Laplacians have
+exactly degenerate eigenvalues (one copy per congruent shape), and a
+single-vector Krylov space contains only one direction per eigenspace, so
+multiplicities would come out short.  The starting block is deterministic (all-ones first
 column, seeded Gaussian fill) so runs reproduce bit for bit.
-
-The dense path (numpy eigh) is used below dimension 2000 and doubles as
-the correctness oracle for the iterative path.
 
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
@@ -30,8 +27,6 @@ import scipy.sparse.linalg as spla
 from .errors import ValidationError
 from .graphs import SparseSymmetricMatrix
 
-DENSE_LIMIT = 2000
-
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -39,7 +34,6 @@ class EigenResult:
     residual_norms: np.ndarray  # ||A x - lambda x|| / (||x|| * scale)
     k_requested: int
     k_converged: int
-    method: str
 
 
 @dataclass(frozen=True)
@@ -66,40 +60,36 @@ def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
     return q
 
 
-def _dense_path(matrix: SparseSymmetricMatrix, k: int, tol: float) -> EigenResult:
-    a = matrix.to_csr()
-    scale = _matrix_scale(a)
-    values, vectors = np.linalg.eigh(matrix.to_dense())
-    values = values[:k]
-    vectors = vectors[:, :k]
-    res = np.linalg.norm(a @ vectors - vectors * values, axis=0) / scale
-    return EigenResult(
-        values=values,
-        residual_norms=res,
-        k_requested=k,
-        k_converged=int(np.sum(res <= tol)),
-        method="dense",
-    )
-
-
-def _block_shift_invert(
+def lowest_eigenvalues(
     matrix: SparseSymmetricMatrix,
     k: int,
-    tol: float,
-    seed: int | None,
-    block_size: int,
-    max_basis: int | None,
+    tol: float = 1e-8,
+    *,
+    seed: int | None = None,
+    block_size: int = 32,
 ) -> EigenResult:
-    a = matrix.to_csr()
+    """The k algebraically smallest eigenvalues with residual certificates.
+
+    block_size should be at least the largest expected eigenvalue
+    multiplicity, or degenerate copies cannot all be captured.  The basis
+    is capped at max(5k, k + 15 block_size) columns; on exhaustion the
+    converged part is returned with k_converged < k rather than raising.
+    """
+    if k < 1:
+        raise ValidationError(f"k {k} < 1")
     dim = matrix.dimension
+    if k >= dim:
+        raise ValidationError(f"k {k} must be below the dimension {dim}")
+    if tol <= 0:
+        raise ValidationError(f"tol {tol} <= 0")
+    a = matrix.to_csr()
     scale = _matrix_scale(a)
     sigma = -1e-3 * scale
     lu = spla.splu((a - sigma * sp.identity(dim, format="csr")).tocsc())
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
     width = min(block_size, dim - 1)
-    if max_basis is None:
-        max_basis = min(dim, max(5 * k, k + 15 * width))
+    max_basis = min(dim, max(5 * k, k + 15 * width))
     basis = _starting_block(dim, width, seed)
     a_basis = a @ basis
     current = basis
@@ -148,47 +138,10 @@ def _block_shift_invert(
         residual_norms=res,
         k_requested=k,
         k_converged=int(np.sum(res <= tol)),
-        method="shift-invert",
     )
 
 
-def lowest_eigenvalues(
-    matrix: SparseSymmetricMatrix,
-    k: int,
-    tol: float = 1e-8,
-    *,
-    seed: int | None = None,
-    method: str = "auto",
-    block_size: int = 32,
-    max_basis: int | None = None,
-) -> EigenResult:
-    """The k algebraically smallest eigenvalues with residual certificates.
-
-    method "auto" picks "dense" up to dimension 2000, else "shift-invert"
-    (block Krylov on the factorized shifted inverse).  block_size should be
-    at least the largest expected eigenvalue multiplicity, or degenerate
-    copies cannot all be captured.  On basis exhaustion the converged part
-    is returned with k_converged < k rather than raising.
-    """
-    if k < 1:
-        raise ValidationError(f"k {k} < 1")
-    dim = matrix.dimension
-    if k >= dim:
-        raise ValidationError(f"k {k} must be below the dimension {dim}")
-    if tol <= 0:
-        raise ValidationError(f"tol {tol} <= 0")
-    if method == "auto":
-        method = "dense" if dim <= DENSE_LIMIT else "shift-invert"
-    if method == "dense":
-        return _dense_path(matrix, k, tol)
-    if method == "shift-invert":
-        return _block_shift_invert(matrix, k, tol, seed, block_size, max_basis)
-    raise ValidationError(f"unknown method {method!r}")
-
-
-def cluster_multiplicities(
-    result: EigenResult | np.ndarray, rel_gap: float
-) -> ClusteredSpectrum:
+def cluster_multiplicities(values: np.ndarray, rel_gap: float) -> ClusteredSpectrum:
     """Greedy clustering of sorted values into (representative, multiplicity).
 
     A value joins the current cluster when its gap to the previous value is
@@ -197,9 +150,6 @@ def cluster_multiplicities(
     """
     if not 0 < rel_gap < 0.5:
         raise ValidationError(f"rel_gap {rel_gap} outside (0, 0.5)")
-    values = (
-        result.values if isinstance(result, EigenResult) else np.asarray(result, dtype=float)
-    )
     if len(values) == 0:
         return ClusteredSpectrum(clusters=())
     clusters: list[tuple[float, int]] = []

@@ -158,7 +158,14 @@ def _check_shape_level(shape: str, seq: JSequence, n: int) -> None:
 def _family_modes(
     scale: int, row: _FamilyRow, lambda_max: float
 ) -> list[tuple[int, int]]:
-    """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max."""
+    """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max.
+
+    The loop ends only below a finite bound, so the bound is checked here,
+    where both public entry points (shape_spectrum and the table builders)
+    pass through.
+    """
+    if not 0 <= lambda_max < math.inf:
+        raise ValidationError(f"lambda_max {lambda_max} must be finite and >= 0")
     out = []
     k = row.kstart
     while True:
@@ -207,8 +214,6 @@ def _level_cap(seq: JSequence, cap: int | None) -> int | None:
 
 
 def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> SpectrumTable:
-    if not 0 <= lambda_max < math.inf:
-        raise ValidationError(f"lambda_max {lambda_max} must be finite and >= 0")
     collected: dict[int, list[Contribution]] = {}
 
     def add(level: int):

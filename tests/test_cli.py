@@ -272,6 +272,8 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "2", "--t", "1e-3", "--tol", "nan"],
         ["heat", "-j", "2", "--t", "1e-3", "--level-cap", "-1"],
         ["heat", "-j", "seq:2,3", "--t", "1", "--level-cap", "3"],
+        ["zeta", "-j", "2", "--s", "-600", "--mode", "closed"],
+        ["zeta", "-j", "2", "--s", "600", "--mode", "closed"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

@@ -70,7 +70,7 @@ def test_mesh_error_ratio_second_order():
     exact = [e.value for e in level_spectrum(seq, 2, 400.0).entries if e.value > 0][:8]
     errors = {}
     for m in (12, 24, 48):
-        values = np.linalg.eigvalsh(discretize(graph, m).to_dense())
+        values = np.linalg.eigvalsh(discretize(graph, m).to_csr().toarray())
         errors[m] = np.array(
             [np.abs(values - lam).min() for lam in exact]
         )

@@ -119,12 +119,12 @@ def test_unit_interval_neumann_spectrum():
     # modes all clear 1e-3 once h <= 1/150
     g = build_graph(parse_sequence("2"), 0)
     mat = discretize(g, 149)
-    values = np.linalg.eigvalsh(mat.to_dense())[:5]
+    values = np.linalg.eigvalsh(mat.to_csr().toarray())[:5]
     assert abs(values[0]) < 1e-9
     for k in range(1, 5):
         assert values[k] == pytest.approx((k * math.pi) ** 2, rel=1e-3)
     # the classical error law itself, at the coarser mesh
-    coarse = np.linalg.eigvalsh(discretize(g, 99).to_dense())[:5]
+    coarse = np.linalg.eigvalsh(discretize(g, 99).to_csr().toarray())[:5]
     h = 1.0 / 100.0
     for k in range(1, 5):
         lam = (k * math.pi) ** 2
@@ -160,7 +160,7 @@ def test_operator_kernel_is_weighted_constant():
 
 def test_zero_eigenvalue_simple_and_spectrum_nonnegative():
     g = build_graph(parse_sequence("2"), 2)
-    values = np.linalg.eigvalsh(discretize(g, 3).to_dense())
+    values = np.linalg.eigvalsh(discretize(g, 3).to_csr().toarray())
     assert values[0] > -1e-10
     assert abs(values[0]) < 1e-9
     assert values[1] > 1.0  # spectral gap: the graph is connected
@@ -170,7 +170,7 @@ def test_lowest_eigenvalue_of_x_graph_approaches_pi_squared():
     g = build_graph(parse_sequence("2"), 1)
     prev_err = None
     for m in (8, 24, 72):
-        values = np.linalg.eigvalsh(discretize(g, m).to_dense())
+        values = np.linalg.eigvalsh(discretize(g, m).to_csr().toarray())
         err = abs(values[1] - math.pi**2)
         if prev_err is not None:
             assert err < prev_err / 4.0  # beats first order decisively
@@ -184,7 +184,7 @@ def test_mesh_convergence_second_order():
     exact = [e.value for e in level_spectrum(seq, 2, 1e5).entries][1:11]
     errors = []
     for m in (12, 24, 48):
-        values = np.linalg.eigvalsh(discretize(g, m).to_dense())
+        values = np.linalg.eigvalsh(discretize(g, m).to_csr().toarray())
         idx = 1
         errs = []
         for lam in exact:
@@ -207,7 +207,7 @@ def test_matrix_market_export(tmp_path):
     path = tmp_path / "operator.mtx"
     mat.to_matrix_market(path)
     loaded = scipy.io.mmread(str(path)).tocsr()
-    assert np.allclose(loaded.toarray(), mat.to_dense())
+    assert np.allclose(loaded.toarray(), mat.to_csr().toarray())
 
 
 @given(st.sampled_from(SEQS), st.integers(min_value=1, max_value=4))

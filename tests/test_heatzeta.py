@@ -1,12 +1,17 @@
 """Heat trace, spectral zeta (two routes), poles, residues, asymptotics."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laakso
 from laakso import (
     level_spectrum,
     DivergenceError,
@@ -16,7 +21,6 @@ from laakso import (
     dimensions,
     estimate_spectral_dimension,
     fine_pole_spacing,
-    full_spectrum,
     heat_trace,
     heat_trace_asymptote,
     heat_trace_grid,
@@ -152,11 +156,38 @@ def test_closed_equals_direct(seq, s):
     assert abs(closed - direct) <= 1e-8 * (1.0 + abs(closed))
 
 
-def test_direct_accepts_table_input():
-    table = full_spectrum(J23, 500.0)
-    via_table = spectral_zeta_direct(table, 2.0)
-    via_seq = spectral_zeta_direct(J23, 2.0)
-    assert via_table == via_seq
+def test_direct_matches_closed_far_up_the_strip():
+    """The direct route's explicit head grows with |s| like riemann_zeta's."""
+    s = 1.5 + 400j
+    closed = spectral_zeta_closed(J2, s)
+    direct = spectral_zeta_direct(J2, s)
+    assert abs(direct - closed) <= 1e-10 * abs(closed)
+
+
+def test_direct_vanishes_at_large_real_s():
+    """At s = 600 the V family's (k + 1/2)^(-2s) is past the double range
+    while its prefactor count * c^(-s) underflows: the sum is 0, not a level
+    loop on NaN.  A child process turns a hang into a failure."""
+    code = (
+        "from laakso import parse_sequence, spectral_zeta_direct\n"
+        "print(spectral_zeta_direct(parse_sequence('2'), 600) == 0)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "True", done.stderr
+
+
+def test_direct_refuses_huge_s():
+    with pytest.raises(ValidationError):
+        spectral_zeta_direct(J2, 2.0 + 6e3j)
+
+
+@pytest.mark.parametrize("s", [600.0, -600.0, -70.0])
+def test_closed_overflow_is_invalid_input(s):
+    with pytest.raises(ValidationError, match="overflows"):
+        spectral_zeta_closed(J2, s)
 
 
 def test_direct_diverges_at_and_below_abscissa():

@@ -1,4 +1,4 @@
-"""Eigensolver paths and multiplicity clustering."""
+"""The block shift-invert eigensolver and multiplicity clustering."""
 
 import math
 
@@ -29,20 +29,16 @@ def test_neumann_chain():
     g = build_graph(parse_sequence("2"), 0)
     mat = discretize(g, 99)
     res = lowest_eigenvalues(mat, 4, tol=1e-8)
-    assert res.method == "dense"
     assert res.k_converged == 4
     assert abs(res.values[0]) < 1e-9
     for k in (1, 2, 3):
         assert res.values[k] == pytest.approx((k * math.pi) ** 2, rel=1e-3)
 
 
-def test_diagonal_matrix_both_paths():
-    mat = _diag_matrix(50)
-    dense = lowest_eigenvalues(mat, 3, method="dense")
-    assert np.allclose(dense.values, [0.0, 1.0, 2.0], atol=1e-12)
-    iterative = lowest_eigenvalues(mat, 3, method="shift-invert")
-    assert np.allclose(iterative.values, [0.0, 1.0, 2.0], atol=1e-9)
-    assert iterative.k_converged == 3
+def test_diagonal_matrix():
+    res = lowest_eigenvalues(_diag_matrix(50), 3)
+    assert np.allclose(res.values, [0.0, 1.0, 2.0], atol=1e-9)
+    assert res.k_converged == 3
 
 
 def test_validation():
@@ -53,34 +49,57 @@ def test_validation():
         lowest_eigenvalues(mat, 0)
     with pytest.raises(ValidationError):
         lowest_eigenvalues(mat, 2, tol=-1.0)
-    with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 2, method="qr")
 
 
 def test_oracle_equivalence_dense_vs_iterative():
-    """Both paths agree on a mesh operator with degenerate clusters."""
+    """The solver agrees with dense eigvalsh on a mesh operator with
+    degenerate clusters."""
     g = build_graph(parse_sequence("2,3"), 2)
     mat = discretize(g, 8)  # dimension 210
     tol = 1e-9
     k = 16
-    dense = lowest_eigenvalues(mat, k, tol=tol, method="dense")
-    iterative = lowest_eigenvalues(
-        mat, k, tol=tol, method="shift-invert", block_size=12
-    )
+    dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
+    iterative = lowest_eigenvalues(mat, k, tol=tol, block_size=12)
     assert iterative.k_converged == k
     scale = float(np.abs(mat.to_csr().diagonal()).max())
-    assert np.max(np.abs(dense.values - iterative.values)) <= 10 * tol * scale
+    assert np.max(np.abs(dense - iterative.values)) <= 10 * tol * scale
+
+
+@pytest.mark.parametrize(
+    "spec, level, m",
+    [
+        ("2", 0, 1),  # dimension 3
+        ("2", 1, 1),  # 9
+        ("2,3", 1, 3),  # 17
+        ("2", 2, 2),  # 46
+        ("3", 2, 1),  # 60, clusters of 14
+        ("3,4", 2, 1),  # 78, clusters of 20
+        ("2,3", 2, 4),  # 114
+        ("2,3", 2, 8),  # 210
+    ],
+)
+def test_small_dimension_multiplicities_match_eigvalsh(spec, level, m):
+    """At small dimensions, all but the top eigenvalue cluster like eigvalsh's."""
+    mat = discretize(build_graph(parse_sequence(spec), level), m)
+    k = mat.dimension - 1
+    res = lowest_eigenvalues(mat, k)
+    assert res.k_converged == k
+    dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
+    got = cluster_multiplicities(res.values, 1e-6)
+    want = cluster_multiplicities(dense, 1e-6)
+    assert got.multiplicities() == want.multiplicities()
+    assert got.representatives() == pytest.approx(want.representatives(), abs=1e-9)
 
 
 def test_reproducible_bit_for_bit():
     g = build_graph(parse_sequence("3"), 2)
     mat = discretize(g, 6)
-    a = lowest_eigenvalues(mat, 10, method="shift-invert", seed=7)
-    b = lowest_eigenvalues(mat, 10, method="shift-invert", seed=7)
+    a = lowest_eigenvalues(mat, 10, seed=7)
+    b = lowest_eigenvalues(mat, 10, seed=7)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.residual_norms, b.residual_norms)
-    c = lowest_eigenvalues(mat, 10, method="shift-invert")
-    d = lowest_eigenvalues(mat, 10, method="shift-invert")
+    c = lowest_eigenvalues(mat, 10)
+    d = lowest_eigenvalues(mat, 10)
     assert np.array_equal(c.values, d.values)
 
 
@@ -94,11 +113,10 @@ def test_residuals_reported_and_small():
 
 def test_partial_result_on_tiny_budget():
     g = build_graph(parse_sequence("2"), 3)
-    mat = discretize(g, 40)  # dimension > dense limit
-    res = lowest_eigenvalues(
-        mat, 30, tol=1e-12, method="shift-invert", block_size=4, max_basis=36
-    )
-    assert res.k_converged <= res.k_requested
+    mat = discretize(g, 40)  # dimension 2,604
+    # block 4 caps the basis at 5k = 150 columns, too few for 30 pairs at 1e-12
+    res = lowest_eigenvalues(mat, 30, tol=1e-12, block_size=4)
+    assert res.k_converged < res.k_requested
     assert np.all(np.diff(res.values) >= -1e-9)
 
 

@@ -41,6 +41,12 @@ def test_loop_family_empty_for_constant_two():
         assert shape_spectrum("loop", seq, n, math.inf if n > 3 else 1e9) == []
 
 
+@pytest.mark.parametrize("lambda_max", [math.inf, math.nan, -1.0])
+def test_shape_spectrum_refuses_bad_bound(lambda_max):
+    with pytest.raises(ValidationError):
+        shape_spectrum("V", parse_sequence("2"), 1, lambda_max)
+
+
 def test_quarter_cross_family():
     seq = parse_sequence("2,3")
     assert shape_spectrum("cross-quarter", seq, 2, 360.0) == [(6, 1), (12, 1)]
