@@ -148,7 +148,7 @@ def cmd_spectrum(args) -> int:
             expect=args.expect,
         ),
         "levels_included": "all" if table.level_cap is None else table.level_cap,
-        "entries": json.loads(table.to_json())["entries"],
+        "entries": [e.as_dict() for e in table.entries],
     }
     if args.expect:
         payload["reference_diffs"] = mismatches

@@ -12,7 +12,8 @@ has two independent evaluations:
 
   * direct: family-by-family partial power sums, whose explicit head
     grows with |s| like riemann_zeta's, finished with the Euler-Maclaurin
-    tail special._power_tail, levels summed until geometric domination;
+    tail special._power_tail, levels summed a period at a time until the
+    per-period ratio |w| dominates the rest, or refused past a level limit;
   * closed: zeta_R(2s) pi^(-2s) times a bracket that resolves, for a
     sequence of period p with block product P, into finitely many geometric
     series in w = 2^p P^(1-2s) and v = 2^p P^(-2s).  This
@@ -24,9 +25,12 @@ plus the same tail.  Both refuse a non-finite s and |s| > 5e3 (the closed
 form and the residues because riemann_zeta refuses |2s| > 1e4), and a
 closed-form value past the double range raises ValidationError.
 
-The closed form's denominators vanish on two vertical lattices,
-Re s = d_s/2 (from w) and Re s = p log2 / (2 log P) (from v), spaced
-pi / log P apart in the imaginary direction.  For p = 1 that spacing equals
+Everything periodicity decides reads (seq.period, seq.block) = (p, P):
+w, v, the pole spacings and the residue denominators.  The closed form's
+denominators vanish on two vertical lattices, Re s = d_s/2 (from w; d_s
+comes from sequences.dimensions, as does the direct route's abscissa) and
+Re s = d_s/2 - 1/2 (from v), spaced pi / log P apart in the imaginary
+direction.  For p = 1 that spacing equals
 the familiar 2 pi / log r^2; for longer periods the actual lattice is p
 times finer than the coarse progression, and keeping the finer lattice is
 what makes the residue expansion track the directly-summed trace.  Residues
@@ -43,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionUndefinedError,
     DivergenceError,
     PoleError,
     TailToleranceError,
@@ -71,8 +74,8 @@ class HeatTraceSample:
 class PoleLattice:
     """Arithmetic progression of zeta poles governing the small-t behavior."""
 
-    real_part: float  # log(2r) / log(r^2) = d_s / 2
-    spacing: float  # 2 pi / log(r^2)
+    real_part: float  # d_s / 2 from dimensions(), where |w| = 2^p P^(1-2 Re s) = 1
+    spacing: float  # p pi / log P = 2 pi / log r^2: every p-th pole of the family
     members: tuple[complex, ...]
 
 
@@ -161,11 +164,9 @@ def _remaining_levels_bound(
     (scale I, weight = its total multiplicity count) and every level after it."""
     if _min_exponent(scale_first, t) > math.log(_EXP_FLOOR):
         return 0.0
+    # the guard above also keeps float(scale_first) ** 2 from overflowing
     lam_min = _PI_SQ * float(scale_first) ** 2 / 4.0
-    expo = lam_min * t
-    if expo > _EXP_FLOOR:
-        return 0.0
-    u = math.exp(-expo)
+    u = math.exp(-lam_min * t)
     rho = 2.0 * max(seq.values)
     if u > 0.5 or rho * u**3 >= 0.5:
         return math.inf
@@ -268,6 +269,7 @@ def heat_trace_grid(
 _EM_CUT = 64  # smallest head; the head grows with |s| past |2s| ~ 36
 _MAX_ABS_S = 5e3  # riemann_zeta's |2s| <= 1e4, which bounds the closed form too
 _DIRECT_ATOL = 1e-13  # bound on the omitted levels of the direct sum
+_MAX_DIRECT_LEVELS = 20_000  # predicted levels to go; j = 2 at d_s/2 + 2e-3 needs ~1e4
 
 
 def _family_zeta(fam: _Family, s: complex) -> complex:
@@ -294,9 +296,9 @@ def _finite_s(s: complex) -> complex:
 
 def convergence_abscissa(seq: JSequence) -> float:
     """Re s must exceed this for the eigenvalue sum to converge."""
-    if seq.has_contraction_limit:
-        return dimensions(seq).spectral / 2.0
-    return 0.5  # capped-level sums only need the line-family abscissa
+    if seq.kind == EXPLICIT:
+        return 0.5  # capped-level sums only need the line-family abscissa
+    return _pole_real_part(seq)
 
 
 def spectral_zeta_direct(
@@ -318,6 +320,15 @@ def spectral_zeta_direct(
             f"{abscissa}; the eigenvalue sum diverges"
         )
     level_cap = _level_cap(seq, level_cap)
+    if level_cap is None:
+        # Level n's term is 2^n I_n^(-2s) (a I_{n-1} + b), a and b fixed by
+        # n mod p: a period multiplies the a part by w = 2^p P^(1-2s), the b
+        # part by v, |v| = |w| / P.  The cross count I_{n-1} - 1 splits the
+        # same way (its -1 is a relative 1/I_{n-1}), so each period's summed
+        # |level term| shrinks by |w| = ratio once past level 1 (no crosses).
+        p = seq.period
+        ratio = 2.0**p * seq.block ** (1.0 - 2.0 * sigma)
+        period_sum = 0.0
 
     total = _family_zeta(_LINE, s)
     n = 1
@@ -328,10 +339,18 @@ def spectral_zeta_direct(
             level_term += _family_zeta(fam, s)
         total += level_term
         if level_cap is None:
-            # remaining levels shrink geometrically with ratio 2 r^(1-2 sigma)
-            ratio = 2.0 * seq.contraction_limit() ** (1.0 - 2.0 * sigma)
-            if n >= 2 and abs(level_term) * ratio / (1.0 - ratio) <= _DIRECT_ATOL:
-                break
+            period_sum += abs(level_term)
+            if n % p == 0 and n >= 2 * p:
+                tail = period_sum * ratio / (1.0 - ratio)
+                if tail <= _DIRECT_ATOL:
+                    break
+                needed = p * math.log(tail / _DIRECT_ATOL) / -math.log(ratio)
+                if not needed <= _MAX_DIRECT_LEVELS:
+                    raise DivergenceError(
+                        f"Re s = {sigma} needs ~{needed:.3g} more levels of the "
+                        f"direct sum, over its limit {_MAX_DIRECT_LEVELS}"
+                    )
+                period_sum = 0.0
         n += 1
     return total
 
@@ -341,14 +360,6 @@ def spectral_zeta_direct(
 # ---------------------------------------------------------------------------
 
 
-def _periodic_view(seq: JSequence) -> JSequence:
-    if seq.kind == EXPLICIT:
-        raise DimensionUndefinedError(
-            "this operation needs a constant or periodic sequence"
-        )
-    return seq
-
-
 def _bracket(seq: JSequence, s: complex) -> complex:
     """The level sum multiplying zeta_R(2s)/pi^(2s) in zeta_L(s).
 
@@ -356,36 +367,32 @@ def _bracket(seq: JSequence, s: complex) -> complex:
     period turn the level sum into geometric series with ratios
     w = 2^p P^(1-2s) (dominant) and v = 2^p P^(-2s) (subdominant).
     """
-    seq = _periodic_view(seq)
     p = seq.period
-    log_block = math.log(math.prod(seq.values))
+    log_block = math.log(seq.block)
     w = cmath.exp(p * math.log(2.0) + (1.0 - 2.0 * s) * log_block)
     v = cmath.exp(p * math.log(2.0) - 2.0 * s * log_block)
     for q, family in ((w, "dominant"), (v, "subdominant")):
         if abs(1.0 - q) < _POLE_TOL:
+            fine = fine_pole_spacing(seq)
             raise PoleError(
                 f"s = {s} is within {_POLE_TOL} of a {family} pole of the "
                 "closed-form zeta",
-                nearest_pole=_nearest_pole(seq, s, family),
+                nearest_pole=complex(
+                    _pole_real_part(seq, family), round(s.imag / fine) * fine
+                ),
             )
     j1 = seq.j(1)
     head = 1.0 + (4.0 * _c_half(s) - 4.0 + j1) * cmath.exp(-2.0 * s * math.log(j1))
     return head + _n_dominant(seq, s) / (1.0 - w) + _n_subdominant(seq, s) / (1.0 - v)
 
 
-def _pole_real_parts(seq: JSequence) -> dict[str, float]:
-    """Re s of the dominant (1 - w = 0) and subdominant (1 - v = 0) lattices."""
-    p = seq.period
-    log_block = math.log(math.prod(seq.values))
-    return {
-        "dominant": (p * math.log(2.0) + log_block) / (2.0 * log_block),
-        "subdominant": p * math.log(2.0) / (2.0 * log_block),
-    }
+def _pole_real_part(seq: JSequence, family: str = "dominant") -> float:
+    """Re s of the dominant (1 - w = 0) or subdominant (1 - v = 0) lattice.
 
-
-def _nearest_pole(seq: JSequence, s: complex, family: str) -> complex:
-    fine = fine_pole_spacing(seq)
-    return complex(_pole_real_parts(seq)[family], round(s.imag / fine) * fine)
+    |w| = 1 at Re s = d_s/2, read from dimensions; |v| = |w| / P puts the
+    subdominant lattice 1/2 lower."""
+    half_ds = dimensions(seq).spectral / 2.0
+    return half_ds if family == "dominant" else half_ds - 0.5
 
 
 def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
@@ -425,14 +432,11 @@ def zeta_at_zero(seq: JSequence) -> float:
 
 
 def poles(seq: JSequence, m_range: tuple[int, int] = (-3, 3)) -> PoleLattice:
-    """The principal pole lattice s_m = (log 2r + 2 pi i m) / log r^2."""
+    """The coarse pole lattice s_m = d_s/2 + i m p pi / log P: every p-th dominant pole."""
     if m_range[0] > m_range[1]:
         raise ValidationError(f"empty m range {m_range}")
-    seq = _periodic_view(seq)
-    r = seq.contraction_limit()
-    log_r2 = math.log(r * r)
-    real_part = math.log(2.0 * r) / log_r2
-    spacing = 2.0 * math.pi / log_r2
+    spacing = seq.period * fine_pole_spacing(seq)
+    real_part = _pole_real_part(seq)
     members = tuple(
         complex(real_part, m * spacing) for m in range(m_range[0], m_range[1] + 1)
     )
@@ -445,8 +449,7 @@ def fine_pole_spacing(seq: JSequence) -> float:
     Equals the PoleLattice spacing for constant sequences; for period p the
     denominator zeros interleave p times finer.
     """
-    seq = _periodic_view(seq)
-    return math.pi / math.log(math.prod(seq.values))
+    return math.pi / math.log(seq.block)
 
 
 def oscillation_log_period(seq: JSequence) -> float:
@@ -487,39 +490,18 @@ def residue_coefficient(seq: JSequence, s_pole: complex, family: str) -> complex
     family is "dominant" (zeros of 1 - w) or "subdominant" (zeros of 1 - v);
     either way the bracket's residue there is numerator / (2 log P).
     """
-    seq = _periodic_view(seq)
     if family == "dominant":
         num = _n_dominant(seq, s_pole)
     elif family == "subdominant":
         num = _n_subdominant(seq, s_pole)
     else:
         raise ValidationError(f"unknown pole family {family!r}")
-    log_block = math.log(math.prod(seq.values))
     return (
         complex_gamma(s_pole)
         * riemann_zeta(2.0 * s_pole)
         * cmath.exp(-2.0 * s_pole * math.log(math.pi))
         * num
-        / (2.0 * log_block)
-    )
-
-
-def bracket_at_half(seq: JSequence) -> float:
-    """Limit of the bracket at s = 1/2, where it is removable.
-
-    The dominant part contributes exactly -2 against the entire part's +2
-    for every pattern, so the limit is 0 unless the pattern is all twos; in
-    that case the subdominant coefficient's zero meets the subdominant pole
-    and leaves sum_rho 2^(rho-1) * 3 log2 / (I_rho log P)."""
-    seq = _periodic_view(seq)
-    p = seq.period
-    block = math.prod(seq.values)
-    if block != 2**p:
-        return 0.0
-    log_block = math.log(block)
-    return sum(
-        (2.0 ** (rho - 1)) * 3.0 * math.log(2.0) / (seq.scale(rho) * log_block)
-        for rho in range(2, p + 2)
+        / (2.0 * math.log(seq.block))
     )
 
 
@@ -527,17 +509,20 @@ def sqrt_term_coefficient(seq: JSequence) -> float:
     """C in the C / sqrt(pi t) term of the small-t expansion of Z(t).
 
     Res_{s=1/2} zeta_R(2s) = 1/2 and Gamma(1/2)/pi^1 = 1/sqrt(pi), so the
-    residue is bracket(1/2)/2 times 1/sqrt(pi t)."""
-    return bracket_at_half(seq) / 2.0
-
-
-def _pole_families(seq: JSequence) -> list[tuple[float, str]]:
-    re_parts = _pole_real_parts(seq)
-    fams = [(re_parts["dominant"], "dominant")]
-    if math.prod(seq.values) != 2**seq.period:
-        # for all-2 patterns every subdominant residue vanishes identically
-        fams.append((re_parts["subdominant"], "subdominant"))
-    return fams
+    residue is bracket(1/2)/2 times 1/sqrt(pi t).  The bracket is removable
+    at s = 1/2: the dominant part contributes exactly -2 against the entire
+    part's +2 for every pattern, so the limit is 0 unless the pattern is all
+    twos (P = 2^p); then the subdominant coefficient's zero meets the
+    subdominant pole and leaves sum_rho 2^(rho-1) * 3 log2 / (I_rho log P)."""
+    p = seq.period
+    if seq.block != 2**p:
+        return 0.0
+    log_block = math.log(seq.block)
+    bracket = sum(
+        (2.0 ** (rho - 1)) * 3.0 * math.log(2.0) / (seq.scale(rho) * log_block)
+        for rho in range(2, p + 2)
+    )
+    return bracket / 2.0
 
 
 def heat_trace_asymptote(seq: JSequence, t: float, m_terms: int = 5) -> float:
@@ -551,12 +536,14 @@ def heat_trace_asymptote(seq: JSequence, t: float, m_terms: int = 5) -> float:
     """
     if not t > 0:
         raise ValidationError(f"t {t} must be > 0")
-    seq = _periodic_view(seq)
     fine = fine_pole_spacing(seq)
     log_t = math.log(t)
     total = 1.0 + zeta_at_zero(seq)
     total += sqrt_term_coefficient(seq) / math.sqrt(math.pi * t)
-    for re_part, family in _pole_families(seq):
+    for family in ("dominant", "subdominant"):
+        if family == "subdominant" and seq.block == 2**seq.period:
+            continue  # for all-2 patterns every subdominant residue vanishes
+        re_part = _pole_real_part(seq, family)
         coeff0 = residue_coefficient(seq, complex(re_part, 0.0), family)
         total += coeff0.real * math.exp(-re_part * log_t)
         for m in range(1, m_terms + 1):
@@ -572,9 +559,8 @@ def oscillation_amplitude(seq: JSequence, m: int = 1) -> float:
     Used to certify that the log-periodic wobble stays inside a stated band
     before asserting window-averaged leading-term checks.
     """
-    seq = _periodic_view(seq)
     fine = fine_pole_spacing(seq)
-    re_dom = _pole_real_parts(seq)["dominant"]
+    re_dom = _pole_real_part(seq)
     base = residue_coefficient(seq, complex(re_dom, 0.0), "dominant").real
     osc = residue_coefficient(seq, complex(re_dom, m * fine), "dominant")
     return abs(osc) / abs(base)

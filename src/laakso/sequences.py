@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DimensionUndefinedError, LevelRangeError, ValidationError
 
@@ -69,8 +68,8 @@ class JSequence:
         if self.kind == EXPLICIT:
             return math.prod(self.j(i) for i in range(1, n + 1))
         # whole periods by exponentiation, so deep levels cost O(log n) products
-        periods, rest = divmod(n, len(self.values))
-        return math.prod(self.values) ** periods * math.prod(self.values[:rest])
+        periods, rest = divmod(n, self.period)
+        return self.block ** periods * math.prod(self.values[:rest])
 
     @property
     def period(self) -> int:
@@ -79,34 +78,21 @@ class JSequence:
             return 1
         if self.kind == PERIODIC:
             return len(self.values)
-        raise DimensionUndefinedError("explicit sequence has no period")
+        raise DimensionUndefinedError("explicit prefix has no period; parse it as periodic")
+
+    @property
+    def block(self) -> int:
+        """P = j_1 * ... * j_p = I_p; with p it fixes all that periodicity decides."""
+        return math.prod(self.values[: self.period])
 
     @property
     def max_level(self) -> int | None:
         """Largest usable level, or None when every level is defined."""
         return len(self.values) if self.kind == EXPLICIT else None
 
-    @property
-    def has_contraction_limit(self) -> bool:
-        return self.kind in (CONSTANT, PERIODIC)
-
     def contraction_limit(self) -> float:
-        """r = lim I_n^(1/n); exact for constant and periodic sequences."""
-        if not self.has_contraction_limit:
-            raise DimensionUndefinedError(
-                "r = lim I_n^(1/n) is undefined for an explicit prefix; "
-                "re-parse it as periodic if the prefix is the repeating block"
-            )
-        if self.kind == CONSTANT:
-            return float(self.values[0])
-        return math.prod(self.values) ** (1.0 / len(self.values))
-
-    def levels(self) -> Iterator[int]:
-        """Yield usable level indices 1, 2, ... (finite for explicit)."""
-        n = 1
-        while self.max_level is None or n <= self.max_level:
-            yield n
-            n += 1
+        """r = lim I_n^(1/n) = P^(1/p); exact for constant and periodic sequences."""
+        return self.block ** (1.0 / self.period)
 
     def spec_string(self) -> str:
         """Round-trippable text form (the parse_sequence grammar)."""
@@ -246,8 +232,8 @@ def dimensions(seq: JSequence, *, assume_periodic: bool = False) -> DimensionRep
             kind=CONSTANT if len(seq.values) == 1 else PERIODIC,
             values=seq.values,
         )
-    p = seq.period
-    log_r = math.log(math.prod(seq.values)) / p
+    # the one formula for d_s; heatzeta's abscissa and pole real parts read it
+    log_r = math.log(seq.block) / seq.period
     r = seq.contraction_limit()
     q = 1.0 + math.log(2.0) / log_r
     return DimensionReport(r=r, hausdorff=q, spectral=q, walk=2.0)

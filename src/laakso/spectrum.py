@@ -59,6 +59,18 @@ class SpectrumEntry:
     def value(self) -> float:
         return eigenvalue_of_key(self.m)
 
+    def as_dict(self) -> dict:
+        """The JSON form of the entry; m is a string because keys outgrow doubles."""
+        return {
+            "m": str(self.m),
+            "lambda": self.value,
+            "multiplicity": self.multiplicity,
+            "contributions": [
+                {"shape": c.shape, "level": c.level, "k": c.k, "count": c.count}
+                for c in self.contributions
+            ],
+        }
+
 
 @dataclass(frozen=True)
 class SpectrumTable:
@@ -80,23 +92,7 @@ class SpectrumTable:
             "sequence": self.sequence.spec_string(),
             "lambda_max": self.lambda_max,
             "levels_included": "all" if self.level_cap is None else self.level_cap,
-            "entries": [
-                {
-                    "m": str(e.m),
-                    "lambda": e.value,
-                    "multiplicity": e.multiplicity,
-                    "contributions": [
-                        {
-                            "shape": c.shape,
-                            "level": c.level,
-                            "k": c.k,
-                            "count": c.count,
-                        }
-                        for c in e.contributions
-                    ],
-                }
-                for e in self.entries
-            ],
+            "entries": [e.as_dict() for e in self.entries],
         }
         return json.dumps(payload, indent=2)
 

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import laakso
 from laakso.cli import main
 
 
@@ -280,6 +284,19 @@ def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 1
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_direct_zeta_near_the_abscissa_is_a_numerical_failure():
+    """j = 2 at s = 1.0002 needs ~1.4e5 levels: the predicted level count is
+    refused at once.  A fresh process under a timeout turns a hang into a
+    failure."""
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "laakso", "zeta", "-j", "2", "--s", "1.0002", "--mode", "direct"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("numerical failure:")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -34,6 +34,7 @@ from laakso import (
     sqrt_term_coefficient,
     zeta_at_zero,
 )
+from laakso.heatzeta import _DIRECT_ATOL, convergence_abscissa
 
 J2 = parse_sequence("2")
 J3 = parse_sequence("3")
@@ -179,6 +180,46 @@ def test_direct_vanishes_at_large_real_s():
     assert done.stdout.strip() == "True", done.stderr
 
 
+@pytest.mark.parametrize("spec, s", [("2,5", 3.0), ("2,3,4", 4.0 + 10.0j)])
+def test_direct_stop_rule_covers_whole_periods(spec, s):
+    """Periodic level terms do not shrink at every level: the stop rule
+    must bound the omitted levels a whole period at a time."""
+    seq = parse_sequence(spec)
+    closed = spectral_zeta_closed(seq, s)
+    direct = spectral_zeta_direct(seq, s)
+    assert abs(direct - closed) <= _DIRECT_ATOL + 1e-15 * abs(closed)
+
+
+@pytest.mark.parametrize("seq", [J2, J23])
+def test_direct_sums_close_to_the_abscissa(seq):
+    """d_s/2 + 2e-3 is inside the direct route's level limit (~1e4 levels for j = 2)."""
+    s = dimensions(seq).spectral / 2.0 + 2e-3
+    closed = spectral_zeta_closed(seq, s)
+    assert spectral_zeta_direct(seq, s) == pytest.approx(closed, rel=1e-12)
+
+
+def test_direct_diverges_at_the_closed_forms_nearest_pole():
+    """The closed form's nearest pole lies on the direct route's abscissa,
+    so the direct sum refuses it instead of summing without end.  A child
+    process turns a hang into a failure."""
+    code = (
+        "from laakso import *\n"
+        "seq = parse_sequence('2,5')\n"
+        "try:\n"
+        "    spectral_zeta_closed(seq, poles(seq).real_part)\n"
+        "except PoleError as err:\n"
+        "    try:\n"
+        "        spectral_zeta_direct(seq, err.nearest_pole)\n"
+        "    except DivergenceError:\n"
+        "        print('diverges')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "diverges", done.stderr
+
+
 def test_direct_refuses_huge_s():
     with pytest.raises(ValidationError):
         spectral_zeta_direct(J2, 2.0 + 6e3j)
@@ -272,6 +313,20 @@ def test_pole_real_part_is_half_spectral_dimension(spec):
     assert poles(seq).real_part == pytest.approx(
         dimensions(seq).spectral / 2.0, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "5", "2,3", "2,5", "3,4", "2,3,4", "6,2"])
+def test_half_spectral_dimension_has_one_source(spec):
+    """d_s/2 is one number: the pole lattice, the direct route's abscissa and
+    the closed form's nearest pole all read dimensions(), bit for bit."""
+    seq = parse_sequence(spec)
+    lattice = poles(seq)
+    assert lattice.real_part == dimensions(seq).spectral / 2.0
+    assert lattice.real_part == convergence_abscissa(seq)
+    assert lattice.spacing == seq.period * fine_pole_spacing(seq)
+    with pytest.raises(PoleError) as err:
+        spectral_zeta_closed(seq, lattice.real_part)
+    assert err.value.nearest_pole.real == lattice.real_part
 
 
 def test_fine_spacing_refines_by_period():
