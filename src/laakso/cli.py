@@ -417,8 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_m_range(argv: list[str]) -> list[str]:
-    """Let `-m -3:3` parse: argparse reads a leading dash as a new option."""
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Let `-m -3:3` and `--s -0.45-3j` parse.
+
+    argparse reads a dash-led token as a new option unless it is a plain
+    negative number, so an option that takes ranges or complex values is
+    rejoined with a following value that starts with a dash and a digit
+    or a point.
+    """
     import re
 
     out = []
@@ -426,11 +432,11 @@ def _merge_m_range(argv: list[str]) -> list[str]:
     while i < len(argv):
         tok = argv[i]
         if (
-            tok == "-m"
+            tok in ("-m", "--s")
             and i + 1 < len(argv)
-            and re.fullmatch(r"-?\d+:-?\d+", argv[i + 1])
+            and re.match(r"-[\d.]", argv[i + 1])
         ):
-            out.append(f"-m={argv[i + 1]}")
+            out.append(f"{tok}={argv[i + 1]}")
             i += 2
             continue
         out.append(tok)
@@ -443,7 +449,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_m_range(list(argv)))
+        args = parser.parse_args(_join_dash_values(list(argv)))
         return args.func(args)
     except ReferenceMismatch as err:
         print(f"reference mismatch:\n{err.report}", file=sys.stderr)

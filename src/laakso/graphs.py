@@ -11,17 +11,23 @@ assembling the mass-weighted second-difference operator: stiffness links of
 weight 1/h, diagonal mass h at interior points and deg*h/2 at vertices.  The
 returned operator is the symmetric similarity transform M^(-1/2) K M^(-1/2),
 whose eigenvalues approximate the Kirchhoff spectrum to second order in h.
+
+scipy is imported on first use (CSR assembly and conversion), so importing
+this module costs no scipy load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .sequences import JSequence
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,8 @@ class SparseSymmetricMatrix:
     data: np.ndarray
 
     def to_csr(self) -> sp.csr_matrix:
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self.data, self.indices, self.indptr),
             shape=(self.dimension, self.dimension),
@@ -138,6 +146,8 @@ def _assemble(graph: MetricGraph, points_per_edge: int):
     """Stiffness matrix and mass diagonal of the mesh (generalized form)."""
     if points_per_edge < 1:
         raise ValidationError(f"points_per_edge {points_per_edge} < 1")
+    import scipy.sparse as sp
+
     m = points_per_edge
     nv = graph.vertex_count
     ne = graph.edge_count

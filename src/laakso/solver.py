@@ -14,18 +14,23 @@ Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
 are read off computed values by greedy gap clustering, the same way a
 numerical spectrum table is tabulated by eye.
+
+scipy is imported on the first call of `lowest_eigenvalues`, so importing
+this module costs no scipy load.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ValidationError
 from .graphs import SparseSymmetricMatrix
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,13 @@ def lowest_eigenvalues(
     dim = matrix.dimension
     if k >= dim:
         raise ValidationError(f"k {k} must be below the dimension {dim}")
-    if tol <= 0:
-        raise ValidationError(f"tol {tol} <= 0")
+    if not tol > 0:
+        raise ValidationError(f"tol {tol} must be > 0")
+    if block_size < 1:
+        raise ValidationError(f"block_size {block_size} < 1")
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     a = matrix.to_csr()
     scale = _matrix_scale(a)
     sigma = -1e-3 * scale

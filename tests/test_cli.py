@@ -213,6 +213,18 @@ def test_zeta_divergent_direct_is_exit_two(tmp_path):
     assert code == 2
 
 
+def test_zeta_negative_complex_s_after_a_space(tmp_path, capsys):
+    """`--s -0.45-3j` is not a plain negative number, so argparse would take
+    it for an option; it must parse like `--s=-0.45-3j`."""
+    head = ["zeta", "-j", "2,3", "--s", "0"]
+    tail = ["--mode", "closed"]
+    assert main(head + ["--s", "-0.45-3j"] + tail) == 0
+    spaced = capsys.readouterr().out
+    assert main(head + ["--s=-0.45-3j"] + tail) == 0
+    joined = capsys.readouterr().out
+    assert spaced and spaced == joined
+
+
 # -- poles ---------------------------------------------------------------------
 
 
@@ -227,6 +239,34 @@ def test_poles_constant_two(tmp_path):
 
 
 # -- general behavior ------------------------------------------------------------
+
+
+_COLD_IMPORT_CHECK = """
+import sys
+import laakso, laakso.cli
+
+assert laakso.cli.main(["dims", "-j", "2,3", "--out", sys.argv[1]]) == 0
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+for name in ("laakso.graphs", "laakso.solver", "laakso.compare"):
+    assert name in sys.modules, name
+for name in laakso.__all__:
+    getattr(laakso, name)
+report = laakso.compare_spectra(laakso.parse_sequence("2,3"), 1, 1, 3)
+assert report.all_multiplicities_match and report.compared_converged
+"""
+
+
+def test_cold_cli_loads_no_scipy_outside_the_mesh_route(tmp_path):
+    """A fresh process that imports the package and runs an exact command
+    loads no scipy, yet keeps every submodule and public name in place and
+    can still run the mesh comparison afterwards."""
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT_CHECK, str(tmp_path / "dims.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_byte_identical_reruns(tmp_path):

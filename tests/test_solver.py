@@ -49,6 +49,12 @@ def test_validation():
         lowest_eigenvalues(mat, 0)
     with pytest.raises(ValidationError):
         lowest_eigenvalues(mat, 2, tol=-1.0)
+    with pytest.raises(ValidationError):
+        lowest_eigenvalues(mat, 2, tol=math.nan)
+    with pytest.raises(ValidationError):
+        lowest_eigenvalues(mat, 2, block_size=0)
+    with pytest.raises(ValidationError):
+        lowest_eigenvalues(mat, 2, block_size=-3)
 
 
 def test_oracle_equivalence_dense_vs_iterative():
