@@ -10,6 +10,12 @@ single-vector Krylov space contains only one direction per eigenspace, so
 multiplicities would come out short.  The starting block is deterministic (all-ones first
 column, seeded Gaussian fill) so runs reproduce bit for bit.
 
+The basis lives in one preallocated Fortran-order dim x max_basis buffer,
+and the projected matrix basis.T A basis is grown one block at a time: each
+step projects only the new block.  A times the basis is never stored; the
+residuals come from a sparse product on the k Ritz vectors.  Memory is
+therefore about one dim x max_basis buffer plus the LU factors.
+
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
 are read off computed values by greedy gap clustering, the same way a
@@ -39,6 +45,8 @@ class EigenResult:
     residual_norms: np.ndarray  # ||A x - lambda x|| / (||x|| * scale)
     k_requested: int
     k_converged: int
+    iterations: int  # Krylov steps taken after the starting block
+    basis_width: int  # basis columns used, at most max(5k, k + 15 block_size)
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,8 @@ def lowest_eigenvalues(
     dim = matrix.dimension
     if k >= dim:
         raise ValidationError(f"k {k} must be below the dimension {dim}")
-    if not tol > 0:
-        raise ValidationError(f"tol {tol} must be > 0")
+    if not 0 < tol < np.inf:
+        raise ValidationError(f"tol {tol} must be finite and > 0")
     if block_size < 1:
         raise ValidationError(f"block_size {block_size} < 1")
     import scipy.sparse as sp
@@ -100,54 +108,45 @@ def lowest_eigenvalues(
 
     width = min(block_size, dim - 1)
     max_basis = min(dim, max(5 * k, k + 15 * width))
-    basis = _starting_block(dim, width, seed)
-    a_basis = a @ basis
-    current = basis
-
-    def rayleigh_ritz():
-        t = basis.T @ a_basis
-        t = (t + t.T) / 2.0
-        theta, y = np.linalg.eigh(t)
-        kk = min(k, basis.shape[1])
-        x = basis @ y[:, :kk]
-        ax = a_basis @ y[:, :kk]
-        res = np.linalg.norm(ax - x * theta[:kk], axis=0) / scale
-        return theta[:kk], res
-
-    theta, res = rayleigh_ritz()
+    basis = np.empty((dim, max_basis), order="F")
+    t = np.empty((max_basis, max_basis))  # projected matrix basis.T A basis
+    q = _starting_block(dim, width, seed)
+    n = steps = 0
     while True:
-        if basis.shape[1] >= k and np.all(res <= tol):
+        # append the block and project A onto it: t gains a column and a row block
+        w = q.shape[1]
+        basis[:, n : n + w] = q
+        t[: n + w, n : n + w] = basis[:, : n + w].T @ (a @ q)
+        t[n : n + w, :n] = t[:n, n : n + w].T
+        n += w
+        v = basis[:, :n]
+        theta, y = np.linalg.eigh(t[:n, :n])
+        theta = theta[:k]
+        x = v @ y[:, :k]
+        res = np.linalg.norm(a @ x - x * theta, axis=0) / scale
+        if (n >= k and np.all(res <= tol)) or n >= max_basis:
             break
-        if basis.shape[1] >= max_basis or basis.shape[1] >= dim:
-            break
-        z = lu.solve(current)
+        z = lu.solve(q)
         # full reorthogonalization, two passes for stability
         for _ in range(2):
-            z -= basis @ (basis.T @ z)
+            z -= v @ (v.T @ z)
         q, r = np.linalg.qr(z)
         dead = np.abs(np.diag(r)) < 1e-10
         if dead.any():
             q[:, dead] = rng.standard_normal((dim, int(dead.sum())))
             for _ in range(2):
-                q -= basis @ (basis.T @ q)
+                q -= v @ (v.T @ q)
             q, _ = np.linalg.qr(q)
-        take = min(q.shape[1], max_basis - basis.shape[1], dim - basis.shape[1])
-        if take <= 0:
-            break
-        q = q[:, :take]
-        basis = np.hstack([basis, q])
-        a_basis = np.hstack([a_basis, a @ q])
-        current = q
-        theta, res = rayleigh_ritz()
+        q = q[:, : max_basis - n]
+        steps += 1
 
-    order = np.argsort(theta)
-    theta = np.asarray(theta)[order]
-    res = np.asarray(res)[order]
     return EigenResult(
         values=theta,
         residual_norms=res,
         k_requested=k,
         k_converged=int(np.sum(res <= tol)),
+        iterations=steps,
+        basis_width=n,
     )
 
 

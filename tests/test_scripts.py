@@ -1,0 +1,31 @@
+"""The experiment scripts run to completion on small inputs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import laakso
+
+SCRIPTS = Path(__file__).parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mesh_convergence.py", "-j", "2,3", "-n", "1", "--meshes", "4,8", "-k", "6"],
+        ["oscillation_profile.py"],
+        ["spectral_dimension_scan.py"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_exits_zero(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -52,6 +52,8 @@ def test_validation():
     with pytest.raises(ValidationError):
         lowest_eigenvalues(mat, 2, tol=math.nan)
     with pytest.raises(ValidationError):
+        lowest_eigenvalues(mat, 2, tol=math.inf)
+    with pytest.raises(ValidationError):
         lowest_eigenvalues(mat, 2, block_size=0)
     with pytest.raises(ValidationError):
         lowest_eigenvalues(mat, 2, block_size=-3)
@@ -124,6 +126,31 @@ def test_partial_result_on_tiny_budget():
     res = lowest_eigenvalues(mat, 30, tol=1e-12, block_size=4)
     assert res.k_converged < res.k_requested
     assert np.all(np.diff(res.values) >= -1e-9)
+
+
+def test_diagnostics_fields():
+    mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
+    k, width = 16, 12
+    res = lowest_eigenvalues(mat, k, tol=1e-9, block_size=width)
+    assert res.iterations >= 1
+    assert width < res.basis_width <= min(mat.dimension, max(5 * k, k + 15 * width))
+
+
+def test_clipped_last_block():
+    """The cap max(5k, k + 15 width) = 125 is not a multiple of the block
+    width 7, so the last block is cut to 6 columns before the basis is full."""
+    mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
+    k, width, tol = 20, 7, 1e-12
+    max_basis = max(5 * k, k + 15 * width)
+    assert max_basis % width != 0
+    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width)
+    assert res.basis_width == max_basis
+    assert res.k_converged < k
+    assert np.all(np.diff(res.values) >= 0)
+    converged = res.residual_norms <= tol
+    dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
+    scale = float(np.abs(mat.to_csr().diagonal()).max())
+    assert np.all(np.abs(res.values - dense)[converged] <= 10 * tol * scale)
 
 
 # -- clustering ---------------------------------------------------------------
