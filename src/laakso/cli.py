@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -112,12 +113,12 @@ def _config(args, **extra) -> dict:
 
 def cmd_spectrum(args) -> int:
     seq = parse_sequence(args.sequence)
-    if args.count is None and args.lambda_max is None:
-        raise ValidationError("spectrum needs --count or --lambda-max")
     if args.count is not None:
+        if args.lambda_max is not None or args.level_max is not None:
+            raise ValidationError("--count excludes --lambda-max and --level-max")
         table = first_distinct(seq, args.count)
-        if args.level_max is not None:
-            raise ValidationError("--count and --level-max are mutually exclusive")
+    elif args.lambda_max is None:
+        raise ValidationError("spectrum needs --count or --lambda-max")
     elif args.level_max is not None:
         table = level_spectrum(seq, args.level_max, args.lambda_max)
     else:
@@ -235,16 +236,9 @@ def cmd_compare(args) -> int:
 
 def cmd_dims(args) -> int:
     seq = parse_sequence(args.sequence)
-    rep = dimensions(seq, assume_periodic=args.assume_periodic)
-    payload = {
-        "config": _config(args, assume_periodic=args.assume_periodic),
-        "r": rep.r,
-        "hausdorff": rep.hausdorff,
-        "spectral": rep.spectral,
-        "walk": rep.walk,
-    }
-    rows = [[repr(rep.r), repr(rep.hausdorff), repr(rep.spectral), repr(rep.walk)]]
-    _emit(args, payload, rows, ["r", "hausdorff", "spectral", "walk"])
+    dims = asdict(dimensions(seq))
+    rows = [[repr(value) for value in dims.values()]]
+    _emit(args, {"config": _config(args), **dims}, rows, list(dims))
     return 0
 
 
@@ -260,7 +254,6 @@ def cmd_heat(args) -> int:
             level_cap=args.level_cap,
             fit_ds=args.fit_ds,
             asymptotic=args.asymptotic,
-            m_terms=args.m_terms,
         ),
         "samples": [
             {"t": s.t, "z": s.z, "tail_bound": s.tail_bound} for s in samples
@@ -269,7 +262,7 @@ def cmd_heat(args) -> int:
     csv_header = ["t", "z", "tail_bound"]
     rows = [[repr(s.t), repr(s.z), repr(s.tail_bound)] for s in samples]
     if args.asymptotic:
-        asym = [heat_trace_asymptote(seq, s.t, args.m_terms) for s in samples]
+        asym = [heat_trace_asymptote(seq, s.t) for s in samples]
         payload["asymptote"] = asym
         payload["asymptote_relative_gap"] = [
             abs(a - s.z) / s.z for a, s in zip(asym, samples)
@@ -286,12 +279,7 @@ def cmd_heat(args) -> int:
             "spectral_dimension": fitted,
             "expected": rep.spectral,
         }
-        payload["dimensions"] = {
-            "r": rep.r,
-            "hausdorff": rep.hausdorff,
-            "spectral": rep.spectral,
-            "walk": rep.walk,
-        }
+        payload["dimensions"] = asdict(rep)
         lattice = poles(seq)
         payload["poles"] = {
             "real_part": lattice.real_part,
@@ -303,37 +291,29 @@ def cmd_heat(args) -> int:
 
 def cmd_zeta(args) -> int:
     seq = parse_sequence(args.sequence)
-    values = []
+    routes = [
+        (name, route)
+        for name, route in (("closed", spectral_zeta_closed), ("direct", spectral_zeta_direct))
+        if args.mode in (name, "both")
+    ]
+    values, rows = [], []
     for s_text in args.s:
         s = _number(complex, s_text, "s")
-        row = {"s": s_text}
-        if args.mode in ("closed", "both"):
-            z = spectral_zeta_closed(seq, s)
-            row["closed"] = [z.real, z.imag]
-        if args.mode in ("direct", "both"):
-            z = spectral_zeta_direct(seq, s)
-            row["direct"] = [z.real, z.imag]
+        row, flat = {"s": s_text}, [s_text]
+        for name, route in routes:
+            z = route(seq, s)
+            row[name] = [z.real, z.imag]
+            flat += [repr(z.real), repr(z.imag)]
         if args.mode == "both":
             diff = complex(*row["closed"]) - complex(*row["direct"])
             row["abs_difference"] = abs(diff)
-        values.append(row)
-    payload = {"config": _config(args, s=args.s, mode=args.mode), "values": values}
-    rows = []
-    for row in values:
-        flat = [row["s"]]
-        for key in ("closed", "direct"):
-            if key in row:
-                flat.extend([repr(row[key][0]), repr(row[key][1])])
-        if "abs_difference" in row:
             flat.append(repr(row["abs_difference"]))
+        values.append(row)
         rows.append(flat)
-    header = ["s"]
-    if args.mode in ("closed", "both"):
-        header += ["closed_re", "closed_im"]
-    if args.mode in ("direct", "both"):
-        header += ["direct_re", "direct_im"]
+    header = ["s"] + [f"{name}_{part}" for name, _ in routes for part in ("re", "im")]
     if args.mode == "both":
         header.append("abs_difference")
+    payload = {"config": _config(args, s=args.s, mode=args.mode), "values": values}
     _emit(args, payload, rows, header)
     return 0
 
@@ -342,19 +322,14 @@ def cmd_poles(args) -> int:
     seq = parse_sequence(args.sequence)
     lo, hi = _parse_m_range(args.m)
     lattice = poles(seq, (lo, hi))
+    members = list(zip(range(lo, hi + 1), lattice.members))
     payload = {
         "config": _config(args, m=args.m),
         "real_part": lattice.real_part,
         "spacing": lattice.spacing,
-        "members": [
-            {"m": m, "re": p.real, "im": p.imag}
-            for m, p in zip(range(lo, hi + 1), lattice.members)
-        ],
+        "members": [{"m": m, "re": p.real, "im": p.imag} for m, p in members],
     }
-    rows = [
-        [m, repr(p.real), repr(p.imag)]
-        for m, p in zip(range(lo, hi + 1), lattice.members)
-    ]
+    rows = [[m, repr(p.real), repr(p.imag)] for m, p in members]
     _emit(args, payload, rows, ["m", "re", "im"])
     return 0
 
@@ -390,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimension report")
     common(p)
-    p.add_argument("--assume-periodic", action="store_true")
     p.set_defaults(func=cmd_dims)
 
     p = sub.add_parser("heat", help="heat-kernel trace over a t grid")
@@ -400,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level-cap", type=int, default=None)
     p.add_argument("--fit-ds", action="store_true")
     p.add_argument("--asymptotic", action="store_true")
-    p.add_argument("--m-terms", type=int, default=5)
     p.set_defaults(func=cmd_heat)
 
     p = sub.add_parser("zeta", help="spectral zeta values")

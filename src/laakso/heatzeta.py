@@ -35,12 +35,14 @@ the familiar 2 pi / log r^2; for longer periods the actual lattice is p
 times finer than the coarse progression, and keeping the finer lattice is
 what makes the residue expansion track the directly-summed trace.  Residues
 at those poles, plus the s = 1/2 and s = 0 contributions, give the small-t
-expansion of Z(t) (heat_trace_asymptote).
+expansion of Z(t) (heat_trace_asymptote, every pole up to |Im s| = 8 pi).
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,36 +122,36 @@ _LINE = _Family(0.0, _LOG_PI_SQ, 0.0, 1)
 # ---------------------------------------------------------------------------
 
 
+def _family_tail(fam: _Family, ct: float, k: int) -> float:
+    """Certified bound on the family's terms from index k on (ct = c t): the
+    geometric series count exp(-ct q^2) / (1 - exp(-2 ct q)), q = k + offset."""
+    q = k + fam.offset
+    expo = ct * q * q
+    if expo > _EXP_FLOOR:
+        return 0.0
+    ratio = math.exp(-2.0 * ct * q) if 2.0 * ct * q < _EXP_FLOOR else 0.0
+    return math.exp(fam.log_count) * math.exp(-expo) / (1.0 - ratio)
+
+
 def _family_partial(fam: _Family, t: float, budget: float) -> tuple[float, float]:
     """Partial sum of count * exp(-c (k+offset)^2 t), certified tail <= budget.
 
     Works with the product c*t (bounded once a level passes the caller's
     exponent guard) so that deep-level scales never overflow on their own.
+    The sum stops before the first k whose (falling) tail bound fits the
+    budget, found by doubling a Gaussian estimate past it and bisecting.
     """
-    g = math.exp(fam.log_count)
     ct = math.exp(fam.log_c + math.log(t))
-
-    def tail_bound(k_first_omitted: int) -> float:
-        q = k_first_omitted + fam.offset
-        expo = ct * q * q
-        if expo > _EXP_FLOOR:
-            return 0.0
-        ratio = math.exp(-2.0 * ct * q) if 2.0 * ct * q < _EXP_FLOOR else 0.0
-        return g * math.exp(-expo) / (1.0 - ratio)
-
-    if tail_bound(fam.kstart) <= budget:
-        return 0.0, tail_bound(fam.kstart)
-
-    target = math.log(max(g / budget, 1.0))
-    q0 = math.sqrt(target / ct) if target > 0 else 0.0
-    k = max(fam.kstart, int(q0 - fam.offset))
-    while tail_bound(k + 1) > budget:
-        k += max(1, k // 8)
-    while k > fam.kstart and tail_bound(k) <= budget:
-        k -= 1
-    ks = np.arange(fam.kstart, k + 1, dtype=np.float64) + fam.offset
-    partial = g * float(np.exp(-ct * ks * ks).sum())
-    return partial, tail_bound(k + 1)
+    # start from the Gaussian estimate count exp(-ct q^2) = budget
+    hi = fam.kstart + 1 + int(math.sqrt(max(fam.log_count - math.log(budget), 0.0) / ct))
+    while _family_tail(fam, ct, hi) > budget:
+        hi *= 2
+    first = bisect.bisect_left(
+        range(hi + 1), True, lo=fam.kstart, key=lambda k: _family_tail(fam, ct, k) <= budget
+    )
+    ks = np.arange(fam.kstart, first, dtype=np.float64) + fam.offset
+    partial = math.exp(fam.log_count) * float(np.exp(-ct * ks * ks).sum())
+    return partial, _family_tail(fam, ct, first)
 
 
 def _min_exponent(scale: int, t: float) -> float:
@@ -525,31 +527,47 @@ def sqrt_term_coefficient(seq: JSequence) -> float:
     return bracket / 2.0
 
 
-def heat_trace_asymptote(seq: JSequence, t: float, m_terms: int = 5) -> float:
-    """Small-t residue expansion of the full heat trace Z(t).
+# |Gamma(sigma + iy)| ~ sqrt(2 pi) |y|^(sigma - 1/2) exp(-pi |y| / 2), so the
+# residues past this height are below exp(-4 pi^2) ~ 7e-18 of the real ones
+_RESIDUE_HEIGHT = 8.0 * math.pi
 
-    Includes the zero mode (+1), the continued constant zeta_L(0), the
-    square-root term when present, and both residue lattices at their
-    actual (period-refined) imaginary spacing; m_terms lattice points are
-    kept on each side of the real axis per family, and conjugate pairs are
-    folded into twice the real part.
-    """
-    if not t > 0:
-        raise ValidationError(f"t {t} must be > 0")
+
+@functools.lru_cache
+def _residue_terms(seq: JSequence) -> tuple[tuple[complex, complex], ...]:
+    """(s, coefficient) of each lattice pole with 0 <= Im s <= 8 pi, once per
+    sequence (no t dependence).  A pole above the real axis also stands for
+    its conjugate: its coefficient is doubled and the caller keeps the real
+    part.  A fixed height keeps the same poles in every representation of a
+    space, so 2 and 2,2 give the same expansion."""
     fine = fine_pole_spacing(seq)
-    log_t = math.log(t)
-    total = 1.0 + zeta_at_zero(seq)
-    total += sqrt_term_coefficient(seq) / math.sqrt(math.pi * t)
+    terms = []
     for family in ("dominant", "subdominant"):
         if family == "subdominant" and seq.block == 2**seq.period:
             continue  # for all-2 patterns every subdominant residue vanishes
         re_part = _pole_real_part(seq, family)
-        coeff0 = residue_coefficient(seq, complex(re_part, 0.0), family)
-        total += coeff0.real * math.exp(-re_part * log_t)
-        for m in range(1, m_terms + 1):
+        s_0 = complex(re_part, 0.0)
+        terms.append((s_0, complex(residue_coefficient(seq, s_0, family).real)))
+        for m in range(1, int(_RESIDUE_HEIGHT / fine) + 1):
             s_m = complex(re_part, m * fine)
-            term = residue_coefficient(seq, s_m, family) * cmath.exp(-s_m * log_t)
-            total += 2.0 * term.real
+            terms.append((s_m, 2.0 * residue_coefficient(seq, s_m, family)))
+    return tuple(terms)
+
+
+def heat_trace_asymptote(seq: JSequence, t: float) -> float:
+    """Small-t residue expansion of the full heat trace Z(t).
+
+    Includes the zero mode (+1), the continued constant zeta_L(0), the
+    square-root term when present, and both residue lattices at their
+    actual (period-refined) imaginary spacing, every pole up to
+    |Im s| = 8 pi kept and conjugate pairs folded into twice the real part.
+    """
+    if not t > 0:
+        raise ValidationError(f"t {t} must be > 0")
+    log_t = math.log(t)
+    total = 1.0 + zeta_at_zero(seq)
+    total += sqrt_term_coefficient(seq) / math.sqrt(math.pi * t)
+    for s, coeff in _residue_terms(seq):
+        total += (coeff * cmath.exp(-s * log_t)).real
     return total
 
 

@@ -78,7 +78,10 @@ class JSequence:
             return 1
         if self.kind == PERIODIC:
             return len(self.values)
-        raise DimensionUndefinedError("explicit prefix has no period; parse it as periodic")
+        raise DimensionUndefinedError(
+            "an explicit prefix has no period; write the pattern without "
+            "'seq:' to repeat it"
+        )
 
     @property
     def block(self) -> int:
@@ -216,22 +219,9 @@ def shape_census(seq: JSequence, n: int) -> ShapeCensus:
     )
 
 
-def dimensions(seq: JSequence, *, assume_periodic: bool = False) -> DimensionReport:
-    """Dimension report for a sequence with a well-defined contraction limit.
-
-    Explicit prefixes are refused unless assume_periodic is set, in which
-    case the prefix is treated as the repeating block.
-    """
-    if seq.kind == EXPLICIT:
-        if not assume_periodic:
-            raise DimensionUndefinedError(
-                "dimensions need r = lim I_n^(1/n); pass assume_periodic=True "
-                "to treat the explicit prefix as a repeating pattern"
-            )
-        seq = JSequence(
-            kind=CONSTANT if len(seq.values) == 1 else PERIODIC,
-            values=seq.values,
-        )
+def dimensions(seq: JSequence) -> DimensionReport:
+    """Dimension report from the period p and block P, r = P^(1/p); an
+    explicit prefix has no period and raises DimensionUndefinedError."""
     # the one formula for d_s; heatzeta's abscissa and pole real parts read it
     log_r = math.log(seq.block) / seq.period
     r = seq.contraction_limit()

@@ -9,8 +9,9 @@ The term count grows with |s|, so riemann_zeta refuses a non-finite s and
 |s| > 1e4 (at most 15,010 terms).
 
 gamma: classic fixed-coefficient Lanczos rational approximation (g = 7,
-nine terms), reflected for Re z < 1/2.  Both functions commute with complex
-conjugation to the ulp because every constant involved is real.
+nine terms) of log Gamma, reflected for Re z < 1/2, exponentiated once.
+Both functions commute with complex conjugation to the ulp because every
+constant involved is real.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import math
 from .errors import PoleError, ValidationError
 
 _MAX_ABS_S = 1e4
+_LOG_PI = math.log(math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Lanczos g = 7 coefficients
 _LANCZOS_G = 7.0
@@ -86,24 +89,37 @@ def riemann_zeta(s: complex) -> complex:
     return total + _power_tail(s, n)
 
 
-def complex_gamma(z: complex) -> complex:
-    """Lanczos approximation of Gamma(z), reflected for Re z < 1/2."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(
-            f"gamma has a pole at {z}", nearest_pole=complex(round(z.real), 0.0)
-        )
-    if z.real < 0.5:
-        # reflection Gamma(z) Gamma(1-z) = pi / sin(pi z), with the sine
-        # argument reduced by the nearest integer first: sin(pi z) loses
-        # all relative accuracy near the poles otherwise
-        n = round(z.real)
-        f = z - n
-        sin_pi = cmath.sin(math.pi * f) * (1.0 if n % 2 == 0 else -1.0)
-        return math.pi / (sin_pi * complex_gamma(1.0 - z))
+def _log_gamma(z: complex) -> complex:
+    """log Gamma(z) by Lanczos for Re z >= 1/2, left on the log scale."""
     z -= 1.0
     x = complex(_LANCZOS_C[0])
     for i, c in enumerate(_LANCZOS_C[1:], start=1):
         x += c / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * x
+    return _LOG_SQRT_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
+
+
+def complex_gamma(z: complex) -> complex:
+    """Lanczos approximation of Gamma(z), reflected for Re z < 1/2.
+
+    Both branches apply one exp to log-scale Lanczos terms, so far off the
+    real axis no factor overflows on its own and a value below the double
+    range underflows to 0."""
+    z = complex(z)
+    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
+        raise PoleError(
+            f"gamma has a pole at {z}", nearest_pole=complex(round(z.real), 0.0)
+        )
+    if z.real >= 0.5:
+        return cmath.exp(_log_gamma(z))
+    # reflection Gamma(z) = pi / (sin(pi z) Gamma(1-z)): the sine argument is
+    # reduced by the nearest integer n (sin(pi z) loses all relative accuracy
+    # near the poles otherwise) to x + iy = pi (z - n), and its growth e^|y|
+    # is factored out of sin(x + iy) = sin x cosh y + i cos x sinh y
+    n = round(z.real)
+    x, y = math.pi * (z.real - n), math.pi * z.imag
+    scaled_sin = complex(
+        math.sin(x) * (1.0 + math.exp(-2.0 * abs(y))) / 2.0,
+        math.copysign(math.cos(x) * -math.expm1(-2.0 * abs(y)) / 2.0, y),
+    )
+    return (-1.0) ** n * cmath.exp(_LOG_PI - abs(y) - _log_gamma(1.0 - z)) / scaled_sin

@@ -75,6 +75,16 @@ def test_spectrum_requires_bound_or_count(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--lambda-max", "--level-max"])
+def test_spectrum_count_conflict_builds_no_table(tmp_path, monkeypatch, flag):
+    def no_table(*args):
+        raise AssertionError("a table was built before the options were checked")
+
+    monkeypatch.setattr("laakso.cli.first_distinct", no_table)
+    code, _ = run(tmp_path, "spectrum", "-j", "2", "--count", "3", flag, "2")
+    assert code == 1
+
+
 def test_spectrum_rejects_bad_sequence(tmp_path):
     code, _ = run(tmp_path, "spectrum", "-j", "1", "--count", "3")
     assert code == 1
@@ -142,10 +152,10 @@ def test_dims_alternating(tmp_path):
     assert payload["walk"] == 2.0
 
 
-def test_dims_explicit_needs_flag(tmp_path):
+def test_dims_explicit_needs_pattern(tmp_path):
     code, _ = run(tmp_path, "dims", "-j", "seq:2,3")
     assert code == 1
-    code, text = run(tmp_path, "dims", "-j", "seq:2,3", "--assume-periodic")
+    code, text = run(tmp_path, "dims", "-j", "2,3")
     assert code == 0
     assert json.loads(text)["r"] == pytest.approx(math.sqrt(6.0))
 
@@ -318,6 +328,10 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "seq:2,3", "--t", "1", "--level-cap", "3"],
         ["zeta", "-j", "2", "--s", "-600", "--mode", "closed"],
         ["zeta", "-j", "2", "--s", "600", "--mode", "closed"],
+        ["spectrum", "-j", "2", "--count", "3", "--lambda-max", "1"],
+        ["spectrum", "-j", "2", "--count", "3", "--level-max", "2"],
+        ["heat", "-j", "2", "--t", "1e-3", "--m-terms", "5"],
+        ["dims", "-j", "2,3", "--assume-periodic"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

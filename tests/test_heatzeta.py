@@ -1,5 +1,6 @@
 """Heat trace, spectral zeta (two routes), poles, residues, asymptotics."""
 
+import cmath
 import math
 import os
 import subprocess
@@ -34,7 +35,14 @@ from laakso import (
     sqrt_term_coefficient,
     zeta_at_zero,
 )
-from laakso.heatzeta import _DIRECT_ATOL, convergence_abscissa
+from laakso.heatzeta import (
+    _DIRECT_ATOL,
+    _LINE,
+    _family_partial,
+    _family_tail,
+    _level_families,
+    convergence_abscissa,
+)
 
 J2 = parse_sequence("2")
 J3 = parse_sequence("3")
@@ -103,6 +111,32 @@ def test_trace_validates_inputs():
             spectral_zeta_direct(seq, 2.0, level_cap=cap)
         with pytest.raises(ValidationError):
             level_spectrum(seq, cap, 100.0)
+
+
+def test_family_cutoff_matches_a_linear_scan():
+    """The bisected cutoff is the first index whose tail fits the budget.
+
+    A linear scan from the family's first index finds the same first
+    omitted index, and the partial sum over the kept indices is bitwise
+    the one _family_partial returns, together with that index's tail.
+    """
+    families = [_LINE]
+    for spec in ("2", "2,3", "3,4"):
+        for n in (1, 2, 3):
+            families += _level_families(parse_sequence(spec), n)[2]
+    for fam in families:
+        for t in (1e-8, 1e-5, 1e-2, 1.0):
+            ct = math.exp(fam.log_c + math.log(t))
+            for budget in (1e-6, 1e-10, 1e-13):
+                first = fam.kstart
+                while _family_tail(fam, ct, first) > budget:
+                    first += 1
+                ks = np.arange(fam.kstart, first, dtype=np.float64) + fam.offset
+                kept = math.exp(fam.log_count) * float(np.exp(-ct * ks * ks).sum())
+                assert _family_partial(fam, t, budget) == (
+                    kept,
+                    _family_tail(fam, ct, first),
+                )
 
 
 def test_trace_explicit_prefix_needs_reachable_tolerance():
@@ -377,7 +411,7 @@ def test_sqrt_coefficient_measured_from_the_trace():
         sqrt_c = sqrt_term_coefficient(seq)
         for t in (1e-7, 1e-8):
             z = heat_trace(seq, t, 1e-12).z
-            lattice_only = heat_trace_asymptote(seq, t, m_terms=8) - (
+            lattice_only = heat_trace_asymptote(seq, t) - (
                 sqrt_c / math.sqrt(math.pi * t)
             )
             measured = (z - lattice_only) * math.sqrt(math.pi * t)
@@ -408,6 +442,17 @@ def test_asymptote_matches_trace_j3():
         assert abs(a - z) / z < 1e-5
 
 
+@pytest.mark.parametrize(
+    "spec", ["2", "3", "2,3", "3,4", "2,5", "2,3,4", "2,2", "6,2"]
+)
+def test_asymptote_matches_trace_to_rounding(spec):
+    """Every pole up to Im s = 8 pi leaves only rounding between the routes."""
+    seq = parse_sequence(spec)
+    for t in np.geomspace(1e-9, 1e-3, 13):
+        z = heat_trace(seq, float(t), 1e-10).z
+        assert heat_trace_asymptote(seq, float(t)) == pytest.approx(z, rel=1e-11)
+
+
 def test_leading_term_m0_decomposition_j2():
     """Residue expansion of Z(t) for the constant-2 space.
 
@@ -419,17 +464,26 @@ def test_leading_term_m0_decomposition_j2():
     1 + zeta_L(0).  Valid as t -> 0; for large t the trace approaches 1 and
     this expansion does not apply.
     """
-    # with no oscillating terms the expansion is the three real residues
+    # the three real residues plus the oscillating pairs a_m t^(-s_m), m >= 1,
+    # of every pole up to Im s = 8 pi
     t = 1e-6
-    expected = (
+    real_residues = (
         1.0
         + zeta_at_zero(J2)
         + 0.75 / math.sqrt(math.pi * t)
         + 1.0 / (16.0 * t * math.log(2.0))
     )
-    assert heat_trace_asymptote(J2, t, m_terms=0) == pytest.approx(
-        expected, rel=1e-13
-    )
+    fine = fine_pole_spacing(J2)
+    oscillating = 0.0
+    for m in range(1, int(8.0 * math.pi / fine) + 1):
+        s_m = complex(1.0, m * fine)
+        a_m = residue_coefficient(J2, s_m, "dominant")
+        oscillating += 2.0 * (a_m * cmath.exp(-s_m * math.log(t))).real
+    expansion = heat_trace_asymptote(J2, t)
+    assert expansion == pytest.approx(real_residues + oscillating, rel=1e-13)
+    # the m = 0 residue meets 1/(16 t log 2) only to rounding, which the
+    # subtraction magnifies by about 1e3
+    assert expansion - real_residues == pytest.approx(oscillating, rel=1e-11)
 
 
 def test_leading_term_j23_log_slope():
@@ -457,7 +511,6 @@ def test_period_refined_lattice_is_needed_for_j23():
     fine = fine_pole_spacing(J23)
     re_dom = poles(J23).real_part
     re_sub = math.log(2.0) / math.log(6.0)
-    import cmath
 
     coarse = 1.0 + zeta_at_zero(J23)
     for re_part, family in ((re_dom, "dominant"), (re_sub, "subdominant")):
@@ -533,11 +586,8 @@ def test_doubled_pattern_is_the_same_space():
     interleaved = complex(1.0, math.pi / math.log(4.0))
     assert abs(residue_coefficient(j22, interleaved, "dominant")) < 1e-14
     for t in (1e-8, 1e-6):
-        # the doubled form's nominal lattice is twice as fine, so matching
-        # the imaginary coverage (10 fine = 5 coarse points) makes the
-        # expansions coincide term by term
-        a = heat_trace_asymptote(j22, t, m_terms=10)
-        b = heat_trace_asymptote(J2, t, m_terms=5)
+        a = heat_trace_asymptote(j22, t)
+        b = heat_trace_asymptote(J2, t)
         assert a == pytest.approx(b, rel=1e-11)
         assert heat_trace(j22, t, 1e-10).z == pytest.approx(
             heat_trace(J2, t, 1e-10).z, rel=1e-12

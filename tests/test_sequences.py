@@ -168,11 +168,10 @@ def test_dimensions_constant_three_follows_formula():
     assert rep.hausdorff == pytest.approx(math.log(6) / math.log(3), rel=1e-14)
 
 
-def test_dimensions_explicit_needs_flag():
-    seq = parse_sequence("seq:2,3")
+def test_dimensions_explicit_needs_pattern():
     with pytest.raises(DimensionUndefinedError):
-        dimensions(seq)
-    rep = dimensions(seq, assume_periodic=True)
+        dimensions(parse_sequence("seq:2,3"))
+    rep = dimensions(parse_sequence("2,3"))
     assert rep.r == pytest.approx(math.sqrt(6.0), rel=1e-15)
 
 
@@ -196,9 +195,8 @@ def test_hausdorff_matches_deep_level_ratio(values):
 @given(any_sequence())
 def test_einstein_relation(seq):
     if seq.kind == "explicit":
-        rep = dimensions(seq, assume_periodic=True)
-    else:
-        rep = dimensions(seq)
+        seq = parse_sequence(",".join(map(str, seq.values)))
+    rep = dimensions(seq)
     assert 2.0 * rep.hausdorff / rep.walk == rep.spectral
 
 

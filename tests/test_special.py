@@ -175,3 +175,15 @@ def test_gamma_magnitude_on_imaginary_axis():
         got = abs(complex_gamma(complex(1.0, y)))
         expected = math.sqrt(math.pi * y / math.sinh(math.pi * y))
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("z", [0.3 + 230j, -0.4 + 300j, 0.2 + 400j])
+def test_gamma_far_off_the_axis_matches_mpmath(z):
+    # sin(pi z) alone overflows here; Gamma itself is ~1e-157 .. 1e-274
+    reference = complex(mp.gamma(mp.mpc(z.real, z.imag)))
+    assert abs(complex_gamma(z) - reference) <= 1e-12 * abs(reference)
+
+
+def test_gamma_underflows_to_zero():
+    # |Gamma(0.3 + 600i)| ~ 1e-410 is below the double range
+    assert complex_gamma(0.3 + 600j) == 0
