@@ -2,8 +2,10 @@
 """Mesh-refinement study: numerical eigenvalues against the exact spectrum.
 
 Builds the level-n graph, discretizes it at a run of mesh densities, and
-prints the relative error of each low cluster representative next to the
-second-order prediction lambda h^2 / 12.
+prints, for each low exact eigenvalue and each mesh, two relative errors of
+the nearest computed eigenvalue: the raw mesh eigenvalue, which converges
+at second order in h, and the same eigenvalue mapped back through
+continuum_eigenvalues, which is exact up to the solver's accuracy.
 
 Usage:
     python scripts/mesh_convergence.py -j 2,3 -n 2 --meshes 8,16,32,64
@@ -11,12 +13,13 @@ Usage:
 
 import argparse
 
+import numpy as np
+
 from laakso import (
-    cluster_multiplicities,
+    continuum_eigenvalues,
     discretize,
     level_spectrum,
     lowest_eigenvalues,
-    mesh_spacing,
     parse_sequence,
 )
 from laakso.graphs import build_graph
@@ -45,21 +48,20 @@ def main() -> None:
     exact = exact[:8]
 
     print(f"graph: {graph.vertex_count} vertices, {graph.edge_count} edges")
-    header = "".join(f"  m={m:>4}" for m in meshes)
-    print(f"{'exact':>12}{header}   (relative errors; ~lambda h^2/12)")
-    errors = {m: [] for m in meshes}
+    header = "".join(f"  {f'm={m} raw':>10} {'mapped':>8}" for m in meshes)
+    print(f"{'exact':>12}{header}   (relative errors)")
+    errors = {}
     for m in meshes:
         matrix = discretize(graph, m)
-        result = lowest_eigenvalues(matrix, min(args.k, matrix.dimension - 1))
-        reps = cluster_multiplicities(result.values, 0.01).representatives()
-        for lam in exact:
-            closest = min(reps, key=lambda v: abs(v - lam))
-            errors[m].append(abs(closest - lam) / lam)
-    h = mesh_spacing(graph, meshes[-1])
+        raw = lowest_eigenvalues(matrix, min(args.k, matrix.dimension - 1)).values
+        mapped = continuum_eigenvalues(graph, m, raw)
+        errors[m] = [
+            (np.abs(raw - lam).min() / lam, np.abs(mapped - lam).min() / lam)
+            for lam in exact
+        ]
     for i, lam in enumerate(exact):
-        row = "".join(f"  {errors[m][i]:>6.1e}" for m in meshes)
-        predicted = lam * h * h / 12.0
-        print(f"{lam:>12.3f}{row}   {predicted:.1e}")
+        row = "".join(f"  {errors[m][i][0]:>10.1e} {errors[m][i][1]:>8.1e}" for m in meshes)
+        print(f"{lam:>12.3f}{row}")
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from .graphs import (
     MetricGraph,
     SparseSymmetricMatrix,
     build_graph,
+    continuum_eigenvalues,
     discretize,
     discretize_weighted,
     mesh_spacing,
@@ -51,12 +52,7 @@ from .sequences import (
     parse_sequence,
     shape_census,
 )
-from .solver import (
-    ClusteredSpectrum,
-    EigenResult,
-    cluster_multiplicities,
-    lowest_eigenvalues,
-)
+from .solver import EigenResult, lowest_eigenvalues
 from .special import complex_gamma, riemann_zeta
 from .spectrum import (
     Contribution,
@@ -73,7 +69,6 @@ from .spectrum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusteredSpectrum",
     "ComparisonReport",
     "ComparisonRow",
     "Contribution",
@@ -95,9 +90,9 @@ __all__ = [
     "TailToleranceError",
     "ValidationError",
     "build_graph",
-    "cluster_multiplicities",
     "compare_spectra",
     "complex_gamma",
+    "continuum_eigenvalues",
     "counting_function",
     "dimensions",
     "discretize",

@@ -162,66 +162,32 @@ def cmd_spectrum(args) -> int:
 
 def cmd_compare(args) -> int:
     seq = parse_sequence(args.sequence)
-    report = compare_spectra(
-        seq,
-        args.level,
-        args.mesh,
-        args.k,
-        rel_gap=args.rel_gap,
-        seed=args.seed,
-    )
+    report = compare_spectra(seq, args.level, args.mesh, args.k, seed=args.seed)
+    rows = [
+        {
+            "analytic": r.analytic_value,
+            "analytic_multiplicity": r.analytic_multiplicity,
+            "mesh": r.mesh_value,
+            "numeric": r.numeric_value,
+            "numeric_multiplicity": r.numeric_multiplicity,
+            "relative_error": r.relative_error,
+            "residual": r.residual,
+            "multiplicity_match": r.multiplicity_match,
+        }
+        for r in report.rows
+    ]
     payload = {
-        "config": _config(
-            args,
-            level=args.level,
-            mesh=args.mesh,
-            k=args.k,
-            rel_gap=args.rel_gap,
-            seed=args.seed,
-        ),
+        "config": _config(args, level=args.level, mesh=args.mesh, k=args.k, seed=args.seed),
         "matrix_dimension": report.matrix_dimension,
         "trust_cutoff": report.trust_cutoff,
         "k_converged": report.k_converged,
         "clusters": [{"value": v, "multiplicity": m} for v, m in report.clusters],
-        "rows": [
-            {
-                "analytic": r.analytic_value,
-                "analytic_multiplicity": r.analytic_multiplicity,
-                "numeric": r.numeric_value,
-                "numeric_multiplicity": r.numeric_multiplicity,
-                "relative_error": r.relative_error,
-                "residual": r.residual,
-                "multiplicity_match": r.multiplicity_match,
-            }
-            for r in report.rows
-        ],
+        "rows": rows,
         "all_multiplicities_match": report.all_multiplicities_match,
         "max_relative_error": report.max_relative_error,
     }
-    rows = [
-        [
-            repr(r.analytic_value),
-            r.analytic_multiplicity,
-            repr(r.numeric_value),
-            r.numeric_multiplicity,
-            repr(r.relative_error),
-            repr(r.residual),
-        ]
-        for r in report.rows
-    ]
-    _emit(
-        args,
-        payload,
-        rows,
-        [
-            "analytic",
-            "analytic_mult",
-            "numeric",
-            "numeric_mult",
-            "rel_error",
-            "residual",
-        ],
-    )
+    header = ["analytic", "analytic_mult", "mesh", "numeric", "numeric_mult", "rel_error", "residual"]
+    _emit(args, payload, [list(row.values())[: len(header)] for row in rows], header)
     if report.k_converged < min(args.k, report.matrix_dimension - 1):
         print(
             f"eigensolver converged {report.k_converged}/{args.k} pairs",
@@ -360,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--level", type=int, required=True)
     p.add_argument("-m", "--mesh", type=int, required=True, help="interior points per edge")
     p.add_argument("-k", type=int, required=True, help="eigenvalue count")
-    p.add_argument("--rel-gap", type=float, default=0.01)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("dims", help="dimension report")

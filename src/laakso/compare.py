@@ -1,32 +1,41 @@
 """End-to-end comparison of the mesh eigensolver against the exact spectrum.
 
-Builds F_n, discretizes it, computes the lowest eigenvalues, clusters them
-into (value, multiplicity) pairs, and diffs the clusters against the
-level-n analytic table.  Only clusters below the discretization trust
-cutoff (0.1/h)^2 participate, and the final cluster is dropped when the
-eigenvalue count truncates mid-cluster.
+Builds F_n, discretizes it, computes the lowest eigenvalues and maps each
+exactly onto its continuum value (graphs.continuum_eigenvalues), hence onto
+the integer key m of lambda = (m pi / 2)^2.  Copies are counted per key, the
+exact-integer merge of the analytic tables, and diffed against the level-n
+table: one row per key either side has below the top returned key (which k
+may cut) and the trust cutoff, with multiplicity 0 on a side that lacks it,
+so a split, merged or missing cluster is one mismatched row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .graphs import build_graph, discretize, trust_cutoff
+import numpy as np
+
+from .errors import ValidationError
+from .graphs import build_graph, continuum_eigenvalues, discretize, trust_cutoff
 from .sequences import JSequence
 from .solver import cluster_multiplicities, lowest_eigenvalues
-from .spectrum import level_spectrum
+from .spectrum import eigenvalue_of_key, level_spectrum
 
 _TOL = 1e-7  # residual bound each compared eigenpair must meet
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One key; the numeric fields are None when the mesh returned no copy."""
+
     analytic_value: float
     analytic_multiplicity: int
-    numeric_value: float
+    numeric_value: float | None  # mean continuum value of the copies
     numeric_multiplicity: int
-    relative_error: float
-    residual: float  # worst solver residual among the cluster members
+    relative_error: float | None
+    residual: float | None  # worst solver residual among the copies
+    mesh_value: float | None  # mean raw mesh eigenvalue of the copies
 
     @property
     def multiplicity_match(self) -> bool:
@@ -43,7 +52,7 @@ class ComparisonReport:
     matrix_dimension: int
     trust_cutoff: float
     tolerance: float
-    clusters: tuple[tuple[float, int], ...]  # raw numeric (value, multiplicity)
+    clusters: tuple[tuple[float, int], ...]  # per key: (mean continuum value, copies)
     rows: tuple[ComparisonRow, ...]
 
     @property
@@ -52,12 +61,14 @@ class ComparisonReport:
 
     @property
     def max_relative_error(self) -> float:
-        return max((r.relative_error for r in self.rows), default=0.0)
+        return max(
+            (r.relative_error for r in self.rows if r.numeric_multiplicity), default=0.0
+        )
 
     @property
     def compared_converged(self) -> bool:
         """Every eigenvalue entering a compared row met its residual bound."""
-        return all(r.residual <= self.tolerance for r in self.rows)
+        return all(r.residual <= self.tolerance for r in self.rows if r.numeric_multiplicity)
 
 
 def compare_spectra(
@@ -66,50 +77,51 @@ def compare_spectra(
     points_per_edge: int,
     k: int,
     *,
-    rel_gap: float = 0.01,
     seed: int | None = None,
 ) -> ComparisonReport:
+    if k < 2:
+        raise ValidationError(f"k {k} < 2 compares no key below the top returned one")
     graph = build_graph(seq, level)
     matrix = discretize(graph, points_per_edge)
     k = min(k, matrix.dimension - 1)
     cutoff = trust_cutoff(graph, points_per_edge)
     analytic = level_spectrum(seq, level, cutoff).entries
     # degenerate clusters are only fully captured with a block at least as
-    # wide as the largest multiplicity in play (capped near k: clusters far
-    # beyond the requested count never enter the comparison)
-    relevant = []
-    running = 0
+    # wide as the copies a cluster must supply to the k lowest
+    widest, running = 8, 0
     for e in analytic:
-        relevant.append(e.multiplicity)
+        if running >= k:
+            break
+        widest = max(widest, min(e.multiplicity, k - running))
         running += e.multiplicity
-        if running > k:
-            break
-    block = min(max([8] + relevant) + 4, k + 8)
+    block = min(widest + 4, k + 8)
     result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block)
-    clusters = cluster_multiplicities(result.values, rel_gap)
 
-    usable = list(clusters.clusters)
-    if len(usable) > 1:
-        usable = usable[:-1]  # the last cluster may be cut by the k limit
+    mapped = continuum_eigenvalues(graph, points_per_edge, result.values)
+    keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
+    members = cluster_multiplicities(keys)
+    exact = {e.m: e.multiplicity for e in analytic}
     rows = []
-    consumed = 0
-    for (num_val, num_mult), entry in zip(usable, analytic):
-        if num_val > cutoff or entry.value > cutoff:
+    for key in sorted(exact.keys() | members.keys()):
+        value = eigenvalue_of_key(key)
+        if key >= keys[-1] or value > cutoff:
             break
-        exact = entry.value
-        rel = abs(num_val - exact) / exact if exact else abs(num_val)
-        residual = float(
-            result.residual_norms[consumed : consumed + num_mult].max()
-        )
-        consumed += num_mult
+        idx = members.get(key, ())
+        numeric = mesh = rel = residual = None
+        if len(idx):
+            numeric = float(mapped[idx].mean())
+            mesh = float(result.values[idx].mean())
+            rel = abs(numeric - value) / value if value else abs(numeric)
+            residual = float(result.residual_norms[idx].max())
         rows.append(
             ComparisonRow(
-                analytic_value=exact,
-                analytic_multiplicity=entry.multiplicity,
-                numeric_value=num_val,
-                numeric_multiplicity=num_mult,
+                analytic_value=value,
+                analytic_multiplicity=exact.get(key, 0),
+                numeric_value=numeric,
+                numeric_multiplicity=len(idx),
                 relative_error=rel,
                 residual=residual,
+                mesh_value=mesh,
             )
         )
     return ComparisonReport(
@@ -121,6 +133,6 @@ def compare_spectra(
         matrix_dimension=matrix.dimension,
         trust_cutoff=cutoff,
         tolerance=_TOL,
-        clusters=clusters.clusters,
+        clusters=tuple((float(mapped[idx].mean()), len(idx)) for idx in members.values()),
         rows=tuple(rows),
     )

@@ -9,8 +9,12 @@ The Laplacian -d^2/dx^2 with Kirchhoff vertex conditions is discretized by
 putting m interior mesh points on each edge (spacing h = L/(m+1)) and
 assembling the mass-weighted second-difference operator: stiffness links of
 weight 1/h, diagonal mass h at interior points and deg*h/2 at vertices.  The
-returned operator is the symmetric similarity transform M^(-1/2) K M^(-1/2),
-whose eigenvalues approximate the Kirchhoff spectrum to second order in h.
+returned operator M^(-1/2) K M^(-1/2) is, as M = (h/2) D, 2/h^2 times the
+normalized Laplacian of F_n subdivided into edges of length h.  So von
+Below's relation is exact (von Below 1985; Berkolaiko-Kuchment 2013): each
+continuum eigenvalue k^2 with k h < pi is the mesh eigenvalue
+(4/h^2) sin^2(k h / 2), with its multiplicity.  continuum_eigenvalues maps
+back, and trust_cutoff stops at k h = 0.8 pi, short of the Nyquist point.
 
 scipy is imported on first use (CSR assembly and conversion), so importing
 this module costs no scipy load.
@@ -18,6 +22,7 @@ this module costs no scipy load.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -193,8 +198,8 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
 
     Interior rows reduce to the standard second difference
     (2u_i - u_{i-1} - u_{i+1})/h^2; a degree-d vertex row enforces the
-    Kirchhoff zero-derivative-sum condition at second-order consistency.
-    The kernel vector is sqrt(M) * 1, not the plain constant.
+    Kirchhoff zero-derivative-sum condition.  The kernel vector is
+    sqrt(M) * 1, not the plain constant.
     """
     stiffness, mass = _assemble(graph, points_per_edge)
     inv_sqrt = 1.0 / np.sqrt(mass)
@@ -207,8 +212,20 @@ def mesh_spacing(graph: MetricGraph, points_per_edge: int) -> float:
     return graph.edge_length / (points_per_edge + 1)
 
 
-def trust_cutoff(graph: MetricGraph, points_per_edge: int) -> float:
-    """Discretization errors scale like h^2 * lambda; eigenvalues above
-    (0.1/h)^2 are not compared against analytic values."""
+def continuum_eigenvalues(
+    graph: MetricGraph, points_per_edge: int, mesh_values: np.ndarray
+) -> np.ndarray:
+    """((2/h) arcsin(h sqrt(lambda_h) / 2))^2 for eigenvalues lambda_h of
+    `discretize`: the continuum eigenvalues they stand for.  lambda_h is
+    clipped to the spectral range [0, 4/h^2], which rounding can leave."""
     h = mesh_spacing(graph, points_per_edge)
-    return (0.1 / h) ** 2
+    half_chord = np.clip(h * np.sqrt(np.clip(mesh_values, 0.0, None)) / 2.0, 0.0, 1.0)
+    return (2.0 / h * np.arcsin(half_chord)) ** 2
+
+
+def trust_cutoff(graph: MetricGraph, points_per_edge: int) -> float:
+    """(0.8 pi / h)^2, i.e. k h <= 0.8 pi: continuum_eigenvalues' slope
+    diverges at k h = pi, and up to here it enlarges relative errors at most
+    2.5-fold."""
+    h = mesh_spacing(graph, points_per_edge)
+    return (0.8 * math.pi / h) ** 2

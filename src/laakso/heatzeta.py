@@ -432,11 +432,15 @@ def zeta_at_zero(seq: JSequence) -> float:
 # poles and residues
 # ---------------------------------------------------------------------------
 
+_MAX_POLES = 10_001  # members one poles() call may build
+
 
 def poles(seq: JSequence, m_range: tuple[int, int] = (-3, 3)) -> PoleLattice:
     """The coarse pole lattice s_m = d_s/2 + i m p pi / log P: every p-th dominant pole."""
     if m_range[0] > m_range[1]:
         raise ValidationError(f"empty m range {m_range}")
+    if m_range[1] - m_range[0] >= _MAX_POLES:
+        raise ValidationError(f"m range {m_range} has more than {_MAX_POLES} members")
     spacing = seq.period * fine_pole_spacing(seq)
     real_part = _pole_real_part(seq)
     members = tuple(

@@ -1,4 +1,4 @@
-"""Lowest eigenvalues of sparse symmetric PSD matrices, with clustering.
+"""Lowest eigenvalues of sparse symmetric PSD matrices, and their multiplicities.
 
 One path serves every dimension, a block shift-invert Krylov iteration:
 the matrix is shifted negative (it is PSD, so A - sigma I is definite),
@@ -18,8 +18,9 @@ therefore about one dim x max_basis buffer plus the LU factors.
 
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
-are read off computed values by greedy gap clustering, the same way a
-numerical spectrum table is tabulated by eye.
+are counted, not guessed from gaps: once each computed value carries an
+exact integer label (compare maps mesh eigenvalues onto their continuum
+keys), cluster_multiplicities groups equal labels.
 
 scipy is imported on the first call of `lowest_eigenvalues`, so importing
 this module costs no scipy load.
@@ -47,17 +48,6 @@ class EigenResult:
     k_converged: int
     iterations: int  # Krylov steps taken after the starting block
     basis_width: int  # basis columns used, at most max(5k, k + 15 block_size)
-
-
-@dataclass(frozen=True)
-class ClusteredSpectrum:
-    clusters: tuple[tuple[float, int], ...]  # (representative, multiplicity)
-
-    def representatives(self) -> list[float]:
-        return [c[0] for c in self.clusters]
-
-    def multiplicities(self) -> list[int]:
-        return [c[1] for c in self.clusters]
 
 
 def _matrix_scale(a: sp.csr_matrix) -> float:
@@ -150,25 +140,11 @@ def lowest_eigenvalues(
     )
 
 
-def cluster_multiplicities(values: np.ndarray, rel_gap: float) -> ClusteredSpectrum:
-    """Greedy clustering of sorted values into (representative, multiplicity).
+def cluster_multiplicities(keys: np.ndarray) -> dict[int, np.ndarray]:
+    """The positions of each distinct integer key, in ascending key order.
 
-    A value joins the current cluster when its gap to the previous value is
-    at most rel_gap * max(1, running cluster mean); the representative is
-    the cluster mean.
+    Equal keys are one eigenvalue, so each group's size is its multiplicity:
+    no gap tolerance decides where a cluster ends.  The benchmark declares
+    this step's time as the per-layer metric solver.cluster_multiplicities.s.
     """
-    if not 0 < rel_gap < 0.5:
-        raise ValidationError(f"rel_gap {rel_gap} outside (0, 0.5)")
-    if len(values) == 0:
-        return ClusteredSpectrum(clusters=())
-    clusters: list[tuple[float, int]] = []
-    members = [float(values[0])]
-    for prev, cur in zip(values[:-1], values[1:]):
-        rep = float(np.mean(members))
-        if cur - prev <= rel_gap * max(1.0, rep):
-            members.append(float(cur))
-        else:
-            clusters.append((rep, len(members)))
-            members = [float(cur)]
-    clusters.append((float(np.mean(members)), len(members)))
-    return ClusteredSpectrum(clusters=tuple(clusters))
+    return {int(key): np.flatnonzero(keys == key) for key in np.unique(keys)}

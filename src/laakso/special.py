@@ -6,7 +6,8 @@ with the Bernoulli numbers B_2 ... B_16, accurate once a is well past
 the explicit terms k < n to _power_tail(s, n) with n = max(30, 1.5 |s| + 10),
 and heatzeta finishes every family of the direct spectral zeta with it.
 The term count grows with |s|, so riemann_zeta refuses a non-finite s and
-|s| > 1e4 (at most 15,010 terms).
+|s| > 1e4 (at most 15,010 terms); below Re s = -1/2, where that head
+cancels catastrophically, it reflects through the functional equation.
 
 gamma: classic fixed-coefficient Lanczos rational approximation (g = 7,
 nine terms) of log Gamma, reflected for Re z < 1/2, exponentiated once.
@@ -23,6 +24,8 @@ from .errors import PoleError, ValidationError
 
 _MAX_ABS_S = 1e4
 _LOG_PI = math.log(math.pi)
+_LOG_2 = math.log(2.0)
+_LOG_2PI = math.log(2.0 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Lanczos g = 7 coefficients
@@ -69,11 +72,13 @@ def _power_tail(s: complex, a: float) -> complex:
 
 
 def riemann_zeta(s: complex) -> complex:
-    """zeta(s) to ~1e-12 (1 + |zeta(s)|) for Re s >= -1, |Im s| <= 50.
+    """zeta(s) to ~1e-12 (1 + |zeta(s)|) for |Im s| <= 50.
 
     The error grows to a few 1e-11 near |s| = 1e4, from rounding the phase
-    s log k.  Raises ValidationError for a non-finite s or |s| > 1e4, past
-    which the term count would be unbounded.
+    s log k.  Below Re s = -1/2 (nearer 0, zeta(1 - s) nears its pole) it
+    is zeta(s) = 2 (2 pi)^(s-1) sin(pi s / 2) Gamma(1 - s) zeta(1 - s),
+    exactly 0 at s = -2, -4, ...  Raises ValidationError for a non-finite s,
+    |s| > 1e4 (an unbounded term count) or a value past the double range.
     """
     s = complex(s)
     if not (cmath.isfinite(s) and abs(s) <= _MAX_ABS_S):
@@ -82,6 +87,13 @@ def riemann_zeta(s: complex) -> complex:
         )
     if s == 1:
         raise PoleError("zeta has its pole at s = 1", nearest_pole=1.0 + 0.0j)
+    if s.real < -0.5:
+        log_factor = _LOG_2 + (s - 1.0) * _LOG_2PI + abs(math.pi * s.imag / 2.0)
+        try:
+            factor = cmath.exp(log_factor + _log_gamma(1.0 - s))
+        except OverflowError:
+            raise ValidationError(f"zeta(s) overflows double precision at s = {s}") from None
+        return factor * _scaled_sin_pi(s / 2.0) * riemann_zeta(1.0 - s)
     n = max(30, int(1.5 * abs(s)) + 10)
     total = 0.0 + 0.0j
     for k in range(1, n):
@@ -99,6 +111,19 @@ def _log_gamma(z: complex) -> complex:
     return _LOG_SQRT_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
 
 
+def _scaled_sin_pi(z: complex) -> complex:
+    """sin(pi z) e^(-pi |Im z|).  The argument is reduced by the integer n
+    nearest Re z to x + iy = pi (z - n), which keeps the zeros accurate (the
+    integers exact), and the growth e^|y| is factored out of
+    sin(x + iy) = sin x cosh y + i cos x sinh y, which keeps it finite."""
+    n = round(z.real)
+    x, y = math.pi * (z.real - n), math.pi * z.imag
+    return (-1.0) ** n * complex(
+        math.sin(x) * (1.0 + math.exp(-2.0 * abs(y))) / 2.0,
+        math.copysign(math.cos(x) * -math.expm1(-2.0 * abs(y)) / 2.0, y),
+    )
+
+
 def complex_gamma(z: complex) -> complex:
     """Lanczos approximation of Gamma(z), reflected for Re z < 1/2.
 
@@ -112,14 +137,6 @@ def complex_gamma(z: complex) -> complex:
         )
     if z.real >= 0.5:
         return cmath.exp(_log_gamma(z))
-    # reflection Gamma(z) = pi / (sin(pi z) Gamma(1-z)): the sine argument is
-    # reduced by the nearest integer n (sin(pi z) loses all relative accuracy
-    # near the poles otherwise) to x + iy = pi (z - n), and its growth e^|y|
-    # is factored out of sin(x + iy) = sin x cosh y + i cos x sinh y
-    n = round(z.real)
-    x, y = math.pi * (z.real - n), math.pi * z.imag
-    scaled_sin = complex(
-        math.sin(x) * (1.0 + math.exp(-2.0 * abs(y))) / 2.0,
-        math.copysign(math.cos(x) * -math.expm1(-2.0 * abs(y)) / 2.0, y),
-    )
-    return (-1.0) ** n * cmath.exp(_LOG_PI - abs(y) - _log_gamma(1.0 - z)) / scaled_sin
+    # reflection Gamma(z) = pi / (sin(pi z) Gamma(1-z))
+    scaled = cmath.exp(_LOG_PI - abs(math.pi * z.imag) - _log_gamma(1.0 - z))
+    return scaled / _scaled_sin_pi(z)

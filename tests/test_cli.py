@@ -315,6 +315,9 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "2", "--t", "1e-9:x:5log"],
         ["heat", "-j", "2", "--t", "0:1e-5:5log"],
         ["poles", "-j", "2", "-m", "a:b"],
+        ["poles", "-j", "2", "-m", "0:100000000"],
+        ["compare", "-j", "2", "-n", "1", "-m", "3", "-k", "4", "--rel-gap", "0.01"],
+        ["compare", "-j", "2", "-n", "1", "-m", "3", "-k", "1"],
         ["zeta", "-j", "2", "--s", "abc"],
         ["zeta", "-j", "2", "--s", "1e400", "--mode", "direct"],
         ["zeta", "-j", "2", "--s", "1e400", "--mode", "closed"],

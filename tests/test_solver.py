@@ -1,22 +1,21 @@
-"""The block shift-invert eigensolver and multiplicity clustering."""
+"""The block shift-invert eigensolver and per-key multiplicity counts."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from laakso import (
     SparseSymmetricMatrix,
     ValidationError,
     build_graph,
-    cluster_multiplicities,
+    continuum_eigenvalues,
     discretize,
     lowest_eigenvalues,
     parse_sequence,
 )
+from laakso.solver import cluster_multiplicities
 
 
 def _diag_matrix(n: int) -> SparseSymmetricMatrix:
@@ -87,16 +86,23 @@ def test_oracle_equivalence_dense_vs_iterative():
     ],
 )
 def test_small_dimension_multiplicities_match_eigvalsh(spec, level, m):
-    """At small dimensions, all but the top eigenvalue cluster like eigvalsh's."""
-    mat = discretize(build_graph(parse_sequence(spec), level), m)
+    """At small dimensions, the copies per continuum key agree with
+    eigvalsh's on every key below the top one."""
+    graph = build_graph(parse_sequence(spec), level)
+    mat = discretize(graph, m)
     k = mat.dimension - 1
     res = lowest_eigenvalues(mat, k)
     assert res.k_converged == k
     dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
-    got = cluster_multiplicities(res.values, 1e-6)
-    want = cluster_multiplicities(dense, 1e-6)
-    assert got.multiplicities() == want.multiplicities()
-    assert got.representatives() == pytest.approx(want.representatives(), abs=1e-9)
+
+    def copies_per_key(values):
+        mapped = continuum_eigenvalues(graph, m, values)
+        keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
+        counts = {key: len(idx) for key, idx in cluster_multiplicities(keys).items()}
+        del counts[max(counts)]
+        return counts
+
+    assert copies_per_key(res.values) == copies_per_key(dense)
 
 
 def test_reproducible_bit_for_bit():
@@ -151,43 +157,3 @@ def test_clipped_last_block():
     dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
     scale = float(np.abs(mat.to_csr().diagonal()).max())
     assert np.all(np.abs(res.values - dense)[converged] <= 10 * tol * scale)
-
-
-# -- clustering ---------------------------------------------------------------
-
-
-def test_cluster_table_style():
-    values = np.array([0.0, 9.869, 9.870, 9.871])
-    clustered = cluster_multiplicities(values, 0.01)
-    assert clustered.multiplicities() == [1, 3]
-    assert clustered.representatives()[1] == pytest.approx(9.870, abs=1e-9)
-
-
-def test_cluster_singletons():
-    clustered = cluster_multiplicities(np.array([1.0, 2.0, 3.0]), 1e-6)
-    assert clustered.multiplicities() == [1, 1, 1]
-
-
-def test_cluster_empty():
-    assert cluster_multiplicities(np.array([]), 0.1).clusters == ()
-
-
-def test_cluster_rel_gap_domain():
-    with pytest.raises(ValidationError):
-        cluster_multiplicities(np.array([1.0]), 0.5)
-    with pytest.raises(ValidationError):
-        cluster_multiplicities(np.array([1.0]), 0.0)
-
-
-@given(
-    st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=1, max_size=40),
-    st.floats(min_value=1e-6, max_value=0.4),
-)
-@settings(max_examples=60)
-def test_cluster_conservation_and_order(values, rel_gap):
-    values = np.sort(np.array(values))
-    clustered = cluster_multiplicities(values, rel_gap)
-    assert sum(clustered.multiplicities()) == len(values)
-    reps = clustered.representatives()
-    assert all(a < b for a, b in zip(reps, reps[1:]))
-    assert all(m >= 1 for m in clustered.multiplicities())

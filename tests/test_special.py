@@ -106,7 +106,21 @@ def test_matches_reference_far_up_the_strip(s):
     assert abs(riemann_zeta(s) - reference) <= 1e-12 * abs(reference)
 
 
-@pytest.mark.parametrize("s", [math.nan, math.inf, complex(2.0, math.inf), 2 + 2e4j])
+@pytest.mark.parametrize("s", [-3 + 0.5j, -10 + 0.5j, -21 + 0.5j, -5.1 + 0.3j])
+def test_matches_reference_left_of_the_strip(s):
+    # the functional equation replaces a head that cancels catastrophically
+    reference = complex(mp.zeta(mp.mpc(s.real, s.imag)))
+    assert abs(riemann_zeta(s) - reference) <= 1e-13 * abs(reference)
+
+
+def test_trivial_zeros_are_exact():
+    for n in range(1, 71):
+        assert riemann_zeta(-2.0 * n) == 0
+
+
+@pytest.mark.parametrize(
+    "s", [math.nan, math.inf, complex(2.0, math.inf), 2 + 2e4j, -1200.5]
+)
 def test_rejects_non_finite_and_huge_arguments(s):
     with pytest.raises(ValidationError):
         riemann_zeta(s)
