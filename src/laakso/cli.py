@@ -186,8 +186,10 @@ def cmd_compare(args) -> int:
         "all_multiplicities_match": report.all_multiplicities_match,
         "max_relative_error": report.max_relative_error,
     }
+    keys = ("analytic", "analytic_multiplicity", "mesh", "numeric", "numeric_multiplicity",
+            "relative_error", "residual")
     header = ["analytic", "analytic_mult", "mesh", "numeric", "numeric_mult", "rel_error", "residual"]
-    _emit(args, payload, [list(row.values())[: len(header)] for row in rows], header)
+    _emit(args, payload, [[row[key] for key in keys] for row in rows], header)
     if report.k_converged < min(args.k, report.matrix_dimension - 1):
         print(
             f"eigensolver converged {report.k_converged}/{args.k} pairs",

@@ -77,8 +77,9 @@ def riemann_zeta(s: complex) -> complex:
     The error grows to a few 1e-11 near |s| = 1e4, from rounding the phase
     s log k.  Below Re s = -1/2 (nearer 0, zeta(1 - s) nears its pole) it
     is zeta(s) = 2 (2 pi)^(s-1) sin(pi s / 2) Gamma(1 - s) zeta(1 - s),
-    exactly 0 at s = -2, -4, ...  Raises ValidationError for a non-finite s,
-    |s| > 1e4 (an unbounded term count) or a value past the double range.
+    exactly 0 at every trivial zero s = -2, -4, ..., -10^4.  Raises
+    ValidationError for a non-finite s, |s| > 1e4 (an unbounded term count)
+    or a value past the double range.
     """
     s = complex(s)
     if not (cmath.isfinite(s) and abs(s) <= _MAX_ABS_S):
@@ -88,12 +89,15 @@ def riemann_zeta(s: complex) -> complex:
     if s == 1:
         raise PoleError("zeta has its pole at s = 1", nearest_pole=1.0 + 0.0j)
     if s.real < -0.5:
+        sine = _scaled_sin_pi(s / 2.0)
+        if sine == 0:
+            return 0j
         log_factor = _LOG_2 + (s - 1.0) * _LOG_2PI + abs(math.pi * s.imag / 2.0)
         try:
             factor = cmath.exp(log_factor + _log_gamma(1.0 - s))
         except OverflowError:
             raise ValidationError(f"zeta(s) overflows double precision at s = {s}") from None
-        return factor * _scaled_sin_pi(s / 2.0) * riemann_zeta(1.0 - s)
+        return factor * sine * riemann_zeta(1.0 - s)
     n = max(30, int(1.5 * abs(s)) + 10)
     total = 0.0 + 0.0j
     for k in range(1, n):

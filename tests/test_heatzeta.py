@@ -266,7 +266,7 @@ def test_closed_overflow_is_invalid_input(s):
 
 
 @pytest.mark.parametrize("seq", [J2, J23], ids=["J2", "J23"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 70])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 70, 130])
 def test_closed_vanishes_at_the_trivial_zeros(seq, n):
     """zeta_R(2s) vanishes at s = -1, -2, ..., so zeta_L does too."""
     assert spectral_zeta_closed(seq, -n) == 0

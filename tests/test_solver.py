@@ -86,8 +86,8 @@ def test_oracle_equivalence_dense_vs_iterative():
     ],
 )
 def test_small_dimension_multiplicities_match_eigvalsh(spec, level, m):
-    """At small dimensions, the copies per continuum key agree with
-    eigvalsh's on every key below the top one."""
+    """At small dimensions, the values agree with eigvalsh's and so do the
+    copies per continuum key on every key below the top one."""
     graph = build_graph(parse_sequence(spec), level)
     mat = discretize(graph, m)
     k = mat.dimension - 1
@@ -102,6 +102,7 @@ def test_small_dimension_multiplicities_match_eigvalsh(spec, level, m):
         del counts[max(counts)]
         return counts
 
+    assert res.values == pytest.approx(dense, abs=1e-9)
     assert copies_per_key(res.values) == copies_per_key(dense)
 
 
