@@ -28,6 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .heatzeta import (
+    _MAX_POINTS,
     estimate_spectral_dimension,
     heat_trace_asymptote,
     heat_trace_grid,
@@ -69,8 +70,8 @@ def _parse_t_grid(spec: str) -> np.ndarray:
         return np.array([_number(float, parts[0], "t")])
     if len(parts) == 3 and parts[2].endswith("log"):
         n = _number(int, parts[2][:-3], "t grid point count")
-        if n < 1:
-            raise ValidationError(f"t grid needs at least one point: {spec!r}")
+        if not 1 <= n <= _MAX_POINTS:
+            raise ValidationError(f"t grid needs 1 to {_MAX_POINTS} points: {spec!r}")
         lo, hi = (_number(float, part, "t grid end") for part in parts[:2])
         if lo <= 0 or hi <= 0:
             raise ValidationError(f"t grid ends must be positive: {spec!r}")

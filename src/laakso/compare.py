@@ -18,11 +18,12 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import build_graph, continuum_eigenvalues, discretize, trust_cutoff
-from .sequences import JSequence
+from .sequences import JSequence, level_info
 from .solver import cluster_multiplicities, lowest_eigenvalues
 from .spectrum import eigenvalue_of_key, level_spectrum
 
 _TOL = 1e-7  # residual bound each compared eigenpair must meet
+_MAX_DIMENSION = 2**17  # mesh points; level 7 of 2,3 at m = 1 has 83,136
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,13 @@ def compare_spectra(
 ) -> ComparisonReport:
     if k < 2:
         raise ValidationError(f"k {k} < 2 compares no key below the top returned one")
+    info = level_info(seq, level)
+    points = info.nodes + info.cells * points_per_edge
+    if points > _MAX_DIMENSION:
+        raise ValidationError(
+            f"the level-{level} mesh with m = {points_per_edge} has {points} "
+            f"points, over {_MAX_DIMENSION}"
+        )
     graph = build_graph(seq, level)
     matrix = discretize(graph, points_per_edge)
     k = min(k, matrix.dimension - 1)

@@ -3,7 +3,9 @@
 F_0 is the unit interval.  F_n arises from F_{n-1} by splitting every edge
 into j_n equal parts, duplicating the whole graph, and gluing the two copies
 of each newly inserted vertex (pre-existing vertices keep both copies).  All
-edges of F_n have length 1/I_n and every vertex has degree 1 or 4.
+edges of F_n have length 1/I_n and every vertex has degree 1 or 4.  One
+array routine, _subdivide, splits the edges, both for F_n and for its mesh
+(m + 1 pieces per edge, no duplicate).
 
 The Laplacian -d^2/dx^2 with Kirchhoff vertex conditions is discretized by
 putting m interior mesh points on each edge (spacing h = L/(m+1)) and
@@ -35,16 +37,16 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricGraph:
-    """F_n as vertices 0..vertex_count-1 plus equilateral edges.
+    """F_n as vertices 0..vertex_count-1 plus equilateral edges as an array.
 
-    Parallel edges are real (loops in the construction) so `edges` is a
-    tuple of index pairs, not a set.
+    `edges` is a read-only (E, 2) int64 array of endpoint pairs; parallel
+    edges are real (loops in the construction), so rows may repeat.
     """
 
     vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     edge_length: float
     level: int
 
@@ -52,22 +54,10 @@ class MetricGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def degree_histogram(self) -> dict[int, int]:
-        deg = self.degrees()
-        values, counts = np.unique(deg, return_counts=True)
-        return {int(d): int(c) for d, c in zip(values, counts)}
-
     def to_edge_list_text(self) -> str:
         """Header "<vertices> <edges>", then one "u v length" per line."""
         lines = [f"{self.vertex_count} {self.edge_count}"]
-        for u, v in self.edges:
+        for u, v in self.edges.tolist():
             lines.append(f"{u} {v} {self.edge_length!r}")
         return "\n".join(lines) + "\n"
 
@@ -106,43 +96,40 @@ class SparseSymmetricMatrix:
         )
 
 
+def _subdivide(ends: np.ndarray, vertex_count: int, pieces: int) -> np.ndarray:
+    """Split every edge (u, v) of `ends` into a chain of `pieces` links.
+
+    Edge e gains the vertices vertex_count + e (pieces - 1) + i, i < pieces - 1,
+    in order from u to v; the links come back edge by edge, as (E pieces, 2).
+    """
+    count = len(ends)
+    fresh = vertex_count + np.arange(count * (pieces - 1), dtype=np.int64)
+    chains = np.hstack((ends[:, :1], fresh.reshape(count, pieces - 1), ends[:, 1:]))
+    return np.stack((chains[:, :-1], chains[:, 1:]), axis=-1).reshape(-1, 2)
+
+
 def build_graph(seq: JSequence, n: int) -> MetricGraph:
     """Construct F_n by n rounds of subdivide, duplicate, identify."""
     if n < 0:
         raise ValidationError(f"level {n} < 0")
     vertex_count = 2
-    edges: list[tuple[int, int]] = [(0, 1)]
-    scale = 1
+    edges = np.array([[0, 1]], dtype=np.int64)
     for step in range(1, n + 1):
         j = seq.j(step)
-        scale *= j
-        # subdivide: each edge gains j-1 fresh vertices, becoming a j-chain
-        sub_edges: list[tuple[int, int]] = []
-        next_new = vertex_count
-        for u, v in edges:
-            chain = [u] + list(range(next_new, next_new + j - 1)) + [v]
-            next_new += j - 1
-            sub_edges.extend((chain[i], chain[i + 1]) for i in range(j))
-        n_old = vertex_count
-        n_new = next_new - vertex_count
-        # duplicate and identify: old vertex x becomes 2x+copy, new vertex w
-        # (index w >= n_old) is shared by both copies at slot 2*n_old + (w - n_old)
-
-        def relabel(x: int, copy: int) -> int:
-            if x < n_old:
-                return 2 * x + copy
-            return 2 * n_old + (x - n_old)
-
-        edges = [
-            (relabel(u, copy), relabel(v, copy))
-            for copy in (0, 1)
-            for u, v in sub_edges
-        ]
-        vertex_count = 2 * n_old + n_new
+        fresh = len(edges) * (j - 1)
+        links = _subdivide(edges, vertex_count, j)
+        # duplicate and identify: old vertex x becomes 2x + copy, and new
+        # vertex w (w >= vertex_count) is shared by both copies as vertex_count + w
+        old = links < vertex_count
+        edges = np.concatenate(
+            [np.where(old, 2 * links + copy, vertex_count + links) for copy in (0, 1)]
+        )
+        vertex_count = 2 * vertex_count + fresh
+    edges.flags.writeable = False
     return MetricGraph(
         vertex_count=vertex_count,
-        edges=tuple(edges),
-        edge_length=1.0 / scale,
+        edges=edges,
+        edge_length=1.0 / seq.scale(n),
         level=n,
     )
 
@@ -160,11 +147,8 @@ def _assemble(graph: MetricGraph, points_per_edge: int):
     dim = nv + ne * m
 
     # chain along edge e: u, nv+e*m, ..., nv+e*m+m-1, v
-    ends = np.asarray(graph.edges, dtype=np.int64).reshape(ne, 2)
-    interior = nv + np.arange(ne * m, dtype=np.int64).reshape(ne, m)
-    chains = np.hstack((ends[:, :1], interior, ends[:, 1:]))
-    rows = chains[:, :-1].ravel()
-    cols = chains[:, 1:].ravel()
+    links = _subdivide(graph.edges, nv, m + 1)
+    rows, cols = links[:, 0], links[:, 1]
 
     # off-diagonal links of weight -1/h both ways, degree * 1/h on the diagonal
     w = 1.0 / h

@@ -62,6 +62,7 @@ _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal-ish double
 _POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
+_MIN_TOL = 1e-300  # keeps each family's share tol / 2^(n+2) / count above 0
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,8 @@ def heat_trace(
     """
     if not t > 0:
         raise ValidationError(f"t {t} must be > 0")
-    if not tol > 0:
-        raise ValidationError(f"tol {tol} must be > 0")
+    if not tol >= _MIN_TOL:
+        raise ValidationError(f"tol {tol} must be >= {_MIN_TOL:g}")
     # term-by-term summation needs ~sqrt(745 / (pi^2 t)) line-family terms;
     # refuse once that stops being enumerable (use the residue expansion
     # for the deep asymptotic regime instead)
@@ -297,9 +298,7 @@ def _finite_s(s: complex) -> complex:
 
 
 def convergence_abscissa(seq: JSequence) -> float:
-    """Re s must exceed this for the eigenvalue sum to converge."""
-    if seq.kind == EXPLICIT:
-        return 0.5  # capped-level sums only need the line-family abscissa
+    """Re s must exceed this for the sum over every level to converge."""
     return _pole_real_part(seq)
 
 
@@ -315,13 +314,14 @@ def spectral_zeta_direct(
     if abs(s) > _MAX_ABS_S:
         raise ValidationError(f"the direct zeta needs |s| <= {_MAX_ABS_S:g}, got {s}")
     sigma = s.real
-    abscissa = convergence_abscissa(seq)
+    level_cap = _level_cap(seq, level_cap)
+    # a capped sum has finitely many families, each converging past Re s = 1/2
+    abscissa = convergence_abscissa(seq) if level_cap is None else 0.5
     if sigma <= abscissa:
         raise DivergenceError(
             f"Re s = {sigma} is at or below the abscissa of convergence "
             f"{abscissa}; the eigenvalue sum diverges"
         )
-    level_cap = _level_cap(seq, level_cap)
     if level_cap is None:
         # Level n's term is 2^n I_n^(-2s) (a I_{n-1} + b), a and b fixed by
         # n mod p: a period multiplies the a part by w = 2^p P^(1-2s), the b
@@ -432,15 +432,15 @@ def zeta_at_zero(seq: JSequence) -> float:
 # poles and residues
 # ---------------------------------------------------------------------------
 
-_MAX_POLES = 10_001  # members one poles() call may build
+_MAX_POINTS = 10_001  # members of one poles() range, points of one CLI t grid
 
 
 def poles(seq: JSequence, m_range: tuple[int, int] = (-3, 3)) -> PoleLattice:
     """The coarse pole lattice s_m = d_s/2 + i m p pi / log P: every p-th dominant pole."""
     if m_range[0] > m_range[1]:
         raise ValidationError(f"empty m range {m_range}")
-    if m_range[1] - m_range[0] >= _MAX_POLES:
-        raise ValidationError(f"m range {m_range} has more than {_MAX_POLES} members")
+    if m_range[1] - m_range[0] >= _MAX_POINTS:
+        raise ValidationError(f"m range {m_range} has more than {_MAX_POINTS} members")
     spacing = seq.period * fine_pole_spacing(seq)
     real_part = _pole_real_part(seq)
     members = tuple(

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import DimensionUndefinedError, LevelRangeError, ValidationError
 
-CONSTANT = "constant"
 PERIODIC = "periodic"
 EXPLICIT = "explicit"
 
@@ -25,8 +24,8 @@ EXPLICIT = "explicit"
 class JSequence:
     """The sequence {j_n} defining a Laakso space.
 
-    kind is one of "constant", "periodic", "explicit".  values holds the
-    constant (length 1), the repeating pattern, or the finite prefix.
+    kind is "periodic" or "explicit".  values holds the repeating pattern
+    (a constant is a one-entry pattern) or the finite prefix.
     Indexing is 1-based to match the construction: j(1) is used to build F_1.
     """
 
@@ -34,12 +33,10 @@ class JSequence:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in (CONSTANT, PERIODIC, EXPLICIT):
+        if self.kind not in (PERIODIC, EXPLICIT):
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
         if not self.values:
             raise ValidationError("sequence needs at least one value")
-        if self.kind == CONSTANT and len(self.values) != 1:
-            raise ValidationError("constant sequence takes exactly one value")
         for v in self.values:
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ValidationError(f"entry {v!r} is not an integer")
@@ -50,8 +47,6 @@ class JSequence:
         """j_n for n >= 1.  Raises beyond the prefix of an explicit sequence."""
         if n < 1:
             raise ValidationError(f"level index {n} < 1")
-        if self.kind == CONSTANT:
-            return self.values[0]
         if self.kind == PERIODIC:
             return self.values[(n - 1) % len(self.values)]
         if n > len(self.values):
@@ -65,17 +60,16 @@ class JSequence:
         """I_n = j_1 * ... * j_n (exact integer; cell diameter is 1/I_n)."""
         if n < 0:
             raise ValidationError(f"level index {n} < 0")
-        if self.kind == EXPLICIT:
-            return math.prod(self.j(i) for i in range(1, n + 1))
-        # whole periods by exponentiation, so deep levels cost O(log n) products
-        periods, rest = divmod(n, self.period)
-        return self.block ** periods * math.prod(self.values[:rest])
+        if n:
+            self.j(n)  # raises beyond an explicit prefix
+        # whole passes over the values by exponentiation, so deep periodic
+        # levels cost O(log n) products; a prefix never completes a second pass
+        passes, rest = divmod(n, len(self.values))
+        return math.prod(self.values) ** passes * math.prod(self.values[:rest])
 
     @property
     def period(self) -> int:
-        """Length of the repeating block (1 for constant sequences)."""
-        if self.kind == CONSTANT:
-            return 1
+        """Length of the repeating block (1 for a constant)."""
         if self.kind == PERIODIC:
             return len(self.values)
         raise DimensionUndefinedError(
@@ -92,10 +86,6 @@ class JSequence:
     def max_level(self) -> int | None:
         """Largest usable level, or None when every level is defined."""
         return len(self.values) if self.kind == EXPLICIT else None
-
-    def contraction_limit(self) -> float:
-        """r = lim I_n^(1/n) = P^(1/p); exact for constant and periodic sequences."""
-        return self.block ** (1.0 / self.period)
 
     def spec_string(self) -> str:
         """Round-trippable text form (the parse_sequence grammar)."""
@@ -151,7 +141,7 @@ class DimensionReport:
 def parse_sequence(spec: str) -> JSequence:
     """Parse the sequence grammar.
 
-    "k"         -> constant j_n = k
+    "k"         -> constant j_n = k, the one-entry pattern (k)
     "a,b,..."   -> periodic with pattern (a, b, ...)
     "seq:a,b,..." -> explicit finite prefix
     """
@@ -174,13 +164,7 @@ def parse_sequence(spec: str) -> JSequence:
         if v < 2:
             raise ValidationError(f"entry {v} < 2")
         values.append(v)
-    if explicit:
-        kind = EXPLICIT
-    elif len(values) == 1:
-        kind = CONSTANT
-    else:
-        kind = PERIODIC
-    return JSequence(kind=kind, values=tuple(values))
+    return JSequence(kind=EXPLICIT if explicit else PERIODIC, values=tuple(values))
 
 
 def level_info(seq: JSequence, n: int) -> LevelInfo:
@@ -224,6 +208,6 @@ def dimensions(seq: JSequence) -> DimensionReport:
     explicit prefix has no period and raises DimensionUndefinedError."""
     # the one formula for d_s; heatzeta's abscissa and pole real parts read it
     log_r = math.log(seq.block) / seq.period
-    r = seq.contraction_limit()
+    r = seq.block ** (1.0 / seq.period)
     q = 1.0 + math.log(2.0) / log_r
     return DimensionReport(r=r, hausdorff=q, spectral=q, walk=2.0)

@@ -39,6 +39,8 @@ from .graphs import SparseSymmetricMatrix
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
+_MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x max_basis buffer: 1 GiB
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -77,6 +79,8 @@ def lowest_eigenvalues(
     multiplicity, or degenerate copies cannot all be captured.  The basis
     is capped at max(5k, k + 15 block_size) columns; on exhaustion the
     converged part is returned with k_converged < k rather than raising.
+    A basis of more than 2^27 doubles (1 GiB) is refused before the
+    factorization.
     """
     if k < 1:
         raise ValidationError(f"k {k} < 1")
@@ -87,6 +91,13 @@ def lowest_eigenvalues(
         raise ValidationError(f"tol {tol} must be finite and > 0")
     if block_size < 1:
         raise ValidationError(f"block_size {block_size} < 1")
+    width = min(block_size, dim - 1)
+    max_basis = min(dim, max(5 * k, k + 15 * width))
+    if dim * max_basis > _MAX_BASIS_ENTRIES:
+        raise ValidationError(
+            f"a {dim} x {max_basis} basis exceeds {_MAX_BASIS_ENTRIES} doubles; "
+            "lower k or the dimension"
+        )
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -96,8 +107,6 @@ def lowest_eigenvalues(
     lu = spla.splu((a - sigma * sp.identity(dim, format="csr")).tocsc())
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
-    width = min(block_size, dim - 1)
-    max_basis = min(dim, max(5 * k, k + 15 * width))
     basis = np.empty((dim, max_basis), order="F")
     t = np.empty((max_basis, max_basis))  # projected matrix basis.T A basis
     q = _starting_block(dim, width, seed)

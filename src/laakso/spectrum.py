@@ -13,9 +13,6 @@ comparison on m, so multiplicities merge without floating-point ties.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,6 +34,11 @@ _QUARTER_PI_SQ = math.pi * math.pi / 4.0
 def eigenvalue_of_key(m: int) -> float:
     """lambda = (m/2)^2 pi^2 as a float (exact key is the integer m)."""
     return (m * m) * _QUARTER_PI_SQ
+
+
+# a table's entries grow like its key bound 2 sqrt(lambda_max) / pi (keys
+# 2^19 take seconds and hundreds of MB), so lambda_max stops there
+_MAX_LAMBDA = eigenvalue_of_key(2**19)
 
 
 @dataclass(frozen=True)
@@ -80,29 +82,6 @@ class SpectrumTable:
     entries: tuple[SpectrumEntry, ...]
     lambda_max: float
     level_cap: int | None  # None means every level below lambda_max is present
-
-    def multiplicity_list(self) -> list[int]:
-        return [e.multiplicity for e in self.entries]
-
-    def values(self) -> list[float]:
-        return [e.value for e in self.entries]
-
-    def to_json(self) -> str:
-        payload = {
-            "sequence": self.sequence.spec_string(),
-            "lambda_max": self.lambda_max,
-            "levels_included": "all" if self.level_cap is None else self.level_cap,
-            "entries": [e.as_dict() for e in self.entries],
-        }
-        return json.dumps(payload, indent=2)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lambda", "multiplicity"])
-        for e in self.entries:
-            writer.writerow([repr(e.value), e.multiplicity])
-        return buf.getvalue()
 
 
 class _FamilyRow(NamedTuple):
@@ -156,12 +135,15 @@ def _family_modes(
 ) -> list[tuple[int, int]]:
     """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max.
 
-    The loop ends only below a finite bound, so the bound is checked here,
-    where both public entry points (shape_spectrum and the table builders)
-    pass through.
+    The loop ends only below a finite bound, and the table's size grows with
+    it, so the bound is checked here, where both public entry points
+    (shape_spectrum and the table builders) pass through.
     """
-    if not 0 <= lambda_max < math.inf:
-        raise ValidationError(f"lambda_max {lambda_max} must be finite and >= 0")
+    if not 0 <= lambda_max <= _MAX_LAMBDA:
+        raise ValidationError(
+            f"lambda_max {lambda_max} must be in [0, {_MAX_LAMBDA:.6g}], "
+            "keys up to 2^19"
+        )
     out = []
     k = row.kstart
     while True:

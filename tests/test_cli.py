@@ -70,6 +70,22 @@ def test_spectrum_csv_format(tmp_path):
     assert lines[header_idx] == "lambda,multiplicity"
 
 
+def test_serialization_round_trip_keys(tmp_path):
+    seq = laakso.parse_sequence("2,3")
+    keys = [e.m for e in laakso.full_spectrum(seq, 360.0).entries]
+    code, text = run(tmp_path, "spectrum", "-j", "2,3", "--lambda-max", "360")
+    assert code == 0
+    assert [int(e["m"]) for e in json.loads(text)["entries"]] == keys
+    code, text = run(
+        tmp_path, "spectrum", "-j", "2,3", "--lambda-max", "360", "--format", "csv"
+    )
+    assert code == 0
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    assert lines[header] == "lambda,multiplicity"
+    assert len(lines) == header + 1 + len(keys)
+
+
 def test_spectrum_requires_bound_or_count(tmp_path):
     code, _ = run(tmp_path, "spectrum", "-j", "2,3")
     assert code == 1
@@ -335,6 +351,13 @@ def test_config_echoed(tmp_path):
         ["spectrum", "-j", "2", "--count", "3", "--level-max", "2"],
         ["heat", "-j", "2", "--t", "1e-3", "--m-terms", "5"],
         ["dims", "-j", "2,3", "--assume-periodic"],
+        ["heat", "-j", "2", "--t", "1e-3", "--tol", "1e-320"],
+        ["heat", "-j", "2", "--t", "1e-3", "--tol", "5e-324"],
+        ["heat", "-j", "2", "--t", "1e-9:1e-5:10002log"],
+        ["spectrum", "-j", "2", "--lambda-max", "1e12"],
+        ["spectrum", "-j", "2", "--count", "300000"],
+        ["compare", "-j", "2", "-n", "10", "-m", "1", "-k", "10"],
+        ["compare", "-j", "2,3", "-n", "5", "-m", "8", "-k", "20000"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

@@ -17,6 +17,7 @@ from laakso import (
     parse_sequence,
     shape_census,
 )
+from laakso.graphs import _subdivide
 from conftest import brute_force_census
 
 SEQS = ["2", "3", "2,3", "3,2"]
@@ -28,8 +29,15 @@ SEQS = ["2", "3", "2,3", "3,2"]
 def test_level_zero_is_an_interval():
     g = build_graph(parse_sequence("2,3"), 0)
     assert g.vertex_count == 2
-    assert g.edges == ((0, 1),)
+    assert g.edges.dtype == np.int64
+    assert g.edges.tolist() == [[0, 1]]
     assert g.edge_length == 1.0
+
+
+def _histogram(g):
+    degrees = np.bincount(g.edges.ravel(), minlength=g.vertex_count)
+    values, counts = np.unique(degrees, return_counts=True)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def test_first_level_constant_two_is_an_x():
@@ -37,7 +45,9 @@ def test_first_level_constant_two_is_an_x():
     assert g.vertex_count == 5
     assert g.edge_count == 4
     assert g.edge_length == 0.5
-    assert g.degree_histogram() == {1: 4, 4: 1}
+    assert _histogram(g) == {1: 4, 4: 1}
+    # the middle of the interval is vertex 4, shared by both copies
+    assert g.edges.tolist() == [[0, 4], [4, 2], [1, 4], [4, 3]]
 
 
 def test_first_level_constant_three():
@@ -45,7 +55,8 @@ def test_first_level_constant_three():
     assert g.vertex_count == 6
     assert g.edge_count == 6
     assert g.edge_length == pytest.approx(1.0 / 3.0)
-    assert g.degree_histogram() == {1: 4, 4: 2}
+    assert _histogram(g) == {1: 4, 4: 2}
+    assert g.edges.tolist() == [[0, 4], [4, 5], [5, 2], [1, 4], [4, 5], [5, 3]]
     # the middle pair is joined by two parallel cells
     pair_counts = {}
     for u, v in g.edges:
@@ -55,7 +66,7 @@ def test_first_level_constant_three():
 
 
 @pytest.mark.parametrize("spec", SEQS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_counts_match_closed_forms(spec, n):
     seq = parse_sequence(spec)
     g = build_graph(seq, n)
@@ -63,12 +74,27 @@ def test_counts_match_closed_forms(spec, n):
     assert g.edge_count == info.cells
     assert g.vertex_count == info.nodes
     assert g.edge_length == pytest.approx(1.0 / info.scale, rel=1e-14)
-    hist = g.degree_histogram()
+    hist = _histogram(g)
     assert hist[1] == 2 ** (n + 1)
     assert hist.get(4, 0) == 2 ** (n - 1) * (info.scale - 1)
     assert set(hist) <= {1, 4}
     # handshake: degree sum = twice the edges
     assert sum(d * c for d, c in hist.items()) == 2 * info.cells
+
+
+def test_edges_are_read_only():
+    g = build_graph(parse_sequence("2,3"), 2)
+    assert not g.edges.flags.writeable
+    with pytest.raises(ValueError):
+        g.edges[0, 0] = 1
+
+
+def test_subdivide_numbers_edge_by_edge():
+    # edge e gains vertices 5 + 2e and 6 + 2e, in order from its first end
+    ends = np.array([[0, 1], [3, 2]], dtype=np.int64)
+    links = _subdivide(ends, 5, 3)
+    assert links.tolist() == [[0, 5], [5, 6], [6, 1], [3, 7], [7, 8], [8, 2]]
+    assert _subdivide(ends, 5, 1).tolist() == ends.tolist()
 
 
 @pytest.mark.parametrize("spec", SEQS)

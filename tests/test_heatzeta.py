@@ -316,6 +316,14 @@ def test_explicit_direct_capped_levels():
     assert value == pytest.approx(reference, rel=1e-12)
 
 
+def test_capped_direct_sum_converges_past_one_half():
+    # a capped sum is finitely many families, whatever the sequence's d_s / 2
+    value = spectral_zeta_direct(parse_sequence("seq:2,3,2"), 0.8)
+    assert spectral_zeta_direct(J23, 0.8, level_cap=3) == pytest.approx(value, abs=1e-12)
+    with pytest.raises(DivergenceError):
+        spectral_zeta_direct(J23, 0.5, level_cap=3)
+
+
 @given(
     st.sampled_from(["2", "3", "2,3"]),
     st.floats(min_value=1.3, max_value=3.5),

@@ -33,7 +33,8 @@ def any_sequence():
 
 def test_parse_constant():
     seq = parse_sequence("2")
-    assert seq.kind == "constant"
+    assert seq.kind == "periodic"
+    assert seq.period == 1
     assert [seq.j(n) for n in range(1, 6)] == [2, 2, 2, 2, 2]
 
 
@@ -178,7 +179,7 @@ def test_dimensions_explicit_needs_pattern():
 @given(patterns)
 def test_contraction_limit_power_identity(values):
     seq = parse_sequence(",".join(map(str, values)))
-    r = seq.contraction_limit()
+    r = dimensions(seq).r
     assert r ** seq.period == pytest.approx(math.prod(values), rel=1e-12)
 
 
