@@ -80,6 +80,7 @@ def compare_spectra(
     *,
     seed: int | None = None,
 ) -> ComparisonReport:
+    """The k lowest mesh eigenpairs of F_level, diffed per integer key against level_spectrum."""
     if k < 2:
         raise ValidationError(f"k {k} < 2 compares no key below the top returned one")
     info = level_info(seq, level)

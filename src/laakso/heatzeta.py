@@ -1,41 +1,30 @@
 """Heat-kernel trace, spectral zeta function, poles, and small-time asymptotics.
 
-The heat trace is Z(t) = sum_k g_k exp(-E_k t) over the full spectrum
-(lambda = 0 included), evaluated with certified truncation bounds: each
-shape family's tail is dominated by a geometric series once the quadratic
-eigenvalue growth is linearized past the cut, and the remaining levels are
-dominated through I_n >= 2 I_{n-1}.  The families, their counts and their
-eigenvalue progressions are read from the spectrum module's family table.
+Everything here reads the spectrum module's family table: each shape family
+of a level has a count and a key progression m = I_n (step k + phase).
+
+The heat trace Z(t) = sum_k g_k exp(-E_k t) (lambda = 0 included) is summed
+family by family with certified truncation bounds: a geometric series past
+each family's cut, and I_n >= 2 I_{n-1} for the omitted levels.
 
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
-has two independent evaluations:
+has two independent evaluations, sharing only the Euler-Maclaurin tail
+special._power_tail that riemann_zeta also finishes with:
 
-  * direct: family-by-family partial power sums, whose explicit head
-    grows with |s| like riemann_zeta's, finished with the Euler-Maclaurin
-    tail special._power_tail, levels summed a period at a time until the
-    per-period ratio |w| dominates the rest, or refused past a level limit;
-  * closed: zeta_R(2s) pi^(-2s) times a bracket that resolves, for a
-    sequence of period p with block product P, into finitely many geometric
-    series in w = 2^p P^(1-2s) and v = 2^p P^(-2s).  This
-    rational-in-exponentials form is also the meromorphic continuation,
-    which is how the constant zeta_L(0) is obtained.
+  * direct: family-by-family partial power sums, levels summed a period at
+    a time until the per-period ratio |w| dominates the rest, or refused
+    past a level limit;
+  * closed: the family table resummed per period (_closed_terms): zeta_R(2s)
+    pi^(-2s) times finitely many terms and two geometric series in
+    w = 2^p P^(1-2s) and v = 2^p P^(-2s) (period p, block product P), also
+    the meromorphic continuation, which gives zeta_L(0).
 
-The two routes share only that tail: riemann_zeta is its explicit head
-plus the same tail.  Both refuse a non-finite s and |s| > 5e3 (the closed
-form and the residues because riemann_zeta refuses |2s| > 1e4), and a
-closed-form value past the double range raises ValidationError.
-
-Everything periodicity decides reads (seq.period, seq.block) = (p, P):
-w, v, the pole spacings and the residue denominators.  The closed form's
-denominators vanish on two vertical lattices, Re s = d_s/2 (from w; d_s
-comes from sequences.dimensions, as does the direct route's abscissa) and
-Re s = d_s/2 - 1/2 (from v), spaced pi / log P apart in the imaginary
-direction.  For p = 1 that spacing equals
-the familiar 2 pi / log r^2; for longer periods the actual lattice is p
-times finer than the coarse progression, and keeping the finer lattice is
-what makes the residue expansion track the directly-summed trace.  Residues
-at those poles, plus the s = 1/2 and s = 0 contributions, give the small-t
-expansion of Z(t) (heat_trace_asymptote, every pole up to |Im s| = 8 pi).
+Both refuse a non-finite s and |s| > 5e3 (riemann_zeta refuses |2s| > 1e4),
+and a closed-form value past the double range raises ValidationError.
+The closed form's poles lie on Re s = d_s/2 (1 - w = 0) and d_s/2 - 1/2
+(1 - v = 0), d_s from sequences.dimensions, pi / log P apart (p times finer
+than the coarse progression 2 pi / log r^2).  Their residues and the s = 1/2
+and s = 0 terms give the small-t expansion of Z(t), heat_trace_asymptote.
 """
 
 from __future__ import annotations
@@ -54,9 +43,9 @@ from .errors import (
     TailToleranceError,
     ValidationError,
 )
-from .sequences import EXPLICIT, JSequence, dimensions
+from .sequences import EXPLICIT, JSequence, dimensions, shape_census
 from .special import _power_tail, complex_gamma, riemann_zeta
-from .spectrum import _level_cap, _occupied_families
+from .spectrum import _family_table, _level_cap, _occupied_families
 
 _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
@@ -236,11 +225,12 @@ def heat_trace(
         n += 1
 
     if explicit:
-        # cheapest possible continuation: a V family at level cap+1 with j = 2
-        expo = _min_exponent(2 * seq.scale(level_cap), t)
+        # cheapest possible continuation: the V family of j = 2 at level cap+1
+        census = shape_census(JSequence(EXPLICIT, seq.values[:level_cap] + (2,)), level_cap + 1)
+        expo = _min_exponent(census.scale, t)
         lower = 0.0
         if expo < math.log(_EXP_FLOOR):
-            lower = 2.0 ** (level_cap + 1) * math.exp(-math.exp(expo))
+            lower = census.v_count * math.exp(-math.exp(expo))
         if lower > tol:
             raise TailToleranceError(
                 f"levels beyond the cap {level_cap} contribute at least "
@@ -262,6 +252,7 @@ def heat_trace_grid(
     *,
     level_cap: int | None = None,
 ) -> list[HeatTraceSample]:
+    """heat_trace at every t of the grid ts, with the same tol and level cap."""
     return [heat_trace(seq, float(t), tol, level_cap=level_cap) for t in ts]
 
 
@@ -323,11 +314,9 @@ def spectral_zeta_direct(
             f"{abscissa}; the eigenvalue sum diverges"
         )
     if level_cap is None:
-        # Level n's term is 2^n I_n^(-2s) (a I_{n-1} + b), a and b fixed by
-        # n mod p: a period multiplies the a part by w = 2^p P^(1-2s), the b
-        # part by v, |v| = |w| / P.  The cross count I_{n-1} - 1 splits the
-        # same way (its -1 is a relative 1/I_{n-1}), so each period's summed
-        # |level term| shrinks by |w| = ratio once past level 1 (no crosses).
+        # past level 1 a period multiplies the d part of each level's terms
+        # by w and the e part by v, |v| = |w| / P (the d + e split of
+        # _closed_terms), so each period's summed |level term| shrinks by |w|
         p = seq.period
         ratio = 2.0**p * seq.block ** (1.0 - 2.0 * sigma)
         period_sum = 0.0
@@ -362,17 +351,62 @@ def spectral_zeta_direct(
 # ---------------------------------------------------------------------------
 
 
-def _bracket(seq: JSequence, s: complex) -> complex:
-    """The level sum multiplying zeta_R(2s)/pi^(2s) in zeta_L(s).
+# (step, phase) -> (a, b): the positive keys of the progression give
+# sum_k ((step k + phase) / 2)^(-2s) = (a 2^(2s) + b) zeta_R(2s)
+_MODE_SUMS = {(1, 0): (1, 0), (2, 0): (0, 1), (2, 1): (1, -1)}  # all, evens, odds
 
-    Exact for constant and periodic sequences: residue classes mod the
-    period turn the level sum into geometric series with ratios
-    w = 2^p P^(1-2s) (dominant) and v = 2^p P^(-2s) (subdominant).
+
+def _level_terms(seq: JSequence, n: int) -> tuple[int, int, int]:
+    """(I_n, a, b): level n adds (a 2^(2s) + b) I_n^(-2s) to the bracket."""
+    scale, rows = _family_table(seq, n)
+    a, b = (sum(row.count * _MODE_SUMS[row.step, row.phase][i] for row in rows) for i in (0, 1))
+    return scale, a, b
+
+
+@functools.lru_cache
+def _closed_terms(seq: JSequence) -> dict[str, tuple[tuple[int, int, int], ...]]:
+    """(I_n, a, b) terms of the bracket: the family table resummed per period.
+
+    "head" is levels 0 and 1.  From level 2 on a count is d + e, with d a
+    multiple of I_(n-1), and a period maps it to 2^p (P d + e), so d is
+    (c_(n+p) - 2^p c_n) / (2^p (P - 1)) exactly.  Over n = 2..p+1 the d parts
+    are "dominant" (the series in w carries them), the e parts "subdominant".
     """
+    p, block = seq.period, seq.block
+    head = tuple(_level_terms(seq, n) for n in (0, 1))
+    dominant, subdominant = [], []
+    for n in range(2, p + 2):
+        scale, *counts = _level_terms(seq, n)
+        _, *later = _level_terms(seq, n + p)
+        d = [(c_p - 2**p * c) // (2**p * (block - 1)) for c, c_p in zip(counts, later)]
+        dominant.append((scale, *d))
+        subdominant.append((scale, *(c - c_d for c, c_d in zip(counts, d))))
+    return {"head": head, "dominant": tuple(dominant), "subdominant": tuple(subdominant)}
+
+
+def _terms_sum(terms: tuple[tuple[int, int, int], ...], s: complex) -> complex:
+    """sum (a 2^(2s) + b) I^(-2s) over (I, a, b) terms, with 2^(2s) folded into
+    (I/2)^(-2s): formed alone it overflows at s = 600, where every term is 0.
+    Zero coefficients are skipped, so the line's (1/2)^(-2s) never arises."""
+    total = 0.0 + 0.0j
+    for scale, a, b in terms:
+        if a:
+            total += a * cmath.exp(-2.0 * s * math.log(scale / 2))
+        if b:
+            total += b * cmath.exp(-2.0 * s * math.log(scale))
+    return total
+
+
+def _bracket(seq: JSequence, s: complex) -> complex:
+    """The level sum multiplying zeta_R(2s)/pi^(2s) in zeta_L(s): the head plus
+    the period series of _closed_terms, ratios w = 2^p P^(1-2s) (dominant)
+    and v = 2^p P^(-2s) (subdominant)."""
     p = seq.period
     log_block = math.log(seq.block)
     w = cmath.exp(p * math.log(2.0) + (1.0 - 2.0 * s) * log_block)
     v = cmath.exp(p * math.log(2.0) - 2.0 * s * log_block)
+    terms = _closed_terms(seq)
+    total = _terms_sum(terms["head"], s)
     for q, family in ((w, "dominant"), (v, "subdominant")):
         if abs(1.0 - q) < _POLE_TOL:
             fine = fine_pole_spacing(seq)
@@ -383,9 +417,8 @@ def _bracket(seq: JSequence, s: complex) -> complex:
                     _pole_real_part(seq, family), round(s.imag / fine) * fine
                 ),
             )
-    j1 = seq.j(1)
-    head = 1.0 + (4.0 * _c_half(s) - 4.0 + j1) * cmath.exp(-2.0 * s * math.log(j1))
-    return head + _n_dominant(seq, s) / (1.0 - w) + _n_subdominant(seq, s) / (1.0 - v)
+        total += _terms_sum(terms[family], s) / (1.0 - q)
+    return total
 
 
 def _pole_real_part(seq: JSequence, family: str = "dominant") -> float:
@@ -412,10 +445,7 @@ def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
         )
     try:
         bracket = _bracket(seq, s)
-        if s == 0:
-            value = complex(-0.5 * bracket)  # zeta_R(0) = -1/2
-        else:
-            value = riemann_zeta(2.0 * s) * cmath.exp(-2.0 * s * math.log(math.pi)) * bracket
+        value = riemann_zeta(2.0 * s) * cmath.exp(-2.0 * s * math.log(math.pi)) * bracket
     except OverflowError:
         value = complex(math.inf)
     if not cmath.isfinite(value):
@@ -463,45 +493,16 @@ def oscillation_log_period(seq: JSequence) -> float:
     return 2.0 * math.pi / fine_pole_spacing(seq)
 
 
-def _c_half(s: complex) -> complex:
-    return cmath.exp(2.0 * s * math.log(2.0)) / 2.0  # 2^(2s-1)
-
-
-def _n_dominant(seq: JSequence, s: complex) -> complex:
-    """Numerator of the bracket's 1/(1 - w) series."""
-    c_half = _c_half(s)
-    total = 0.0 + 0.0j
-    for rho in range(2, seq.period + 2):
-        total += (
-            (2.0 ** (rho - 1))
-            * seq.scale(rho - 1)
-            * (c_half + seq.j(rho) - 1.0)
-            * cmath.exp(-2.0 * s * math.log(seq.scale(rho)))
-        )
-    return total
-
-
-def _n_subdominant(seq: JSequence, s: complex) -> complex:
-    """Numerator of the bracket's 1/(1 - v) series."""
-    c_sub = 3.0 * _c_half(s) - 3.0
-    total = 0.0 + 0.0j
-    for rho in range(2, seq.period + 2):
-        total += (2.0 ** (rho - 1)) * cmath.exp(-2.0 * s * math.log(seq.scale(rho)))
-    return c_sub * total
-
-
 def residue_coefficient(seq: JSequence, s_pole: complex, family: str) -> complex:
     """Residue of zeta_L(s) Gamma(s) t^(-s) at a lattice pole, sans t^(-s).
 
     family is "dominant" (zeros of 1 - w) or "subdominant" (zeros of 1 - v);
-    either way the bracket's residue there is numerator / (2 log P).
+    either way the bracket's residue there is that series' term sum over
+    2 log P.
     """
-    if family == "dominant":
-        num = _n_dominant(seq, s_pole)
-    elif family == "subdominant":
-        num = _n_subdominant(seq, s_pole)
-    else:
+    if family not in ("dominant", "subdominant"):
         raise ValidationError(f"unknown pole family {family!r}")
+    num = _terms_sum(_closed_terms(seq)[family], s_pole)
     return (
         complex_gamma(s_pole)
         * riemann_zeta(2.0 * s_pole)
@@ -514,21 +515,16 @@ def residue_coefficient(seq: JSequence, s_pole: complex, family: str) -> complex
 def sqrt_term_coefficient(seq: JSequence) -> float:
     """C in the C / sqrt(pi t) term of the small-t expansion of Z(t).
 
-    Res_{s=1/2} zeta_R(2s) = 1/2 and Gamma(1/2)/pi^1 = 1/sqrt(pi), so the
-    residue is bracket(1/2)/2 times 1/sqrt(pi t).  The bracket is removable
-    at s = 1/2: the dominant part contributes exactly -2 against the entire
-    part's +2 for every pattern, so the limit is 0 unless the pattern is all
-    twos (P = 2^p); then the subdominant coefficient's zero meets the
-    subdominant pole and leaves sum_rho 2^(rho-1) * 3 log2 / (I_rho log P)."""
-    p = seq.period
-    if seq.block != 2**p:
+    Res_{s=1/2} zeta_R(2s) = 1/2 and Gamma(1/2)/pi = 1/sqrt(pi), so C is
+    bracket(1/2)/2.  At s = 1/2 (2^(2s) = 2, w = 2^p) the closed terms cancel
+    in integers: head (1 - 2^p) + dominant = 0, and b = -2a in every
+    subdominant term.  Only P = 2^p (all twos, v = 1) leaves a limit, the
+    subdominant 0/0: sum 4 a log 2 / I over 2 log P.
+    """
+    if seq.block != 2**seq.period:
         return 0.0
-    log_block = math.log(seq.block)
-    bracket = sum(
-        (2.0 ** (rho - 1)) * 3.0 * math.log(2.0) / (seq.scale(rho) * log_block)
-        for rho in range(2, p + 2)
-    )
-    return bracket / 2.0
+    num = sum(a * 4.0 * math.log(2.0) / scale for scale, a, _ in _closed_terms(seq)["subdominant"])
+    return num / (2.0 * math.log(seq.block)) / 2.0
 
 
 # |Gamma(sigma + iy)| ~ sqrt(2 pi) |y|^(sigma - 1/2) exp(-pi |y| / 2), so the

@@ -38,7 +38,8 @@ def eigenvalue_of_key(m: int) -> float:
 
 # a table's entries grow like its key bound 2 sqrt(lambda_max) / pi (keys
 # 2^19 take seconds and hundreds of MB), so lambda_max stops there
-_MAX_LAMBDA = eigenvalue_of_key(2**19)
+_MAX_KEY = 2**19
+_MAX_LAMBDA = eigenvalue_of_key(_MAX_KEY)
 
 
 @dataclass(frozen=True)
@@ -268,9 +269,10 @@ def counting_function(table: SpectrumTable, lam: float) -> int:
 
 def first_distinct(seq: JSequence, count: int) -> SpectrumTable:
     """Table holding exactly the first `count` distinct eigenvalues."""
-    if count < 1:
-        raise ValidationError(f"count {count} < 1")
-    # the line family alone guarantees >= count distinct values below (count pi)^2
+    # the line family alone has count distinct keys up to 2 (count - 1), so an
+    # integer bound on count keeps that key in range before any float is formed
+    if not 1 <= count <= _MAX_KEY // 2:
+        raise ValidationError(f"count {count} must be in [1, {_MAX_KEY // 2}]")
     table = full_spectrum(seq, eigenvalue_of_key(2 * (count - 1)) + 1.0)
     entries = table.entries[:count]
     return SpectrumTable(

@@ -221,7 +221,8 @@ def test_heat_csv(tmp_path):
 
 
 def test_zeta_both_modes_agree(tmp_path):
-    code, text = run(tmp_path, "zeta", "-j", "2", "--s", "2", "--s", "3")
+    # at s = 600 both routes underflow to 0: not an overflow
+    code, text = run(tmp_path, "zeta", "-j", "2", "--s", "2", "--s", "3", "--s", "600")
     assert code == 0
     payload = json.loads(text)
     for row in payload["values"]:
@@ -274,6 +275,8 @@ import laakso, laakso.cli
 assert laakso.cli.main(["dims", "-j", "2,3", "--out", sys.argv[1]]) == 0
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
+# exact arithmetic stays in int
+assert "fractions" not in sys.modules and "decimal" not in sys.modules
 for name in ("laakso.graphs", "laakso.solver", "laakso.compare"):
     assert name in sys.modules, name
 for name in laakso.__all__:
@@ -285,8 +288,8 @@ assert report.all_multiplicities_match and report.compared_converged
 
 def test_cold_cli_loads_no_scipy_outside_the_mesh_route(tmp_path):
     """A fresh process that imports the package and runs an exact command
-    loads no scipy, yet keeps every submodule and public name in place and
-    can still run the mesh comparison afterwards."""
+    loads no scipy, fractions or decimal, yet keeps every submodule and
+    public name in place and can still run the mesh comparison afterwards."""
     env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", _COLD_IMPORT_CHECK, str(tmp_path / "dims.json")],
@@ -346,7 +349,7 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "2", "--t", "1e-3", "--level-cap", "-1"],
         ["heat", "-j", "seq:2,3", "--t", "1", "--level-cap", "3"],
         ["zeta", "-j", "2", "--s", "-600", "--mode", "closed"],
-        ["zeta", "-j", "2", "--s", "600", "--mode", "closed"],
+        ["zeta", "-j", "2", "--s", "-200.25", "--mode", "closed"],
         ["spectrum", "-j", "2", "--count", "3", "--lambda-max", "1"],
         ["spectrum", "-j", "2", "--count", "3", "--level-max", "2"],
         ["heat", "-j", "2", "--t", "1e-3", "--m-terms", "5"],
@@ -358,6 +361,8 @@ def test_config_echoed(tmp_path):
         ["spectrum", "-j", "2", "--count", "300000"],
         ["compare", "-j", "2", "-n", "10", "-m", "1", "-k", "10"],
         ["compare", "-j", "2,3", "-n", "5", "-m", "8", "-k", "20000"],
+        ["spectrum", "-j", "2", "--count", "1" + "0" * 400],
+        ["spectrum", "-j", "2", "--count", "262145"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

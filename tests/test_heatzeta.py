@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,11 +39,17 @@ from laakso import (
 from laakso.heatzeta import (
     _DIRECT_ATOL,
     _LINE,
+    _MODE_SUMS,
+    _bracket,
+    _closed_terms,
     _family_partial,
     _family_tail,
     _level_families,
+    _level_terms,
+    _terms_sum,
     convergence_abscissa,
 )
+from laakso.spectrum import _family_table
 
 J2 = parse_sequence("2")
 J3 = parse_sequence("3")
@@ -259,10 +266,21 @@ def test_direct_refuses_huge_s():
         spectral_zeta_direct(J2, 2.0 + 6e3j)
 
 
-@pytest.mark.parametrize("s", [600.0, -600.0])
+@pytest.mark.parametrize("s", [-200.25, -600.0])
 def test_closed_overflow_is_invalid_input(s):
     with pytest.raises(ValidationError, match="overflows"):
         spectral_zeta_closed(J2, s)
+
+
+def test_closed_underflow_is_zero():
+    """Past Re s ~ 512, 2^(2s) alone overflows while every term of zeta_L is
+    below the double range: the closed form returns 0, as the direct sum
+    does.  Next to the overflow at s = -200.25, the trivial zero s = -200
+    also gives 0."""
+    for seq in (J2, J23):
+        for s in (600.0, 4000.0):
+            assert spectral_zeta_closed(seq, s) == 0 == spectral_zeta_direct(seq, s)
+    assert spectral_zeta_closed(J2, -200) == 0
 
 
 @pytest.mark.parametrize("seq", [J2, J23], ids=["J2", "J23"])
@@ -309,6 +327,17 @@ def test_zeta_at_zero_by_continuation():
     assert zeta_at_zero(J3) == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", ["2", "2,3", "3,4"])
+def test_zeta_at_zero_is_the_limit_of_the_closed_form(spec):
+    """zeta_L(0) = -bracket(0)/2, since zeta_R(0) = -1/2, is also the limit
+    of the closed form as s -> 0 from either side of both axes."""
+    seq = parse_sequence(spec)
+    at_zero = zeta_at_zero(seq)
+    assert at_zero == -0.5 * _bracket(seq, 0.0).real
+    for s in (1e-7, -1e-7, 1e-7j, -1e-7j):
+        assert spectral_zeta_closed(seq, s) == pytest.approx(at_zero, rel=1e-5)
+
+
 def test_explicit_direct_capped_levels():
     seq = parse_sequence("seq:2,3,2")
     value = spectral_zeta_direct(seq, 2.0)
@@ -336,6 +365,92 @@ def test_closed_equals_direct_on_halfplane(spec, re, im):
     closed = spectral_zeta_closed(seq, s)
     direct = spectral_zeta_direct(seq, s)
     assert abs(closed - direct) <= 1e-8 * (1.0 + abs(closed))
+
+
+# -- the closed form's terms: the family table resummed per period -------------
+
+SPLIT_SPECS = ["2", "3", "2,3", "3,2", "3,4", "2,5", "2,3,4", "2,2", "2,2,2", "4", "2,4", "6,2"]
+
+
+def test_mode_sums_are_the_progression_sums():
+    """Each (step, phase) entry is the Hurwitz sum over the progression's
+    positive keys: sum_k ((step k + phase)/2)^(-2s) = (a 2^(2s) + b) zeta_R(2s)."""
+    assert set(_MODE_SUMS) == {
+        (row.step, row.phase) for n in (0, 1, 2) for row in _family_table(J23, n)[1]
+    }
+    for s in (mpmath.mpf(3), mpmath.mpc(1.5, 4)):
+        for (step, phase), (a, b) in _MODE_SUMS.items():
+            first = phase / mpmath.mpf(step) if phase else 1
+            direct = mpmath.power(step / mpmath.mpf(2), -2 * s) * mpmath.zeta(2 * s, first)
+            closed = (a * mpmath.power(2, 2 * s) + b) * mpmath.zeta(2 * s)
+            assert abs(direct - closed) < 1e-12 * abs(closed)
+
+
+@pytest.mark.parametrize("spec", ["2", "2,3", "3,4", "2,3,4"])
+def test_closed_terms_reproduce_the_paper_numerators(spec):
+    """The bracket's head and numerators as the paper writes them, with
+    c = 2^(2s-1), j_1 the first entry and I_r = j_1 ... j_r:
+        head  = 1 + (4c - 4 + j_1) j_1^(-2s)
+        N_dom = sum_{r=2}^{p+1} 2^(r-1) I_(r-1) (c + j_r - 1) I_r^(-2s)
+        N_sub = (3c - 3) sum_{r=2}^{p+1} 2^(r-1) I_r^(-2s)
+    """
+    seq = parse_sequence(spec)
+    values = seq.values * 2
+    p = len(seq.values)
+
+    def scale(r):
+        return math.prod(values[:r])
+
+    terms = _closed_terms(seq)
+    for s in (2.0, 0.3 + 5.0j, -0.7 - 12.0j, 1.25 + 0.5j):
+        c = 2.0 ** (2.0 * s - 1.0)
+        paper = {
+            "head": 1.0 + (4.0 * c - 4.0 + values[0]) * values[0] ** (-2.0 * s),
+            "dominant": sum(
+                2 ** (r - 1) * scale(r - 1) * (c + values[r - 1] - 1.0) * scale(r) ** (-2.0 * s)
+                for r in range(2, p + 2)
+            ),
+            "subdominant": (3.0 * c - 3.0)
+            * sum(2 ** (r - 1) * scale(r) ** (-2.0 * s) for r in range(2, p + 2)),
+        }
+        for family, expected in paper.items():
+            assert abs(_terms_sum(terms[family], s) - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_period_split_reproduces_the_family_table(spec):
+    """Level n + kp of the table is 2^(kp) (P^k d + e) for the d and e of
+    level n, exactly, over four periods."""
+    seq = parse_sequence(spec)
+    p, block = seq.period, seq.block
+    terms = _closed_terms(seq)
+    assert terms["head"] == tuple(_level_terms(seq, n) for n in (0, 1))
+    for n, dom, sub in zip(range(2, p + 2), terms["dominant"], terms["subdominant"]):
+        assert dom[0] == sub[0] == seq.scale(n)
+        for k in range(4):
+            scale, a, b = _level_terms(seq, n + k * p)
+            assert scale == seq.scale(n) * block**k
+            assert (a, b) == tuple(
+                2 ** (k * p) * (block**k * d + e) for d, e in zip(dom[1:], sub[1:])
+            )
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS)
+def test_closed_terms_cancel_at_one_half(spec):
+    """At s = 1/2 a term is (2a + b) / I and w = 2^p.  Over the common
+    denominator I_(p+1), head (1 - 2^p) + dominant is 0 and so is the
+    subdominant sum, in integers: the bracket is removable there."""
+    seq = parse_sequence(spec)
+    p = seq.period
+    common = seq.scale(p + 1)
+    terms = _closed_terms(seq)
+
+    def numerator(family):
+        assert all(common % scale == 0 for scale, _, _ in terms[family])
+        return sum((2 * a + b) * (common // scale) for scale, a, b in terms[family])
+
+    assert numerator("head") * (1 - 2**p) + numerator("dominant") == 0
+    assert numerator("subdominant") == 0
 
 
 # -- poles and residues ----------------------------------------------------------
@@ -409,9 +524,13 @@ def test_sqrt_term_only_for_all_twos():
     assert sqrt_term_coefficient(J2) == pytest.approx(0.75, rel=1e-13)
     assert sqrt_term_coefficient(J23) == 0.0
     assert sqrt_term_coefficient(J3) == 0.0
-    assert sqrt_term_coefficient(parse_sequence("2,2")) == pytest.approx(
-        0.75, rel=1e-13
-    )
+    for spec in ("2,2", "2,2,2"):
+        assert sqrt_term_coefficient(parse_sequence(spec)) == pytest.approx(
+            0.75, rel=1e-13
+        )
+    # blocks that are powers of 2 but not 2^p
+    for spec in ("4", "2,4"):
+        assert sqrt_term_coefficient(parse_sequence(spec)) == 0.0
 
 
 def test_oscillation_amplitude_small_for_j2():

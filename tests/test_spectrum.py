@@ -99,6 +99,26 @@ def test_alternating_first_twenty_distinct():
         assert e.value == pytest.approx((k * math.pi) ** 2, abs=5e-3)
 
 
+def test_count_is_bounded_as_an_integer(monkeypatch):
+    """--count is compared with 2^18 before any float is formed from it: a
+    count past the double range is refused by name, not by an OverflowError,
+    and 2^18 itself reaches a table below the key bound 2^19."""
+    seq = parse_sequence("2")
+    for count in (0, 2**18 + 1, 10**400):
+        with pytest.raises(ValidationError, match="count"):
+            first_distinct(seq, count)
+    # building the 2^18-entry table takes seconds; record its lambda_max only
+    asked = []
+
+    def small_table(seq, lambda_max):
+        asked.append(lambda_max)
+        return full_spectrum(seq, 100.0)
+
+    monkeypatch.setattr("laakso.spectrum.full_spectrum", small_table)
+    first_distinct(seq, 2**18)
+    assert eigenvalue_of_key(2**19 - 2) < asked[0] < eigenvalue_of_key(2**19)
+
+
 def test_alternating_high_multiplicities():
     table = full_spectrum(parse_sequence("2,3"), 3600.0)
     by_m = {e.m: e.multiplicity for e in table.entries}
