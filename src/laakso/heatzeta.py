@@ -43,7 +43,7 @@ from .errors import (
     TailToleranceError,
     ValidationError,
 )
-from .sequences import EXPLICIT, JSequence, dimensions, shape_census
+from .sequences import EXPLICIT, JSequence, _log_block, dimensions, shape_census
 from .special import _power_tail, complex_gamma, riemann_zeta
 from .spectrum import _family_table, _level_cap, _occupied_families
 
@@ -402,7 +402,7 @@ def _bracket(seq: JSequence, s: complex) -> complex:
     the period series of _closed_terms, ratios w = 2^p P^(1-2s) (dominant)
     and v = 2^p P^(-2s) (subdominant)."""
     p = seq.period
-    log_block = math.log(seq.block)
+    log_block = _log_block(seq)
     w = cmath.exp(p * math.log(2.0) + (1.0 - 2.0 * s) * log_block)
     v = cmath.exp(p * math.log(2.0) - 2.0 * s * log_block)
     terms = _closed_terms(seq)
@@ -485,7 +485,7 @@ def fine_pole_spacing(seq: JSequence) -> float:
     Equals the PoleLattice spacing for constant sequences; for period p the
     denominator zeros interleave p times finer.
     """
-    return math.pi / math.log(seq.block)
+    return math.pi / _log_block(seq)
 
 
 def oscillation_log_period(seq: JSequence) -> float:
@@ -508,7 +508,7 @@ def residue_coefficient(seq: JSequence, s_pole: complex, family: str) -> complex
         * riemann_zeta(2.0 * s_pole)
         * cmath.exp(-2.0 * s_pole * math.log(math.pi))
         * num
-        / (2.0 * math.log(seq.block))
+        / (2.0 * _log_block(seq))
     )
 
 
@@ -524,7 +524,7 @@ def sqrt_term_coefficient(seq: JSequence) -> float:
     if seq.block != 2**seq.period:
         return 0.0
     num = sum(a * 4.0 * math.log(2.0) / scale for scale, a, _ in _closed_terms(seq)["subdominant"])
-    return num / (2.0 * math.log(seq.block)) / 2.0
+    return num / (2.0 * _log_block(seq)) / 2.0
 
 
 # |Gamma(sigma + iy)| ~ sqrt(2 pi) |y|^(sigma - 1/2) exp(-pi |y| / 2), so the

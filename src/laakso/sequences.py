@@ -12,6 +12,7 @@ arbitrary-precision integer arithmetic where the quantity is an integer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DimensionUndefinedError, LevelRangeError, ValidationError
@@ -203,11 +204,24 @@ def shape_census(seq: JSequence, n: int) -> ShapeCensus:
     )
 
 
+def _log_block(seq: JSequence) -> float:
+    """log P, read by every float formula in the block P (dimensions, the
+    closed zeta, pole spacings, residues).  A block past the double range
+    (e.g. 310 entries of 10) is refused: P^(1/p) and the closed form's
+    counts would not fit a float."""
+    if seq.block > sys.float_info.max:
+        raise ValidationError(
+            f"the block P = j_1 ... j_p of this {seq.period}-entry pattern is "
+            f"about 10^{math.log10(seq.block):.0f}, past the double range"
+        )
+    return math.log(seq.block)
+
+
 def dimensions(seq: JSequence) -> DimensionReport:
     """Dimension report from the period p and block P, r = P^(1/p); an
     explicit prefix has no period and raises DimensionUndefinedError."""
     # the one formula for d_s; heatzeta's abscissa and pole real parts read it
-    log_r = math.log(seq.block) / seq.period
+    log_r = _log_block(seq) / seq.period
     r = seq.block ** (1.0 / seq.period)
     q = 1.0 + math.log(2.0) / log_r
     return DimensionReport(r=r, hausdorff=q, spectral=q, walk=2.0)

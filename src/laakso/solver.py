@@ -11,10 +11,16 @@ multiplicities would come out short.  The starting block is deterministic (all-o
 column, seeded Gaussian fill) so runs reproduce bit for bit.
 
 The basis lives in one preallocated Fortran-order dim x max_basis buffer,
-and the projected matrix basis.T A basis is grown one block at a time: each
-step projects only the new block.  A times the basis is never stored; the
-residuals come from a sparse product on the k Ritz vectors.  Memory is
-therefore about one dim x max_basis buffer plus the LU factors.
+and the projected matrices T = basis.T A basis and G = basis.T A^2 basis
+are grown one block at a time, from A q and A (A q) of the new block q.
+A times the basis is never stored.  Each step estimates every Ritz
+residual from the projection alone, ||A x - theta x||^2 = y'Gy - theta^2
+for the Ritz vector x = basis y; only when every estimate is within
+rounding of the tolerance (or the basis is full) are the k Ritz vectors
+formed and their explicit residuals, the certificate, computed.  A step
+whose explicit residuals fail goes on growing the basis.  New blocks are
+orthonormalized by Cholesky-QR2, with Householder QR as the error path.
+Memory is therefore about one dim x max_basis buffer plus the LU factors.
 
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
@@ -50,6 +56,10 @@ class EigenResult:
     k_converged: int
     iterations: int  # Krylov steps taken after the starting block
     basis_width: int  # basis columns used, at most max(5k, k + 15 block_size)
+    # largest projected residual estimate (relative, like residual_norms) per
+    # Rayleigh-Ritz step, iterations + 1 of them; rounding puts a floor under
+    # it, 4e-9 to 6e-9 on the benchmark meshes
+    residual_history: np.ndarray
 
 
 def _matrix_scale(a: sp.csr_matrix) -> float:
@@ -62,6 +72,45 @@ def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
     block = rng.standard_normal((dim, width))
     block[:, 0] = 1.0  # all-ones lead vector
     q, _ = np.linalg.qr(block)
+    return q
+
+
+def _project_out(z: np.ndarray, v: np.ndarray) -> None:
+    """z -= v v'z in place, in two passes (full reorthogonalization).
+
+    The product is formed transposed so that it lands in column order like
+    z and the basis: 1.6x faster than v @ (v.T @ z) on a 19,632 x 360 basis.
+    """
+    for _ in range(2):
+        z -= ((z.T @ v) @ v.T).T
+
+
+def _orthonormalize(z: np.ndarray, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """An orthonormal block as wide as z, spanning z's columns with v's span removed.
+
+    z (overwritten) is projected off v's orthonormal columns, then
+    orthonormalized by Cholesky-QR2: two Gram products and two small
+    triangular factors.  Householder QR is the error path, taken when the
+    first factor fails or has a diagonal below 1e-10, or when the first
+    pass's output is further than 1/2 (Frobenius) from orthonormal; it
+    refills each column with |r_ii| < 1e-10 at random.
+    """
+    _project_out(z, v)
+    try:
+        r = np.linalg.cholesky(z.T @ z, upper=True)
+    except np.linalg.LinAlgError:
+        r = None
+    if r is not None and np.diag(r).min() >= 1e-10:
+        q = z @ np.linalg.inv(r)
+        gram = q.T @ q
+        if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
+            return q @ np.linalg.inv(np.linalg.cholesky(gram, upper=True))
+    q, r = np.linalg.qr(z)
+    dead = np.abs(np.diag(r)) < 1e-10
+    if dead.any():
+        q[:, dead] = rng.standard_normal((len(q), int(dead.sum())))
+        _project_out(q, v)
+        q, _ = np.linalg.qr(q)
     return q
 
 
@@ -109,34 +158,42 @@ def lowest_eigenvalues(
 
     basis = np.empty((dim, max_basis), order="F")
     t = np.empty((max_basis, max_basis))  # projected matrix basis.T A basis
+    g = np.empty((max_basis, max_basis))  # basis.T A^2 basis, for the estimates
+    history = []
     q = _starting_block(dim, width, seed)
     n = steps = 0
     while True:
-        # append the block and project A onto it: t gains a column and a row block
+        # append the block; t and g each gain a column block and a row block
         w = q.shape[1]
+        aq = a @ q
         basis[:, n : n + w] = q
-        t[: n + w, n : n + w] = basis[:, : n + w].T @ (a @ q)
+        q, v = basis[:, n : n + w], basis[:, : n + w]
+        t[: n + w, n : n + w] = v.T @ aq
+        aq = a @ aq
+        g[: n + w, n : n + w] = v.T @ aq
+        del aq
         t[n : n + w, :n] = t[:n, n : n + w].T
+        g[n : n + w, :n] = g[:n, n : n + w].T
         n += w
-        v = basis[:, :n]
         theta, y = np.linalg.eigh(t[:n, :n])
-        theta = theta[:k]
-        x = v @ y[:, :k]
-        res = np.linalg.norm(a @ x - x * theta, axis=0) / scale
-        if (n >= k and np.all(res <= tol)) or n >= max_basis:
-            break
-        z = lu.solve(q)
-        # full reorthogonalization, two passes for stability
-        for _ in range(2):
-            z -= v @ (v.T @ z)
-        q, r = np.linalg.qr(z)
-        dead = np.abs(np.diag(r)) < 1e-10
-        if dead.any():
-            q[:, dead] = rng.standard_normal((dim, int(dead.sum())))
-            for _ in range(2):
-                q -= v @ (v.T @ q)
-            q, _ = np.linalg.qr(q)
-        q = q[:, : max_basis - n]
+        # ||A x - theta x||^2 = y'Gy - theta^2 for x = v y.  G has entries near
+        # ||T||^2 (the random starting block is rough), so rounding leaves an
+        # error of up to about sqrt(dim) eps ||T||^2 in the difference (0.4 of
+        # that at most, measured on meshes of dimension 210 to 83,136): the
+        # explicit residuals are formed once every estimate is within it of tol.
+        floor = np.sqrt(dim) * np.finfo(float).eps * theta[-1] ** 2
+        theta, y = theta[:k], y[:, :k]
+        square = (np.einsum("ij,ij->j", y, g[:n, :n] @ y) - theta**2).max()
+        history.append(np.sqrt(max(square, 0.0)) / scale)
+        if n >= max_basis or (n >= k and square <= (tol * scale) ** 2 + floor):
+            x = v @ y
+            res = a @ x
+            x *= theta
+            res -= x
+            res = np.linalg.norm(res, axis=0) / scale
+            if n >= max_basis or np.all(res <= tol):
+                break
+        q = _orthonormalize(lu.solve(q), v, rng)[:, : max_basis - n]
         steps += 1
 
     return EigenResult(
@@ -146,6 +203,7 @@ def lowest_eigenvalues(
         k_converged=int(np.sum(res <= tol)),
         iterations=steps,
         basis_width=n,
+        residual_history=np.array(history),
     )
 
 

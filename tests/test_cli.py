@@ -371,6 +371,39 @@ def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("invalid input:")
 
 
+_WIDE_BLOCK = ",".join(["10"] * 310)  # P = 10^310, past the double range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims"],
+        ["zeta", "--s", "2", "--mode", "closed"],
+        ["zeta", "--s", "2", "--mode", "direct"],
+        ["poles", "-m", "-1:1"],
+        ["heat", "--t", "1e-3", "--asymptotic"],
+    ],
+)
+def test_block_past_the_double_range_is_refused_by_name(tmp_path, capsys, argv):
+    """Every float formula in P is refused as invalid input that names the
+    block, not an OverflowError traceback or a false overflow report."""
+    code, _ = run(tmp_path, *argv, "-j", _WIDE_BLOCK)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: the block P")
+    assert "past the double range" in err
+
+
+def test_block_past_the_double_range_keeps_its_level_spectrum(tmp_path):
+    """Exact integer routes never form P as a float: below lambda = 500 the
+    310-entry pattern's spectrum is the constant 10's."""
+    code, wide = run(tmp_path, "spectrum", "-j", _WIDE_BLOCK, "--lambda-max", "500")
+    assert code == 0
+    code, constant = run(tmp_path, "spectrum", "-j", "10", "--lambda-max", "500")
+    assert code == 0
+    assert json.loads(wide)["entries"] == json.loads(constant)["entries"]
+
+
 def test_direct_zeta_near_the_abscissa_is_a_numerical_failure():
     """j = 2 at s = 1.0002 needs ~1.4e5 levels: the predicted level count is
     refused at once.  A fresh process under a timeout turns a hang into a
