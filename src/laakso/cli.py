@@ -16,8 +16,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import refdata
 from .compare import compare_spectra
@@ -39,6 +38,9 @@ from .heatzeta import (
 )
 from .sequences import dimensions, parse_sequence
 from .spectrum import first_distinct, full_spectrum, level_spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ReferenceMismatch(Exception):
@@ -65,6 +67,8 @@ def _number(kind, text: str, what: str):
 
 def _parse_t_grid(spec: str) -> np.ndarray:
     """"a:b:Nlog" -> N log-spaced points in [a, b]; a bare number -> [a]."""
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) == 1:
         return np.array([_number(float, parts[0], "t")])

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 from .graphs import build_graph, continuum_eigenvalues, discretize, trust_cutoff
 from .sequences import JSequence, level_info
@@ -81,6 +79,8 @@ def compare_spectra(
     seed: int | None = None,
 ) -> ComparisonReport:
     """The k lowest mesh eigenpairs of F_level, diffed per integer key against level_spectrum."""
+    import numpy as np
+
     if k < 2:
         raise ValidationError(f"k {k} < 2 compares no key below the top returned one")
     info = level_info(seq, level)

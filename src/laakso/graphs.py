@@ -18,8 +18,9 @@ continuum eigenvalue k^2 with k h < pi is the mesh eigenvalue
 (4/h^2) sin^2(k h / 2), with its multiplicity.  continuum_eigenvalues maps
 back, and trust_cutoff stops at k h = 0.8 pi, short of the Nyquist point.
 
-scipy is imported on first use (CSR assembly and conversion), so importing
-this module costs no scipy load.
+numpy is imported on first use (the graph and mesh arrays) and scipy on
+first use of the mesh route (CSR assembly and conversion), so importing this
+module loads neither.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ValidationError
 from .sequences import JSequence
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 
@@ -102,6 +102,8 @@ def _subdivide(ends: np.ndarray, vertex_count: int, pieces: int) -> np.ndarray:
     Edge e gains the vertices vertex_count + e (pieces - 1) + i, i < pieces - 1,
     in order from u to v; the links come back edge by edge, as (E pieces, 2).
     """
+    import numpy as np
+
     count = len(ends)
     fresh = vertex_count + np.arange(count * (pieces - 1), dtype=np.int64)
     chains = np.hstack((ends[:, :1], fresh.reshape(count, pieces - 1), ends[:, 1:]))
@@ -112,6 +114,8 @@ def build_graph(seq: JSequence, n: int) -> MetricGraph:
     """Construct F_n by n rounds of subdivide, duplicate, identify."""
     if n < 0:
         raise ValidationError(f"level {n} < 0")
+    import numpy as np
+
     vertex_count = 2
     edges = np.array([[0, 1]], dtype=np.int64)
     for step in range(1, n + 1):
@@ -138,6 +142,7 @@ def _assemble(graph: MetricGraph, points_per_edge: int):
     """Stiffness matrix and mass diagonal of the mesh (generalized form)."""
     if points_per_edge < 1:
         raise ValidationError(f"points_per_edge {points_per_edge} < 1")
+    import numpy as np
     import scipy.sparse as sp
 
     m = points_per_edge
@@ -185,6 +190,8 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     Kirchhoff zero-derivative-sum condition.  The kernel vector is
     sqrt(M) * 1, not the plain constant.
     """
+    import numpy as np
+
     stiffness, mass = _assemble(graph, points_per_edge)
     inv_sqrt = 1.0 / np.sqrt(mass)
     rows = np.repeat(np.arange(stiffness.shape[0]), np.diff(stiffness.indptr))
@@ -202,6 +209,8 @@ def continuum_eigenvalues(
     """((2/h) arcsin(h sqrt(lambda_h) / 2))^2 for eigenvalues lambda_h of
     `discretize`: the continuum eigenvalues they stand for.  lambda_h is
     clipped to the spectral range [0, 4/h^2], which rounding can leave."""
+    import numpy as np
+
     h = mesh_spacing(graph, points_per_edge)
     half_chord = np.clip(h * np.sqrt(np.clip(mesh_values, 0.0, None)) / 2.0, 0.0, 1.0)
     return (2.0 / h * np.arcsin(half_chord)) ** 2

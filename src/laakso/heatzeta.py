@@ -25,6 +25,12 @@ The closed form's poles lie on Re s = d_s/2 (1 - w = 0) and d_s/2 - 1/2
 (1 - v = 0), d_s from sequences.dimensions, pi / log P apart (p times finer
 than the coarse progression 2 pi / log r^2).  Their residues and the s = 1/2
 and s = 0 terms give the small-t expansion of Z(t), heat_trace_asymptote.
+The closed form's counts are exact integers; one past the double range (a
+block near 10^300 has such counts) enters through its logarithm.
+
+numpy is imported on first use (the heat trace's family sums, the direct
+zeta's heads, the slope fit), so the closed zeta, its poles and residues
+run without it.
 """
 
 from __future__ import annotations
@@ -33,9 +39,8 @@ import bisect
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     DivergenceError,
@@ -131,6 +136,8 @@ def _family_partial(fam: _Family, t: float, budget: float) -> tuple[float, float
     The sum stops before the first k whose (falling) tail bound fits the
     budget, found by doubling a Gaussian estimate past it and bisecting.
     """
+    import numpy as np
+
     ct = math.exp(fam.log_c + math.log(t))
     # start from the Gaussian estimate count exp(-ct q^2) = budget
     hi = fam.kstart + 1 + int(math.sqrt(max(fam.log_count - math.log(budget), 0.0) / ct))
@@ -273,6 +280,8 @@ def _family_zeta(fam: _Family, s: complex) -> complex:
     prefactor count * c^(-s) sits in the exponent of every head term, so a
     (k+offset)^(-2s) past the double range never meets it as inf * 0.
     """
+    import numpy as np
+
     w = 2.0 * s
     cut = max(_EM_CUT, int(1.5 * abs(w)) + 10)
     pre = fam.log_count - s * fam.log_c
@@ -384,30 +393,54 @@ def _closed_terms(seq: JSequence) -> dict[str, tuple[tuple[int, int, int], ...]]
     return {"head": head, "dominant": tuple(dominant), "subdominant": tuple(subdominant)}
 
 
-def _terms_sum(terms: tuple[tuple[int, int, int], ...], s: complex) -> complex:
-    """sum (a 2^(2s) + b) I^(-2s) over (I, a, b) terms, with 2^(2s) folded into
-    (I/2)^(-2s): formed alone it overflows at s = 600, where every term is 0.
-    Zero coefficients are skipped, so the line's (1/2)^(-2s) never arises."""
+def _count_power(count: int, log_base: float, s: complex, log_unit: float) -> complex:
+    """count base^(-2s) / e^log_unit.  A count past the double range (a block
+    near 10^300 has such counts) enters through its logarithm instead, as
+    sign exp(log|count| - 2s log base - log_unit)."""
+    if abs(count) <= sys.float_info.max:
+        return count * cmath.exp(-2.0 * s * log_base - log_unit)
+    sign = 1.0 if count > 0 else -1.0
+    return sign * cmath.exp(math.log(abs(count)) - 2.0 * s * log_base - log_unit)
+
+
+def _terms_sum(
+    terms: tuple[tuple[int, int, int], ...], s: complex, log_unit: float = 0.0
+) -> complex:
+    """sum (a 2^(2s) + b) I^(-2s) over (I, a, b) terms, in units of e^log_unit,
+    with 2^(2s) folded into (I/2)^(-2s): formed alone it overflows at s = 600,
+    where every term is 0.  Zero coefficients are skipped, so the line's
+    (1/2)^(-2s) never arises."""
     total = 0.0 + 0.0j
     for scale, a, b in terms:
         if a:
-            total += a * cmath.exp(-2.0 * s * math.log(scale / 2))
+            if scale <= sys.float_info.max:
+                log_half = math.log(scale / 2)
+            else:  # I/2 would not fit a float
+                log_half = math.log(scale) - math.log(2.0)
+            total += _count_power(a, log_half, s, log_unit)
         if b:
-            total += b * cmath.exp(-2.0 * s * math.log(scale))
+            total += _count_power(b, math.log(scale), s, log_unit)
     return total
 
 
 def _bracket(seq: JSequence, s: complex) -> complex:
     """The level sum multiplying zeta_R(2s)/pi^(2s) in zeta_L(s): the head plus
     the period series of _closed_terms, ratios w = 2^p P^(1-2s) (dominant)
-    and v = 2^p P^(-2s) (subdominant)."""
+    and v = 2^p P^(-2s) (subdominant).  A ratio past the double range (blocks
+    near 10^300 at small Re s) divides its series and 1 - q by |q| first."""
     p = seq.period
     log_block = _log_block(seq)
-    w = cmath.exp(p * math.log(2.0) + (1.0 - 2.0 * s) * log_block)
-    v = cmath.exp(p * math.log(2.0) - 2.0 * s * log_block)
+    log_w = p * math.log(2.0) + (1.0 - 2.0 * s) * log_block
+    log_v = p * math.log(2.0) - 2.0 * s * log_block
     terms = _closed_terms(seq)
     total = _terms_sum(terms["head"], s)
-    for q, family in ((w, "dominant"), (v, "subdominant")):
+    for log_q, family in ((log_w, "dominant"), (log_v, "subdominant")):
+        try:
+            q = cmath.exp(log_q)
+        except OverflowError:
+            unit = math.exp(-log_q.real) - cmath.exp(1j * log_q.imag)  # (1 - q) / |q|
+            total += _terms_sum(terms[family], s, log_q.real) / unit
+            continue
         if abs(1.0 - q) < _POLE_TOL:
             fine = fine_pole_spacing(seq)
             raise PoleError(
@@ -599,6 +632,8 @@ def estimate_spectral_dimension(
     wobble exactly on a uniform log grid.  Requires >= 10 samples spanning
     at least two decades with tail_bound/z < 1e-6.
     """
+    import numpy as np
+
     if len(samples) < 10:
         raise ValidationError(f"need at least 10 samples, got {len(samples)}")
     if log_period <= 0:

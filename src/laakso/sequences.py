@@ -207,8 +207,8 @@ def shape_census(seq: JSequence, n: int) -> ShapeCensus:
 def _log_block(seq: JSequence) -> float:
     """log P, read by every float formula in the block P (dimensions, the
     closed zeta, pole spacings, residues).  A block past the double range
-    (e.g. 310 entries of 10) is refused: P^(1/p) and the closed form's
-    counts would not fit a float."""
+    (e.g. 310 entries of 10) is refused: r = P^(1/p) and the direct zeta's
+    per-period ratio form P as a float."""
     if seq.block > sys.float_info.max:
         raise ValidationError(
             f"the block P = j_1 ... j_p of this {seq.period}-entry pattern is "

@@ -28,8 +28,8 @@ are counted, not guessed from gaps: once each computed value carries an
 exact integer label (compare maps mesh eigenvalues onto their continuum
 keys), cluster_multiplicities groups equal labels.
 
-scipy is imported on the first call of `lowest_eigenvalues`, so importing
-this module costs no scipy load.
+numpy is imported on first use and scipy on the first call of
+`lowest_eigenvalues`, so importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import ValidationError
 from .graphs import SparseSymmetricMatrix
 
 if TYPE_CHECKING:
+    import numpy as np
     import scipy.sparse as sp
 
 _MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x max_basis buffer: 1 GiB
@@ -63,11 +62,15 @@ class EigenResult:
 
 
 def _matrix_scale(a: sp.csr_matrix) -> float:
+    import numpy as np
+
     scale = float(np.abs(a.diagonal()).max())
     return scale if scale > 0 else 1.0
 
 
 def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.default_rng(0 if seed is None else seed)
     block = rng.standard_normal((dim, width))
     block[:, 0] = 1.0  # all-ones lead vector
@@ -93,8 +96,12 @@ def _orthonormalize(z: np.ndarray, v: np.ndarray, rng: np.random.Generator) -> n
     triangular factors.  Householder QR is the error path, taken when the
     first factor fails or has a diagonal below 1e-10, or when the first
     pass's output is further than 1/2 (Frobenius) from orthonormal; it
-    refills each column with |r_ii| < 1e-10 at random.
+    refills each column with |r_ii| < 1e-10 at random, then projects v out
+    again and re-orthonormalizes, since a nearly dependent z amplifies its
+    rounding-level overlap with v by 1 / min |r_ii|.
     """
+    import numpy as np
+
     _project_out(z, v)
     try:
         r = np.linalg.cholesky(z.T @ z, upper=True)
@@ -107,10 +114,9 @@ def _orthonormalize(z: np.ndarray, v: np.ndarray, rng: np.random.Generator) -> n
             return q @ np.linalg.inv(np.linalg.cholesky(gram, upper=True))
     q, r = np.linalg.qr(z)
     dead = np.abs(np.diag(r)) < 1e-10
-    if dead.any():
-        q[:, dead] = rng.standard_normal((len(q), int(dead.sum())))
-        _project_out(q, v)
-        q, _ = np.linalg.qr(q)
+    q[:, dead] = rng.standard_normal((len(q), int(dead.sum())))
+    _project_out(q, v)
+    q, _ = np.linalg.qr(q)
     return q
 
 
@@ -131,6 +137,8 @@ def lowest_eigenvalues(
     A basis of more than 2^27 doubles (1 GiB) is refused before the
     factorization.
     """
+    import numpy as np
+
     if k < 1:
         raise ValidationError(f"k {k} < 1")
     dim = matrix.dimension
@@ -214,4 +222,6 @@ def cluster_multiplicities(keys: np.ndarray) -> dict[int, np.ndarray]:
     no gap tolerance decides where a cluster ends.  The benchmark declares
     this step's time as the per-layer metric solver.cluster_multiplicities.s.
     """
+    import numpy as np
+
     return {int(key): np.flatnonzero(keys == key) for key in np.unique(keys)}

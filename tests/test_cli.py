@@ -273,6 +273,7 @@ import sys
 import laakso, laakso.cli
 
 assert laakso.cli.main(["dims", "-j", "2,3", "--out", sys.argv[1]]) == 0
+assert "numpy" not in sys.modules
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 assert not loaded, loaded
 # exact arithmetic stays in int
@@ -293,6 +294,38 @@ def test_cold_cli_loads_no_scipy_outside_the_mesh_route(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", _COLD_IMPORT_CHECK, str(tmp_path / "dims.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+_NO_ARRAYS_CHECK = """
+import shlex, sys
+import laakso.cli
+
+assert laakso.cli.main(shlex.split(sys.argv[1]) + ["--out", sys.argv[2]]) == 0
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+assert not loaded, loaded
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "spectrum -j 2,3 --count 20 --expect table1",
+        "spectrum -j 2 --lambda-max 500",
+        "spectrum -j 2,3 --level-max 3 --lambda-max 2000 --format csv",
+        "dims -j 2,3",
+        "poles -j 2 -m -3:3",
+        "zeta -j 2 --s 2 --s 1.5 --s 3 --mode closed",
+    ],
+)
+def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path, command):
+    """The exact routes are integer table walks and closed-form sums: a fresh
+    process that runs one of them never imports numpy or scipy."""
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_ARRAYS_CHECK, command, str(tmp_path / "out.txt")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -402,6 +435,20 @@ def test_block_past_the_double_range_keeps_its_level_spectrum(tmp_path):
     code, constant = run(tmp_path, "spectrum", "-j", "10", "--lambda-max", "500")
     assert code == 0
     assert json.loads(wide)["entries"] == json.loads(constant)["entries"]
+
+
+@pytest.mark.parametrize("entries", [238, 300])
+def test_block_inside_the_double_range_sums_its_closed_zeta(tmp_path, entries):
+    """P = 10^238 or 10^300 fits a double while its closed terms' counts do
+    not: the closed zeta is summed, not reported as an overflow."""
+    wide = ",".join(["10"] * entries)
+    argv = ["--s", "2", "--s", "3+1j", "--mode", "closed"]
+    code, text = run(tmp_path, "zeta", "-j", wide, *argv)
+    assert code == 0
+    code, constant = run(tmp_path, "zeta", "-j", "10", *argv)
+    for got, expected in zip(json.loads(text)["values"], json.loads(constant)["values"]):
+        got, expected = complex(*got["closed"]), complex(*expected["closed"])
+        assert abs(got - expected) <= 1e-13 * abs(expected)
 
 
 def test_direct_zeta_near_the_abscissa_is_a_numerical_failure():

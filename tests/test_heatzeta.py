@@ -732,3 +732,19 @@ def test_doubled_pattern_is_the_same_space():
         assert heat_trace(j22, t, 1e-10).z == pytest.approx(
             heat_trace(J2, t, 1e-10).z, rel=1e-12
         )
+
+
+@pytest.mark.parametrize(
+    "entries, constant", [(238, "10"), (300, "10"), (1000, "2")], ids=["10x238", "10x300", "2x1000"]
+)
+def test_wide_block_inside_the_double_range_is_the_constant_space(entries, constant):
+    """Blocks P = 10^238, 10^300 and 2^1000 fit a double, but their closed
+    terms' counts do not: those enter through their logarithms.  At s = 0
+    the ratio w = 2^p P is past the range too, and is divided out of its
+    series first.  Every value is the constant sequence's."""
+    wide = parse_sequence(",".join([constant] * entries))
+    narrow = parse_sequence(constant)
+    for s in (2.0, 3.0 + 1.0j):
+        expected = spectral_zeta_closed(narrow, s)
+        assert abs(spectral_zeta_closed(wide, s) - expected) <= 1e-13 * abs(expected)
+    assert zeta_at_zero(wide) == pytest.approx(zeta_at_zero(narrow), rel=1e-12)
