@@ -63,7 +63,6 @@ from .spectrum import (
     first_distinct,
     full_spectrum,
     level_spectrum,
-    shape_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -116,7 +115,6 @@ __all__ = [
     "residue_coefficient",
     "riemann_zeta",
     "shape_census",
-    "shape_spectrum",
     "spectral_zeta_closed",
     "spectral_zeta_direct",
     "sqrt_term_coefficient",

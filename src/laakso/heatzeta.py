@@ -16,7 +16,7 @@ special._power_tail that riemann_zeta also finishes with:
     past a level limit;
   * closed: the family table resummed per period (_closed_terms): zeta_R(2s)
     pi^(-2s) times finitely many terms and two geometric series in
-    w = 2^p P^(1-2s) and v = 2^p P^(-2s) (period p, block product P), also
+    w = 2^p P^(1-2s) and v = 2^p P^(-2s) (primitive period p, block P), also
     the meromorphic continuation, which gives zeta_L(0).
 
 Both refuse a non-finite s and |s| > 5e3 (riemann_zeta refuses |2s| > 1e4),
@@ -297,26 +297,21 @@ def _finite_s(s: complex) -> complex:
     return s
 
 
-def convergence_abscissa(seq: JSequence) -> float:
-    """Re s must exceed this for the sum over every level to converge."""
-    return _pole_real_part(seq)
-
-
-def spectral_zeta_direct(
-    seq: JSequence, s: complex, *, level_cap: int | None = None
-) -> complex:
+def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
     """Brute-force zeta_L(s): term-by-term family sums, no closed forms.
 
     Serves as the independent oracle for spectral_zeta_closed on the
-    convergence half-plane, up to the closed form's |s| <= 5e3.
+    convergence half-plane, up to the closed form's |s| <= 5e3.  An explicit
+    prefix sums its levels only.
     """
     s = _finite_s(s)
     if abs(s) > _MAX_ABS_S:
         raise ValidationError(f"the direct zeta needs |s| <= {_MAX_ABS_S:g}, got {s}")
     sigma = s.real
-    level_cap = _level_cap(seq, level_cap)
-    # a capped sum has finitely many families, each converging past Re s = 1/2
-    abscissa = convergence_abscissa(seq) if level_cap is None else 0.5
+    level_cap = seq.max_level
+    # a prefix has finitely many families, each converging past Re s = 1/2;
+    # every level together converges past d_s/2
+    abscissa = _pole_real_part(seq) if level_cap is None else 0.5
     if sigma <= abscissa:
         raise DivergenceError(
             f"Re s = {sigma} is at or below the abscissa of convergence "
@@ -568,10 +563,9 @@ _RESIDUE_HEIGHT = 8.0 * math.pi
 @functools.lru_cache
 def _residue_terms(seq: JSequence) -> tuple[tuple[complex, complex], ...]:
     """(s, coefficient) of each lattice pole with 0 <= Im s <= 8 pi, once per
-    sequence (no t dependence).  A pole above the real axis also stands for
-    its conjugate: its coefficient is doubled and the caller keeps the real
-    part.  A fixed height keeps the same poles in every representation of a
-    space, so 2 and 2,2 give the same expansion."""
+    space (no t dependence; a pattern is stored as its primitive block, so
+    2,2 is 2 here).  A pole above the real axis also stands for its
+    conjugate: its coefficient is doubled and the caller keeps the real part."""
     fine = fine_pole_spacing(seq)
     terms = []
     for family in ("dominant", "subdominant"):

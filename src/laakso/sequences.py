@@ -25,9 +25,11 @@ EXPLICIT = "explicit"
 class JSequence:
     """The sequence {j_n} defining a Laakso space.
 
-    kind is "periodic" or "explicit".  values holds the repeating pattern
-    (a constant is a one-entry pattern) or the finite prefix.
-    Indexing is 1-based to match the construction: j(1) is used to build F_1.
+    kind is "periodic" or "explicit".  values holds the finite prefix as
+    written, or the repeating pattern reduced to its shortest block: 2,2 and
+    2 define one space, so they are one value (a constant is a one-entry
+    pattern).  Indexing is 1-based to match the construction: j(1) is used
+    to build F_1.
     """
 
     kind: str
@@ -43,6 +45,11 @@ class JSequence:
                 raise ValidationError(f"entry {v!r} is not an integer")
             if v < 2:
                 raise ValidationError(f"entry {v} < 2")
+        if self.kind == PERIODIC:
+            values, length = self.values, len(self.values)
+            # the shortest p dividing the length with values[i] == values[i + p]
+            p = next(p for p in range(1, length + 1) if length % p == 0 and values[p:] == values[:-p])
+            object.__setattr__(self, "values", values[:p])
 
     def j(self, n: int) -> int:
         """j_n for n >= 1.  Raises beyond the prefix of an explicit sequence."""
@@ -143,7 +150,8 @@ def parse_sequence(spec: str) -> JSequence:
     """Parse the sequence grammar.
 
     "k"         -> constant j_n = k, the one-entry pattern (k)
-    "a,b,..."   -> periodic with pattern (a, b, ...)
+    "a,b,..."   -> periodic with pattern (a, b, ...), stored as its
+                   shortest repeating block (2,3,2,3 is 2,3)
     "seq:a,b,..." -> explicit finite prefix
     """
     text = spec.strip()

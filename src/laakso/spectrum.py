@@ -26,8 +26,6 @@ LOOP = "loop"
 CROSS_FULL = "cross-full"
 CROSS_QUARTER = "cross-quarter"
 
-SHAPES = (LINE, V, LOOP, CROSS_FULL, CROSS_QUARTER)
-
 _QUARTER_PI_SQ = math.pi * math.pi / 4.0
 
 
@@ -124,27 +122,10 @@ def _occupied_families(seq: JSequence, n: int) -> tuple[int, list[_FamilyRow]]:
     return scale, [row for row in rows if row.count]
 
 
-def _check_shape_level(shape: str, seq: JSequence, n: int) -> None:
-    if shape not in SHAPES:
-        raise ValidationError(f"unknown shape {shape!r}; expected one of {SHAPES}")
-    if n < 0 or all(row.shape != shape for row in _family_table(seq, n)[1]):
-        raise ValidationError(f"the {shape} family does not live at level {n}")
-
-
 def _family_modes(
     scale: int, row: _FamilyRow, lambda_max: float
 ) -> list[tuple[int, int]]:
-    """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max.
-
-    The loop ends only below a finite bound, and the table's size grows with
-    it, so the bound is checked here, where both public entry points
-    (shape_spectrum and the table builders) pass through.
-    """
-    if not 0 <= lambda_max <= _MAX_LAMBDA:
-        raise ValidationError(
-            f"lambda_max {lambda_max} must be in [0, {_MAX_LAMBDA:.6g}], "
-            "keys up to 2^19"
-        )
+    """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max."""
     out = []
     k = row.kstart
     while True:
@@ -153,25 +134,6 @@ def _family_modes(
             return out
         out.append((m, k))
         k += 1
-
-
-def shape_spectrum(
-    shape: str, seq: JSequence, n: int, lambda_max: float
-) -> list[tuple[int, int]]:
-    """All (key m, multiplicity) pairs of one shape family at one level.
-
-    Only eigenvalues with (m/2)^2 pi^2 <= lambda_max are produced; the list
-    is empty when the shape count at that level is zero (e.g. loops with
-    j_n = 2).
-    """
-    _check_shape_level(shape, seq, n)
-    scale, rows = _occupied_families(seq, n)
-    return [
-        (m, row.count)
-        for row in rows
-        if row.shape == shape
-        for m, _ in _family_modes(scale, row, lambda_max)
-    ]
 
 
 def _level_cap(seq: JSequence, cap: int | None) -> int | None:
@@ -193,30 +155,25 @@ def _level_cap(seq: JSequence, cap: int | None) -> int | None:
 
 
 def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> SpectrumTable:
+    # the mode loops end only below a finite bound, and the table grows with it
+    if not 0 <= lambda_max <= _MAX_LAMBDA:
+        raise ValidationError(
+            f"lambda_max {lambda_max} must be in [0, {_MAX_LAMBDA:.6g}], "
+            "keys up to 2^19"
+        )
+    level_cap = _level_cap(seq, level_cap)
     collected: dict[int, list[Contribution]] = {}
-
-    def add(level: int):
-        scale, rows = _occupied_families(seq, level)
+    n = 0
+    while level_cap is None or n <= level_cap:
+        # the line's keys start at 0; from level 1 on the smallest key is I_n
+        if n and eigenvalue_of_key(seq.scale(n)) > lambda_max:
+            break
+        scale, rows = _occupied_families(seq, n)
         for row in rows:
             for m, k in _family_modes(scale, row, lambda_max):
                 collected.setdefault(m, []).append(
-                    Contribution(shape=row.shape, level=level, k=k, count=row.count)
+                    Contribution(shape=row.shape, level=n, k=k, count=row.count)
                 )
-
-    add(0)
-
-    truncated_at = None
-    n = 1
-    while True:
-        if level_cap is not None and n > level_cap:
-            break
-        if seq.max_level is not None and n > seq.max_level:
-            truncated_at = seq.max_level
-            break
-        # smallest positive eigenvalue of any level-n family is (I_n/2)^2 pi^2
-        if eigenvalue_of_key(seq.scale(n)) > lambda_max:
-            break
-        add(n)
         n += 1
 
     entries = tuple(
@@ -227,11 +184,8 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
         )
         for m, contribs in sorted(collected.items())
     )
-    cap = level_cap
-    if cap is None and truncated_at is not None:
-        cap = truncated_at
     return SpectrumTable(
-        sequence=seq, entries=entries, lambda_max=lambda_max, level_cap=cap
+        sequence=seq, entries=entries, lambda_max=lambda_max, level_cap=level_cap
     )
 
 
@@ -239,7 +193,7 @@ def full_spectrum(seq: JSequence, lambda_max: float) -> SpectrumTable:
     """Merged spectrum over every level whose families reach lambda_max.
 
     For an explicit prefix the level loop stops at the prefix end and the
-    table records that cap.
+    table records that cap, whether or not lambda_max reaches it.
     """
     return _generate(seq, lambda_max, None)
 
@@ -250,7 +204,7 @@ def level_spectrum(seq: JSequence, n_max: int, lambda_max: float) -> SpectrumTab
     This is what the finite graph F_{n_max} carries, hence the comparison
     target for the mesh eigensolver.
     """
-    return _generate(seq, lambda_max, _level_cap(seq, n_max))
+    return _generate(seq, lambda_max, n_max)
 
 
 def counting_function(table: SpectrumTable, lam: float) -> int:

@@ -57,6 +57,11 @@ def test_spectrum_explicit_prefix_notes_cap(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert payload["levels_included"] == 3
+    # a prefix reports its cap even when lambda_max stops short of its last
+    # level, as heat does for the same prefix
+    code, text = run(tmp_path, "spectrum", "-j", "seq:2,3", "--lambda-max", "10")
+    assert code == 0
+    assert json.loads(text)["levels_included"] == 2
 
 
 def test_spectrum_csv_format(tmp_path):
@@ -200,6 +205,34 @@ def test_heat_asymptotic_column(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert max(payload["asymptote_relative_gap"]) < 1e-4
+
+
+def _results(text):
+    """The payload without its config, which echoes -j as typed."""
+    return {key: value for key, value in json.loads(text).items() if key != "config"}
+
+
+def test_repeated_pattern_asymptote_is_the_constants(tmp_path):
+    """1000 twos are the constant 2: the same samples and the same residue
+    expansion, not one summed over a 1000-fold finer pole lattice."""
+    argv = ["heat", "--t", "1e-3", "--asymptotic"]
+    code, repeated = run(tmp_path, *argv, "-j", ",".join(["2"] * 1000))
+    assert code == 0
+    code, constant = run(tmp_path, *argv, "-j", "2")
+    assert code == 0
+    assert _results(repeated) == _results(constant)
+
+
+def test_repeated_pattern_fits_the_constants_dimension(tmp_path):
+    """Eight twos are the constant 2, so the fit averages over the window
+    log 4, not 8 log 4: the grid that fits -j 2 fits them too."""
+    argv = ["heat", "--t", "1e-9:1e-5:40log", "--fit-ds"]
+    code, repeated = run(tmp_path, *argv, "-j", "2,2,2,2,2,2,2,2")
+    assert code == 0
+    code, constant = run(tmp_path, *argv, "-j", "2")
+    assert code == 0
+    assert _results(repeated)["fit"] == _results(constant)["fit"]
+    assert _results(repeated) == _results(constant)
 
 
 def test_heat_explicit_cap_failure_is_exit_two(tmp_path):
@@ -404,7 +437,7 @@ def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("invalid input:")
 
 
-_WIDE_BLOCK = ",".join(["10"] * 310)  # P = 10^310, past the double range
+_WIDE_BLOCK = ",".join(["10"] * 309 + ["11"])  # P = 1.1 10^310, past the double range
 
 
 @pytest.mark.parametrize(
@@ -428,8 +461,9 @@ def test_block_past_the_double_range_is_refused_by_name(tmp_path, capsys, argv):
 
 
 def test_block_past_the_double_range_keeps_its_level_spectrum(tmp_path):
-    """Exact integer routes never form P as a float: below lambda = 500 the
-    310-entry pattern's spectrum is the constant 10's."""
+    """Exact integer routes never form P as a float: below lambda = 500 only
+    levels 0 and 1 enter, and j_1 = 10, so the 310-entry pattern's spectrum
+    is the constant 10's."""
     code, wide = run(tmp_path, "spectrum", "-j", _WIDE_BLOCK, "--lambda-max", "500")
     assert code == 0
     code, constant = run(tmp_path, "spectrum", "-j", "10", "--lambda-max", "500")
@@ -439,9 +473,12 @@ def test_block_past_the_double_range_keeps_its_level_spectrum(tmp_path):
 
 @pytest.mark.parametrize("entries", [238, 300])
 def test_block_inside_the_double_range_sums_its_closed_zeta(tmp_path, entries):
-    """P = 10^238 or 10^300 fits a double while its closed terms' counts do
-    not: the closed zeta is summed, not reported as an overflow."""
-    wide = ",".join(["10"] * entries)
+    """A primitive block of entries - 1 tens then an 11, P about 10^238 or
+    10^300, fits a double while its closed terms' counts do not: the closed
+    zeta is summed, not reported as an overflow.  The space is the constant
+    10's through level entries - 1, so at s = 2 and 3+1j the two agree to
+    rounding."""
+    wide = ",".join(["10"] * (entries - 1) + ["11"])
     argv = ["--s", "2", "--s", "3+1j", "--mode", "closed"]
     code, text = run(tmp_path, "zeta", "-j", wide, *argv)
     assert code == 0

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from pathlib import Path
@@ -46,8 +47,8 @@ from laakso.heatzeta import (
     _family_tail,
     _level_families,
     _level_terms,
+    _residue_terms,
     _terms_sum,
-    convergence_abscissa,
 )
 from laakso.spectrum import _family_table
 
@@ -109,13 +110,11 @@ def test_trace_validates_inputs():
     for t, tol in ((math.nan, 1e-9), (1.0, math.nan)):
         with pytest.raises(ValidationError):
             heat_trace(J2, t, tol)
-    # one level-cap rule for the trace, the direct zeta and level_spectrum
+    # one level-cap rule for the trace and level_spectrum
     prefix = parse_sequence("seq:2,3")
     for seq, cap in ((J2, -1), (prefix, -1), (prefix, 3)):
         with pytest.raises(ValidationError):
             heat_trace(seq, 1.0, 1e-9, level_cap=cap)
-        with pytest.raises(ValidationError):
-            spectral_zeta_direct(seq, 2.0, level_cap=cap)
         with pytest.raises(ValidationError):
             level_spectrum(seq, cap, 100.0)
 
@@ -338,19 +337,34 @@ def test_zeta_at_zero_is_the_limit_of_the_closed_form(spec):
         assert spectral_zeta_closed(seq, s) == pytest.approx(at_zero, rel=1e-5)
 
 
+def _prefix_zeta(seq, s):
+    """zeta_L(s) of an explicit prefix by Hurwitz zeta, one per family row:
+    keys I (step k + phase) are eigenvalues (pi I step / 2)^2 (k + phase/step)^2."""
+    total = mpmath.mpf(0)
+    for n in range(seq.max_level + 1):
+        scale, rows = _family_table(seq, n)
+        for row in rows:
+            first = max(row.kstart, 0 if row.phase else 1)  # the line's k = 0 is lambda = 0
+            offset = mpmath.mpf(row.phase) / row.step
+            c = mpmath.pi * scale * row.step / 2
+            total += row.count * c ** (-2 * s) * mpmath.zeta(2 * s, first + offset)
+    return complex(total)
+
+
 def test_explicit_direct_capped_levels():
     seq = parse_sequence("seq:2,3,2")
     value = spectral_zeta_direct(seq, 2.0)
-    reference = spectral_zeta_direct(J23, 2.0, level_cap=3)
-    assert value == pytest.approx(reference, rel=1e-12)
+    assert value == pytest.approx(_prefix_zeta(seq, 2), rel=1e-12)
 
 
 def test_capped_direct_sum_converges_past_one_half():
-    # a capped sum is finitely many families, whatever the sequence's d_s / 2
-    value = spectral_zeta_direct(parse_sequence("seq:2,3,2"), 0.8)
-    assert spectral_zeta_direct(J23, 0.8, level_cap=3) == pytest.approx(value, abs=1e-12)
+    # a prefix is finitely many families, whatever the pattern's d_s / 2
+    seq = parse_sequence("seq:2,3,2")
+    assert dimensions(J23).spectral / 2.0 > 0.8
+    value = spectral_zeta_direct(seq, 0.8)
+    assert value == pytest.approx(_prefix_zeta(seq, mpmath.mpf("0.8")), abs=1e-12)
     with pytest.raises(DivergenceError):
-        spectral_zeta_direct(J23, 0.5, level_cap=3)
+        spectral_zeta_direct(seq, 0.5)
 
 
 @given(
@@ -487,12 +501,11 @@ def test_pole_real_part_is_half_spectral_dimension(spec):
 
 @pytest.mark.parametrize("spec", ["2", "3", "5", "2,3", "2,5", "3,4", "2,3,4", "6,2"])
 def test_half_spectral_dimension_has_one_source(spec):
-    """d_s/2 is one number: the pole lattice, the direct route's abscissa and
-    the closed form's nearest pole all read dimensions(), bit for bit."""
+    """d_s/2 is one number: the pole lattice and the closed form's nearest
+    pole both read dimensions(), bit for bit."""
     seq = parse_sequence(spec)
     lattice = poles(seq)
     assert lattice.real_part == dimensions(seq).spectral / 2.0
-    assert lattice.real_part == convergence_abscissa(seq)
     assert lattice.spacing == seq.period * fine_pole_spacing(seq)
     with pytest.raises(PoleError) as err:
         spectral_zeta_closed(seq, lattice.real_part)
@@ -712,39 +725,84 @@ def test_oscillation_log_period_values():
 
 
 def test_doubled_pattern_is_the_same_space():
-    """{2,2} describes the constant-2 space; every analytic quantity agrees.
+    """{2,2} describes the constant-2 space and is stored as its block 2.
 
-    In particular the doubled representation's extra candidate pole points
-    (interleaved at pi/log4) must carry vanishing residues, or the
-    expansion would diverge from the true trace.
+    So every analytic quantity is the constant's, bit for bit, and the
+    doubled pattern's extra candidate pole points (interleaved at pi/log4,
+    where a doubled block would need vanishing residues) never enter the
+    expansion.
     """
     j22 = parse_sequence("2,2")
+    assert j22 == J2 and hash(j22) == hash(J2)
     for s in (1.5, 2.0, 3.0):
-        assert spectral_zeta_closed(j22, s) == pytest.approx(
-            spectral_zeta_closed(J2, s), rel=1e-12
-        )
-    interleaved = complex(1.0, math.pi / math.log(4.0))
-    assert abs(residue_coefficient(j22, interleaved, "dominant")) < 1e-14
+        assert spectral_zeta_closed(j22, s) == spectral_zeta_closed(J2, s)
+    interleaved = math.pi / math.log(4.0)
+    assert fine_pole_spacing(j22) == 2.0 * interleaved
+    assert all(round(s.imag / interleaved) % 2 == 0 for s, _ in _residue_terms(j22))
     for t in (1e-8, 1e-6):
-        a = heat_trace_asymptote(j22, t)
-        b = heat_trace_asymptote(J2, t)
-        assert a == pytest.approx(b, rel=1e-11)
-        assert heat_trace(j22, t, 1e-10).z == pytest.approx(
-            heat_trace(J2, t, 1e-10).z, rel=1e-12
-        )
+        assert heat_trace_asymptote(j22, t) == heat_trace_asymptote(J2, t)
+        assert heat_trace(j22, t, 1e-10).z == heat_trace(J2, t, 1e-10).z
+
+
+def test_repeated_pattern_has_the_residue_terms_of_its_block():
+    """1000 twos are the constant 2: the residue expansion keeps the 6 terms
+    of the lattice pi / log 2, not the 1000-fold finer lattice of the
+    pattern as written."""
+    thousand = parse_sequence(",".join(["2"] * 1000))
+    assert _residue_terms(thousand) == _residue_terms(J2)
+    assert len(_residue_terms(thousand)) == 6
 
 
 @pytest.mark.parametrize(
     "entries, constant", [(238, "10"), (300, "10"), (1000, "2")], ids=["10x238", "10x300", "2x1000"]
 )
 def test_wide_block_inside_the_double_range_is_the_constant_space(entries, constant):
-    """Blocks P = 10^238, 10^300 and 2^1000 fit a double, but their closed
-    terms' counts do not: those enter through their logarithms.  At s = 0
-    the ratio w = 2^p P is past the range too, and is divided out of its
-    series first.  Every value is the constant sequence's."""
+    """A pattern that repeats one entry is the constant sequence itself, so
+    its block is that entry, not 10^238, 10^300 or 2^1000, and every value
+    is the constant's, bit for bit."""
     wide = parse_sequence(",".join([constant] * entries))
     narrow = parse_sequence(constant)
+    assert wide == narrow and wide.block == int(constant)
     for s in (2.0, 3.0 + 1.0j):
-        expected = spectral_zeta_closed(narrow, s)
-        assert abs(spectral_zeta_closed(wide, s) - expected) <= 1e-13 * abs(expected)
-    assert zeta_at_zero(wide) == pytest.approx(zeta_at_zero(narrow), rel=1e-12)
+        assert spectral_zeta_closed(wide, s) == spectral_zeta_closed(narrow, s)
+    assert zeta_at_zero(wide) == zeta_at_zero(narrow)
+
+
+def _exact_zeta_at_zero(seq):
+    """zeta_L(0) = -bracket(0)/2 (zeta_R(0) = -1/2) in exact arithmetic.
+
+    At s = 0 a level term is its count sum a + b.  Each level's sum from 2
+    on splits as d + e, and a period maps it to 2^p (P d + e), so two
+    periods of the family table fix d and e, and the continued series
+    are sums over 1 - 2^p P and 1 - 2^p.
+    """
+    p, block = seq.period, seq.block
+
+    def count(n):
+        _, a, b = _level_terms(seq, n)
+        return a + b
+
+    bracket = Fraction(count(0) + count(1))
+    for n in range(2, p + 2):
+        d = Fraction(count(n + p) - 2**p * count(n), 2**p * (block - 1))
+        bracket += d / (1 - 2**p * block) + (count(n) - d) / (1 - 2**p)
+    return -bracket / 2
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [["10"] * 239 + ["11"], ["10"] * 299 + ["11"]],
+    ids=["10x239,11", "10x299,11"],
+)
+def test_primitive_wide_block_sums_its_closed_zeta(pattern):
+    """Primitive blocks near 10^240 and 10^300 fit a double, but
+    their closed terms' counts do not: those enter through their
+    logarithms.  At s = 0 the ratio w = 2^p P is past the range too, and is
+    divided out of its series first.  The direct route and exact
+    arithmetic check both."""
+    seq = parse_sequence(",".join(pattern))
+    assert seq.period == len(pattern)
+    for s in (2.0, 3.0 + 1.0j):
+        closed = spectral_zeta_closed(seq, s)
+        assert abs(spectral_zeta_direct(seq, s) - closed) <= 1e-13 * abs(closed)
+    assert zeta_at_zero(seq) == pytest.approx(float(_exact_zeta_at_zero(seq)), rel=1e-12)

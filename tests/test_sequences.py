@@ -68,6 +68,30 @@ def test_spec_string_round_trips(seq):
     assert parse_sequence(seq.spec_string()) == seq
 
 
+def test_periodic_pattern_is_its_primitive_block():
+    """A periodic pattern is stored as its shortest repeating block, so every
+    spelling of one space is one value; an explicit prefix stays as written."""
+    assert parse_sequence("2,2") == parse_sequence("2")
+    assert hash(parse_sequence("2,2,2")) == hash(parse_sequence("2"))
+    assert JSequence("periodic", (10,) * 300) == parse_sequence("10")
+    assert parse_sequence("2,3,2,3").spec_string() == "2,3"
+    assert parse_sequence("2,3,2").values == (2, 3, 2)
+    assert parse_sequence("2,3,2,2,3,2").values == (2, 3, 2)
+    assert parse_sequence("seq:2,2").values == (2, 2)
+    assert parse_sequence("seq:2,2") != parse_sequence("seq:2")
+
+
+@given(patterns, st.integers(min_value=1, max_value=4))
+def test_repeated_pattern_is_the_same_value(values, times):
+    seq = parse_sequence(",".join(map(str, values)))
+    assert parse_sequence(",".join(map(str, values * times))) == seq
+    assert len(values) % seq.period == 0
+    assert seq.values * (len(values) // seq.period) == tuple(values)
+    # and no shorter block divides the stored one
+    for p in range(1, seq.period):
+        assert seq.period % p or seq.values[p:] != seq.values[:-p]
+
+
 # -- level info --------------------------------------------------------------
 
 
@@ -180,7 +204,7 @@ def test_dimensions_explicit_needs_pattern():
 def test_contraction_limit_power_identity(values):
     seq = parse_sequence(",".join(map(str, values)))
     r = dimensions(seq).r
-    assert r ** seq.period == pytest.approx(math.prod(values), rel=1e-12)
+    assert r ** len(values) == pytest.approx(math.prod(values), rel=1e-12)
 
 
 @given(patterns)

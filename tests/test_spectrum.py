@@ -17,8 +17,8 @@ from laakso import (
     full_spectrum,
     level_spectrum,
     parse_sequence,
-    shape_spectrum,
 )
+from laakso.spectrum import _family_table
 
 TABLE1_MULTIPLICITIES = [1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3]
 
@@ -28,49 +28,63 @@ sequences = st.sampled_from(["2", "3", "2,3", "3,2", "4", "2,3,4"])
 # -- per-shape families ------------------------------------------------------
 
 
+def _family_keys(table, shape, level):
+    """(key m, copies) of one family at one level, read off the contributions."""
+    return [
+        (e.m, c.count)
+        for e in table.entries
+        for c in e.contributions
+        if (c.shape, c.level) == (shape, level)
+    ]
+
+
 def test_v_family_alternating_level_one():
     # I_1 = 2: modes (2k+1)^2 pi^2 I_1^2 / 4 = pi^2, 9 pi^2, 25 pi^2, ...
     seq = parse_sequence("2,3")
-    assert shape_spectrum("V", seq, 1, 100.0) == [(2, 2), (6, 2)]
-    assert shape_spectrum("V", seq, 1, 50.0) == [(2, 2)]
+    assert _family_keys(full_spectrum(seq, 100.0), "V", 1) == [(2, 2), (6, 2)]
+    assert _family_keys(full_spectrum(seq, 50.0), "V", 1) == [(2, 2)]
 
 
 def test_loop_family_empty_for_constant_two():
-    seq = parse_sequence("2")
-    for n in (1, 2, 3, 5):
-        assert shape_spectrum("loop", seq, n, math.inf if n > 3 else 1e9) == []
+    table = full_spectrum(parse_sequence("2"), 1e9)
+    assert all(c.shape != "loop" for e in table.entries for c in e.contributions)
 
 
 @pytest.mark.parametrize("lambda_max", [math.inf, math.nan, -1.0])
-def test_shape_spectrum_refuses_bad_bound(lambda_max):
+def test_table_refuses_bad_bound(lambda_max):
     with pytest.raises(ValidationError):
-        shape_spectrum("V", parse_sequence("2"), 1, lambda_max)
+        full_spectrum(parse_sequence("2"), lambda_max)
+    with pytest.raises(ValidationError):
+        level_spectrum(parse_sequence("2"), 3, lambda_max)
 
 
 def test_quarter_cross_family():
     seq = parse_sequence("2,3")
-    assert shape_spectrum("cross-quarter", seq, 2, 360.0) == [(6, 1), (12, 1)]
-    assert shape_spectrum("cross-quarter", seq, 2, 100.0) == [(6, 1)]
+    assert _family_keys(full_spectrum(seq, 360.0), "cross-quarter", 2) == [(6, 1), (12, 1)]
+    assert _family_keys(full_spectrum(seq, 100.0), "cross-quarter", 2) == [(6, 1)]
 
 
 def test_full_cross_is_double_of_quarter_per_cross():
     seq = parse_sequence("3,2")
+    table = full_spectrum(seq, 1e6)
     for n in (2, 3, 4):
-        full = dict(shape_spectrum("cross-full", seq, n, 1e6))
-        quarter = dict(shape_spectrum("cross-quarter", seq, n, 1e6))
+        full = dict(_family_keys(table, "cross-full", n))
+        quarter = dict(_family_keys(table, "cross-quarter", n))
         assert set(full.values()) == {2 * next(iter(quarter.values()))}
 
 
 def test_shape_level_compatibility():
-    seq = parse_sequence("2,3")
-    with pytest.raises(ValidationError):
-        shape_spectrum("line", seq, 1, 10.0)
-    with pytest.raises(ValidationError):
-        shape_spectrum("V", seq, 0, 10.0)
-    with pytest.raises(ValidationError):
-        shape_spectrum("cross-full", seq, 1, 10.0)
-    with pytest.raises(ValidationError):
-        shape_spectrum("pentagon", seq, 1, 10.0)
+    """The line lives at level 0 only, V and loop families from level 1,
+    both cross families from level 2."""
+    table = full_spectrum(parse_sequence("2,3"), 1e5)
+    first_level = {"line": 0, "V": 1, "loop": 1, "cross-full": 2, "cross-quarter": 2}
+    seen = set()
+    for e in table.entries:
+        for c in e.contributions:
+            assert c.level >= first_level[c.shape]
+            assert c.shape != "line" or c.level == 0
+            seen.add((c.shape, c.level))
+    assert {("line", 0), ("V", 1), ("loop", 2), ("cross-full", 2), ("cross-quarter", 2)} <= seen
 
 
 # -- merged tables -----------------------------------------------------------
@@ -156,6 +170,8 @@ def test_explicit_prefix_caps_levels():
     seq = parse_sequence("seq:2,3,2")
     table = full_spectrum(seq, 4000.0)
     assert table.level_cap == 3
+    # the cap is the prefix's whether or not lambda_max reaches its last level
+    assert full_spectrum(seq, 10.0).level_cap == 3
     reference = level_spectrum(parse_sequence("2,3"), 3, 4000.0)
     assert [(e.m, e.multiplicity) for e in table.entries] == [
         (e.m, e.multiplicity) for e in reference.entries
@@ -219,16 +235,15 @@ def test_aggregation_matches_per_family_recount(spec, lam):
     """Coincident keys merge across families with nothing lost."""
     seq = parse_sequence(spec)
     table = full_spectrum(seq, lam)
-    recount: dict[int, int] = {0: 1}
-    for m, count in shape_spectrum("line", seq, 0, lam):
-        if m:
-            recount[m] = recount.get(m, 0) + count
-    n = 1
-    while eigenvalue_of_key(seq.scale(n)) <= lam:
-        shapes = ["V", "loop"] if n == 1 else ["V", "loop", "cross-full", "cross-quarter"]
-        for shape in shapes:
-            for m, count in shape_spectrum(shape, seq, n, lam):
-                recount[m] = recount.get(m, 0) + count
+    recount: dict[int, int] = {}
+    n = 0
+    while n == 0 or eigenvalue_of_key(seq.scale(n)) <= lam:
+        scale, rows = _family_table(seq, n)
+        for row in rows:
+            k = row.kstart
+            while eigenvalue_of_key(m := scale * (row.step * k + row.phase)) <= lam:
+                if row.count:
+                    recount[m] = recount.get(m, 0) + row.count
+                k += 1
         n += 1
     assert {e.m: e.multiplicity for e in table.entries} == recount
-
