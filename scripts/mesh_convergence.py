@@ -22,7 +22,7 @@ from laakso import (
     lowest_eigenvalues,
     parse_sequence,
 )
-from laakso.graphs import build_graph
+from laakso.graphs import _chain_factor, build_graph
 
 
 def main() -> None:
@@ -53,7 +53,8 @@ def main() -> None:
     errors = {}
     for m in meshes:
         matrix = discretize(graph, m)
-        raw = lowest_eigenvalues(matrix, min(args.k, matrix.dimension - 1)).values
+        k = min(args.k, matrix.dimension - 1)
+        raw = lowest_eigenvalues(matrix, k, factor=_chain_factor(graph, m)).values
         mapped = continuum_eigenvalues(graph, m, raw)
         errors[m] = [
             (np.abs(raw - lam).min() / lam, np.abs(mapped - lam).min() / lam)

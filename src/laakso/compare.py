@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graphs import build_graph, continuum_eigenvalues, discretize, trust_cutoff
+from .graphs import _chain_factor, build_graph, continuum_eigenvalues, discretize, trust_cutoff
 from .sequences import JSequence, level_info
 from .solver import cluster_multiplicities, lowest_eigenvalues
 from .spectrum import eigenvalue_of_key, level_spectrum
@@ -104,7 +104,8 @@ def compare_spectra(
         widest = max(widest, min(e.multiplicity, k - running))
         running += e.multiplicity
     block = min(widest + 4, k + 8)
-    result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block)
+    factor = _chain_factor(graph, points_per_edge)
+    result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block, factor=factor)
 
     mapped = continuum_eigenvalues(graph, points_per_edge, result.values)
     keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)

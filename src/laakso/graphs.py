@@ -17,6 +17,8 @@ Below's relation is exact (von Below 1985; Berkolaiko-Kuchment 2013): each
 continuum eigenvalue k^2 with k h < pi is the mesh eigenvalue
 (4/h^2) sin^2(k h / 2), with its multiplicity.  continuum_eigenvalues maps
 back, and trust_cutoff stops at k h = 0.8 pi, short of the Nyquist point.
+Every edge carries the same m-point chain, so _chain_factor solves the
+shifted operator by eliminating the chains onto the vertices of F_n.
 
 numpy is imported on first use (the graph and mesh arrays) and scipy on
 first use of the mesh route (CSR assembly and conversion), so importing this
@@ -197,6 +199,70 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     rows = np.repeat(np.arange(stiffness.shape[0]), np.diff(stiffness.indptr))
     stiffness.data *= inv_sqrt[rows] * inv_sqrt[stiffness.indices]
     return SparseSymmetricMatrix.from_csr(stiffness)
+
+
+def _chain_factor(graph: MetricGraph, points_per_edge: int):
+    """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
+    A = discretize(graph, points_per_edge) and any sigma < 0.
+
+    The m interior points of every edge form the same m x m tridiagonal
+    block C = (2/h^2 - sigma) I - (1/h^2) (off-diagonals), tied to its end
+    vertices u, v only through its first and last point, with weights
+    c = -(1/h^2) sqrt(2/deg).  Eliminating the E chains leaves a V x V
+    Schur complement on the vertices of F_n: (2/h^2 - sigma) I less, per
+    edge, c_u^2 C^-1_00 at (u, u), c_v^2 C^-1_(m-1,m-1) at (v, v) and
+    c_u c_v C^-1_(0,m-1) at (u, v) and (v, u).  C is factored once by
+    LAPACK's tridiagonal Cholesky (pttrf) and serves every chain, at a few
+    flops per point for any m; the Schur complement is factored once by
+    SuperLU.  A solve is the chains' end values, one vertex solve, and one
+    sweep of C over the chains, one right-hand side column at a time.
+    """
+    if points_per_edge < 1:
+        raise ValidationError(f"points_per_edge {points_per_edge} < 1")
+    import numpy as np
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
+
+    m = points_per_edge
+    nv, ne = graph.vertex_count, graph.edge_count
+    inv_h2 = 1.0 / mesh_spacing(graph, m) ** 2
+    u, v = graph.edges[:, 0], graph.edges[:, 1]
+    c = -inv_h2 * np.sqrt(2.0 / np.bincount(graph.edges.ravel(), minlength=nv))
+    # couple[w, 2e + end]: vertex w's weight on chain e's first (end 0) or last point
+    ends_of = np.arange(2 * ne).reshape(2, ne, order="F").ravel()
+    couple = sp.csr_matrix(
+        (np.concatenate((c[u], c[v])), (np.concatenate((u, v)), ends_of)), shape=(nv, 2 * ne)
+    )
+
+    def factor(sigma: float):
+        diagonal = 2.0 * inv_h2 - sigma
+        # the wrapper wants at least one off-diagonal entry; m = 1 never reads it
+        d, e, _ = lapack.dpttrf(np.full(m, diagonal), np.full(max(m - 1, 1), -inv_h2))
+        unit = np.zeros((m, 2), order="F")
+        unit[0, 0] = unit[-1, 1] = 1.0
+        ends, _ = lapack.dpttrs(d, e, unit)  # C^-1 columns 0 and m - 1
+        per_edge = sp.kron(sp.identity(ne), ends[[0, -1]])  # C^-1 at (first, last)^2
+        schur = diagonal * sp.identity(nv) - couple @ per_edge @ couple.T
+        lu = spla.splu(schur.tocsc())
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            w = b.shape[1]
+            # C^-1 b at each chain's two ends, as (2E, w) in couple's column order
+            chain_ends = (b[nv:].T.reshape(w, ne, m) @ ends).reshape(w, 2 * ne).T
+            x = np.array(b, order="F")
+            x[:nv] = lu.solve(b[:nv] - couple @ chain_ends)
+            pull = couple.T @ x[:nv]
+            chains = x[nv:].T.reshape(w, ne, m)
+            chains[:, :, 0] -= pull[0::2].T
+            chains[:, :, -1] -= pull[1::2].T
+            for j in range(w):
+                lapack.dpttrs(d, e, x[nv:, j].reshape(m, ne, order="F"), overwrite_b=True)
+            return x
+
+        return solve
+
+    return factor
 
 
 def mesh_spacing(graph: MetricGraph, points_per_edge: int) -> float:

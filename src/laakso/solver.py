@@ -1,14 +1,18 @@
 """Lowest eigenvalues of sparse symmetric PSD matrices, and their multiplicities.
 
 One path serves every dimension, a block shift-invert Krylov iteration:
-the matrix is shifted negative (it is PSD, so A - sigma I is definite),
-factorized once with sparse LU, and a block Krylov basis of the inverse is
-grown with full reorthogonalization until Rayleigh-Ritz residuals certify
-the requested pairs.  Blocks are essential here: the mesh Laplacians have
-exactly degenerate eigenvalues (one copy per congruent shape), and a
-single-vector Krylov space contains only one direction per eigenspace, so
-multiplicities would come out short.  The starting block is deterministic (all-ones first
-column, seeded Gaussian fill) so runs reproduce bit for bit.
+the matrix is shifted just below zero, sigma = -1e-4 scale (it is PSD, so
+A - sigma I is definite), factorized once, and a block Krylov basis of the
+inverse is grown with full reorthogonalization until Rayleigh-Ritz
+residuals certify the requested pairs.  The factorization is SuperLU on
+the assembled matrix unless the caller passes a `factor`: the mesh callers
+pass graphs._chain_factor, which solves the identical edge chains of the
+mesh together and factors only a Schur complement on the graph's
+vertices.  Blocks are essential here: the mesh Laplacians have exactly
+degenerate eigenvalues (one copy per congruent shape), and a single-vector
+Krylov space contains only one direction per eigenspace, so multiplicities
+would come out short.  The starting block is deterministic (all-ones
+first column, seeded Gaussian fill) so runs reproduce bit for bit.
 
 The basis lives in one preallocated Fortran-order dim x max_basis buffer,
 and the projected matrices T = basis.T A basis and G = basis.T A^2 basis
@@ -17,10 +21,11 @@ A times the basis is never stored.  Each step estimates every Ritz
 residual from the projection alone, ||A x - theta x||^2 = y'Gy - theta^2
 for the Ritz vector x = basis y; only when every estimate is within
 rounding of the tolerance (or the basis is full) are the k Ritz vectors
-formed and their explicit residuals, the certificate, computed.  A step
-whose explicit residuals fail goes on growing the basis.  New blocks are
+formed (transposed, as (y' basis')', which needs no BLAS scratch beyond
+the result) and their explicit residuals, the certificate, computed.  A
+step whose explicit residuals fail goes on growing the basis.  New blocks are
 orthonormalized by Cholesky-QR2, with Householder QR as the error path.
-Memory is therefore about one dim x max_basis buffer plus the LU factors.
+Memory is therefore about one dim x max_basis buffer plus the factors.
 
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
@@ -35,7 +40,8 @@ numpy is imported on first use and scipy on the first call of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from numbers import Integral
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ValidationError
 from .graphs import SparseSymmetricMatrix
@@ -45,6 +51,13 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x max_basis buffer: 1 GiB
+# sigma / scale.  Nearer 0 the wanted eigenvalues separate better under
+# (A - sigma I)^-1: one to four Krylov steps fewer than at -1e-3 on the
+# benchmark meshes and at levels 6 and 7.  Deeper shifts save no further
+# step there, while the solve's rounding grows with the condition number
+# 2 scale / |sigma|: the largest error against eigvalsh on 3,4 at level 2
+# (m = 1, all 77 pairs) is 3e-11 here, 3e-10 at -1e-5 and 4e-9 at -1e-6.
+_SHIFT = -1e-4
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,18 @@ def _matrix_scale(a: sp.csr_matrix) -> float:
 
     scale = float(np.abs(a.diagonal()).max())
     return scale if scale > 0 else 1.0
+
+
+def _superlu_factor(a: sp.csr_matrix):
+    """factor(sigma) -> solve(B) = (a - sigma I)^-1 B by SuperLU on the assembled matrix."""
+
+    def factor(sigma: float):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        return spla.splu((a - sigma * sp.identity(a.shape[0], format="csr")).tocsc()).solve
+
+    return factor
 
 
 def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
@@ -127,6 +152,7 @@ def lowest_eigenvalues(
     *,
     seed: int | None = None,
     block_size: int = 32,
+    factor: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None,
 ) -> EigenResult:
     """The k algebraically smallest eigenvalues with residual certificates.
 
@@ -135,10 +161,16 @@ def lowest_eigenvalues(
     is capped at max(5k, k + 15 block_size) columns; on exhaustion the
     converged part is returned with k_converged < k rather than raising.
     A basis of more than 2^27 doubles (1 GiB) is refused before the
-    factorization.
+    factorization.  `factor(sigma)` returns solve(B) = (matrix - sigma I)^-1 B
+    for a sigma < 0; None factors the assembled matrix with SuperLU.
     """
     import numpy as np
 
+    for name, value in (("k", k), ("block_size", block_size)):
+        if not isinstance(value, Integral):
+            raise ValidationError(f"{name} {value!r} is not an integer")
+    if seed is not None and not (isinstance(seed, Integral) and seed >= 0):
+        raise ValidationError(f"seed {seed!r} must be an integer >= 0")
     if k < 1:
         raise ValidationError(f"k {k} < 1")
     dim = matrix.dimension
@@ -155,13 +187,9 @@ def lowest_eigenvalues(
             f"a {dim} x {max_basis} basis exceeds {_MAX_BASIS_ENTRIES} doubles; "
             "lower k or the dimension"
         )
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     a = matrix.to_csr()
     scale = _matrix_scale(a)
-    sigma = -1e-3 * scale
-    lu = spla.splu((a - sigma * sp.identity(dim, format="csr")).tocsc())
+    solve = (factor or _superlu_factor(a))(_SHIFT * scale)
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
     basis = np.empty((dim, max_basis), order="F")
@@ -194,14 +222,14 @@ def lowest_eigenvalues(
         square = (np.einsum("ij,ij->j", y, g[:n, :n] @ y) - theta**2).max()
         history.append(np.sqrt(max(square, 0.0)) / scale)
         if n >= max_basis or (n >= k and square <= (tol * scale) ** 2 + floor):
-            x = v @ y
+            x = (y.T @ v.T).T  # transposed, like _project_out: no BLAS scratch
             res = a @ x
             x *= theta
             res -= x
             res = np.linalg.norm(res, axis=0) / scale
             if n >= max_basis or np.all(res <= tol):
                 break
-        q = _orthonormalize(lu.solve(q), v, rng)[:, : max_basis - n]
+        q = _orthonormalize(solve(q), v, rng)[:, : max_basis - n]
         steps += 1
 
     return EigenResult(

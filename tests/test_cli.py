@@ -429,6 +429,7 @@ def test_config_echoed(tmp_path):
         ["compare", "-j", "2,3", "-n", "5", "-m", "8", "-k", "20000"],
         ["spectrum", "-j", "2", "--count", "1" + "0" * 400],
         ["spectrum", "-j", "2", "--count", "262145"],
+        ["compare", "-j", "2,3", "-n", "2", "-m", "8", "-k", "20", "--seed", "-1"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import laakso.compare
 from laakso import (
     build_graph,
     compare_spectra,
@@ -36,9 +37,10 @@ def test_every_trusted_cluster_matches(spec, level):
 
 
 @pytest.mark.parametrize("spec", ["4", "2,4"])
-def test_loop_heavy_constructions(spec):
+def test_loop_heavy_constructions(spec, monkeypatch):
     """j = 4 steps put two loops on every parent cell; the pipeline must
-    still reproduce the merged table exactly."""
+    still reproduce the merged table exactly, and SuperLU on the assembled
+    matrix in place of the chain factor gives the same keys and copies."""
     seq = parse_sequence(spec)
     mesh = 20  # cutoff must clear the level-2 onset pi^2 I_2^2 / 4
     graph = build_graph(seq, 2)
@@ -50,6 +52,34 @@ def test_loop_heavy_constructions(spec):
     assert report.all_multiplicities_match
     assert report.max_relative_error <= 0.005
     assert len(report.rows) >= 6
+    monkeypatch.setattr(laakso.compare, "_chain_factor", lambda graph, m: None)
+    superlu = compare_spectra(seq, 2, mesh, k)
+
+    def keys(report):
+        return [(r.analytic_value, r.numeric_multiplicity) for r in report.rows]
+
+    assert keys(superlu) == keys(report)
+    assert [n for _, n in superlu.clusters] == [n for _, n in report.clusters]
+
+
+def test_one_solver_call_on_the_discretized_matrix(monkeypatch):
+    """compare_spectra reaches the solver once, by its module-level name and
+    with the discretize matrix, so a wrapper bound to that name (as a
+    profiler's span would be) sees every mesh solve."""
+    calls = []
+    solve = laakso.compare.lowest_eigenvalues
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(matrix)
+        return solve(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", spy)
+    seq = parse_sequence("2,3")
+    compare_spectra(seq, 2, 4, 20)
+    assert len(calls) == 1
+    expected = discretize(build_graph(seq, 2), 4)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(calls[0], field), getattr(expected, field))
 
 
 def test_deeper_level_at_scale():

@@ -17,7 +17,8 @@ from laakso import (
     parse_sequence,
     shape_census,
 )
-from laakso.graphs import _subdivide
+from laakso.graphs import _chain_factor, _subdivide
+from laakso.solver import _SHIFT, _superlu_factor
 from conftest import brute_force_census
 
 SEQS = ["2", "3", "2,3", "3,2"]
@@ -223,6 +224,32 @@ def test_mesh_convergence_second_order():
         observed = a / np.maximum(b, 1e-14)
         good = observed > 0.8 * h_ratio_sq
         assert good.mean() >= 0.8  # bulk of modes contract at second order
+
+
+@pytest.mark.parametrize("shift", [-1.0, _SHIFT])
+@pytest.mark.parametrize(
+    "spec, level, m",
+    [
+        ("2", 0, 5),  # an interval: both ends of degree 1
+        ("2", 1, 1),  # one point per edge: each chain's first point is its last
+        ("3,4", 2, 3),  # parallel edges
+        ("2,3", 3, 8),
+    ],
+)
+def test_chain_factor_solves_like_superlu(spec, level, m, shift):
+    """The chain-condensed solve equals SuperLU's on the assembled matrix.
+    Both carry rounding of about eps times the condition number
+    kappa = 1 + 2 / |shift| of A - shift scale I: 3 at shift -1 (where they
+    agree to 4e-16), 2e4 at the solver's shift (1.4e-12)."""
+    graph = build_graph(parse_sequence(spec), level)
+    a = discretize(graph, m).to_csr()
+    sigma = shift * np.abs(a.diagonal()).max()
+    b = np.asfortranarray(np.random.default_rng(3).standard_normal((a.shape[0], 7)))
+    chain = _chain_factor(graph, m)(sigma)(b)
+    superlu = _superlu_factor(a)(sigma)(b)
+    kappa = 1.0 + 2.0 / abs(shift)
+    tol = 4 * np.finfo(float).eps * kappa
+    assert np.linalg.norm(chain - superlu) <= tol * np.linalg.norm(superlu)
 
 
 def test_matrix_market_export(tmp_path):

@@ -56,6 +56,11 @@ def test_validation():
         lowest_eigenvalues(mat, 2, block_size=0)
     with pytest.raises(ValidationError):
         lowest_eigenvalues(mat, 2, block_size=-3)
+    for bad in (dict(block_size=2.5), dict(seed=-1), dict(seed=1.5), dict(seed="1")):
+        with pytest.raises(ValidationError):
+            lowest_eigenvalues(mat, 2, **bad)
+    with pytest.raises(ValidationError):
+        lowest_eigenvalues(mat, 5.0)
 
 
 def test_oracle_equivalence_dense_vs_iterative():
