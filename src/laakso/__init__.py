@@ -21,7 +21,6 @@ from .graphs import (
     build_graph,
     continuum_eigenvalues,
     discretize,
-    discretize_weighted,
     mesh_spacing,
     trust_cutoff,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "counting_function",
     "dimensions",
     "discretize",
-    "discretize_weighted",
     "eigenvalue_of_key",
     "estimate_spectral_dimension",
     "fine_pole_spacing",

@@ -104,8 +104,11 @@ def _emit(args, payload: dict, csv_rows: list[list] | None, csv_header: list[str
             writer.writerow(row)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ValidationError(f"cannot write --out {args.out}: {err.strerror or err}") from None
     else:
         sys.stdout.write(text)
 

@@ -8,17 +8,16 @@ array routine, _subdivide, splits the edges, both for F_n and for its mesh
 (m + 1 pieces per edge, no duplicate).
 
 The Laplacian -d^2/dx^2 with Kirchhoff vertex conditions is discretized by
-putting m interior mesh points on each edge (spacing h = L/(m+1)) and
-assembling the mass-weighted second-difference operator: stiffness links of
-weight 1/h, diagonal mass h at interior points and deg*h/2 at vertices.  The
-returned operator M^(-1/2) K M^(-1/2) is, as M = (h/2) D, 2/h^2 times the
-normalized Laplacian of F_n subdivided into edges of length h.  So von
-Below's relation is exact (von Below 1985; Berkolaiko-Kuchment 2013): each
-continuum eigenvalue k^2 with k h < pi is the mesh eigenvalue
-(4/h^2) sin^2(k h / 2), with its multiplicity.  continuum_eigenvalues maps
-back, and trust_cutoff stops at k h = 0.8 pi, short of the Nyquist point.
-Every edge carries the same m-point chain, so _chain_factor solves the
-shifted operator by eliminating the chains onto the vertices of F_n.
+putting m interior mesh points on each edge (spacing h = L/(m+1)), and
+discretize assembles the mass-weighted operator M^(-1/2) K M^(-1/2) in one
+pass.  As M = (h/2) D, it is 2/h^2 times the normalized Laplacian of F_n
+subdivided into edges of length h.  So von Below's relation is exact (von
+Below 1985; Berkolaiko-Kuchment 2013): each continuum eigenvalue k^2 with
+k h < pi is the mesh eigenvalue (4/h^2) sin^2(k h / 2), with its
+multiplicity.  continuum_eigenvalues maps back, and trust_cutoff stops at
+k h = 0.8 pi, short of the Nyquist point.  Every edge carries the same
+m-point chain, so _chain_factor solves the shifted operator by eliminating
+the chains onto the vertices of F_n.
 
 numpy is imported on first use (the graph and mesh arrays) and scipy on
 first use of the mesh route (CSR assembly and conversion), so importing this
@@ -29,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TYPE_CHECKING
 
 from .errors import ValidationError
@@ -56,13 +56,6 @@ class MetricGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def to_edge_list_text(self) -> str:
-        """Header "<vertices> <edges>", then one "u v length" per line."""
-        lines = [f"{self.vertex_count} {self.edge_count}"]
-        for u, v in self.edges.tolist():
-            lines.append(f"{u} {v} {self.edge_length!r}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class SparseSymmetricMatrix:
@@ -80,11 +73,6 @@ class SparseSymmetricMatrix:
             (self.data, self.indices, self.indptr),
             shape=(self.dimension, self.dimension),
         )
-
-    def to_matrix_market(self, path) -> None:
-        from scipy.io import mmwrite
-
-        mmwrite(str(path), self.to_csr().tocoo())
 
     @staticmethod
     def from_csr(mat: sp.csr_matrix) -> "SparseSymmetricMatrix":
@@ -114,8 +102,8 @@ def _subdivide(ends: np.ndarray, vertex_count: int, pieces: int) -> np.ndarray:
 
 def build_graph(seq: JSequence, n: int) -> MetricGraph:
     """Construct F_n by n rounds of subdivide, duplicate, identify."""
-    if n < 0:
-        raise ValidationError(f"level {n} < 0")
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValidationError(f"level {n!r} must be an integer >= 0")
     import numpy as np
 
     vertex_count = 2
@@ -140,70 +128,50 @@ def build_graph(seq: JSequence, n: int) -> MetricGraph:
     )
 
 
-def _assemble(graph: MetricGraph, points_per_edge: int):
-    """Stiffness matrix and mass diagonal of the mesh (generalized form)."""
-    if points_per_edge < 1:
-        raise ValidationError(f"points_per_edge {points_per_edge} < 1")
+def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatrix:
+    """Ordinary symmetric operator M^(-1/2) K M^(-1/2) of the mesh with
+    m = points_per_edge interior points per edge, spacing h = mesh_spacing.
+
+    K, the stiffness matrix, has weight -1/h on each mesh link and deg/h on
+    the diagonal, so its rows sum to zero; M, the mass diagonal, is h at an
+    interior point and deg*h/2 at a vertex of F_n.  Interior rows reduce to
+    the standard second difference (2u_i - u_{i-1} - u_{i+1})/h^2; a
+    degree-d vertex row enforces the Kirchhoff zero-derivative-sum
+    condition.  The kernel vector is sqrt(M) * 1, not the plain constant.
+    """
+    if not (isinstance(points_per_edge, Integral) and points_per_edge >= 1):
+        raise ValidationError(f"points_per_edge {points_per_edge!r} must be an integer >= 1")
     import numpy as np
     import scipy.sparse as sp
 
-    m = points_per_edge
     nv = graph.vertex_count
-    ne = graph.edge_count
-    h = graph.edge_length / (m + 1)
-    dim = nv + ne * m
+    h = mesh_spacing(graph, points_per_edge)
+    dim = nv + graph.edge_count * points_per_edge
 
     # chain along edge e: u, nv+e*m, ..., nv+e*m+m-1, v
-    links = _subdivide(graph.edges, nv, m + 1)
-    rows, cols = links[:, 0], links[:, 1]
-
-    # off-diagonal links of weight -1/h both ways, degree * 1/h on the diagonal
-    w = 1.0 / h
-    deg = np.bincount(np.concatenate((rows, cols)), minlength=dim)
+    links = _subdivide(graph.edges, nv, points_per_edge + 1)
     diagonal = np.arange(dim)
-    stiffness = sp.csr_matrix(
-        (
-            np.concatenate((np.full(2 * rows.size, -w), w * deg)),
-            (np.concatenate((rows, cols, diagonal)), np.concatenate((cols, rows, diagonal))),
-        ),
-        shape=(dim, dim),
-    )
-
+    rows = np.concatenate((links[:, 0], links[:, 1], diagonal))
+    cols = np.concatenate((links[:, 1], links[:, 0], diagonal))
+    deg = np.bincount(links.ravel(), minlength=dim)
     mass = np.full(dim, h)
     mass[:nv] = deg[:nv] * (h / 2.0)
-    return stiffness, mass
-
-
-def discretize_weighted(
-    graph: MetricGraph, points_per_edge: int
-) -> tuple[SparseSymmetricMatrix, np.ndarray]:
-    """Stiffness matrix K and mass diagonal M of the generalized problem
-    K x = lambda M x.  K is symmetric, positive semidefinite, and has zero
-    row sums (it annihilates constants)."""
-    stiffness, mass = _assemble(graph, points_per_edge)
-    return SparseSymmetricMatrix.from_csr(stiffness), mass
-
-
-def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatrix:
-    """Ordinary symmetric operator M^(-1/2) K M^(-1/2).
-
-    Interior rows reduce to the standard second difference
-    (2u_i - u_{i-1} - u_{i+1})/h^2; a degree-d vertex row enforces the
-    Kirchhoff zero-derivative-sum condition.  The kernel vector is
-    sqrt(M) * 1, not the plain constant.
-    """
-    import numpy as np
-
-    stiffness, mass = _assemble(graph, points_per_edge)
     inv_sqrt = 1.0 / np.sqrt(mass)
-    rows = np.repeat(np.arange(stiffness.shape[0]), np.diff(stiffness.indptr))
-    stiffness.data *= inv_sqrt[rows] * inv_sqrt[stiffness.indices]
-    return SparseSymmetricMatrix.from_csr(stiffness)
+
+    # links of weight -1/h both ways, degree * 1/h on the diagonal
+    w = 1.0 / h
+    weights = np.concatenate((np.full(2 * len(links), -w), w * deg))
+    return SparseSymmetricMatrix.from_csr(
+        sp.csr_matrix(
+            (weights * (inv_sqrt[rows] * inv_sqrt[cols]), (rows, cols)), shape=(dim, dim)
+        )
+    )
 
 
 def _chain_factor(graph: MetricGraph, points_per_edge: int):
     """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
-    A = discretize(graph, points_per_edge) and any sigma < 0.
+    A = discretize(graph, points_per_edge), which validates points_per_edge,
+    and any sigma < 0.
 
     The m interior points of every edge form the same m x m tridiagonal
     block C = (2/h^2 - sigma) I - (1/h^2) (off-diagonals), tied to its end
@@ -217,8 +185,6 @@ def _chain_factor(graph: MetricGraph, points_per_edge: int):
     SuperLU.  A solve is the chains' end values, one vertex solve, and one
     sweep of C over the chains, one right-hand side column at a time.
     """
-    if points_per_edge < 1:
-        raise ValidationError(f"points_per_edge {points_per_edge} < 1")
     import numpy as np
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla

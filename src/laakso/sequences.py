@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import DimensionUndefinedError, LevelRangeError, ValidationError
 
@@ -178,8 +179,8 @@ def parse_sequence(spec: str) -> JSequence:
 
 def level_info(seq: JSequence, n: int) -> LevelInfo:
     """Exact I_n, N_n, and node count of F_n."""
-    if n < 0:
-        raise ValidationError(f"level index {n} < 0")
+    if not (isinstance(n, Integral) and n >= 0):
+        raise ValidationError(f"level index {n!r} must be an integer >= 0")
     scale = seq.scale(n)  # raises LevelRangeError beyond an explicit prefix
     cells = (1 << n) * scale
     if n == 0:

@@ -438,6 +438,18 @@ def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("invalid input:")
 
 
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_out_is_exit_one(tmp_path, capsys, target):
+    """An OSError while writing --out is invalid input that names the path,
+    not a traceback.  main is called directly: run() appends its own --out."""
+    out = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    code = main(["spectrum", "-j", "2", "--lambda-max", "10", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: cannot write --out {out}: ")
+    assert "Traceback" not in err
+
+
 _WIDE_BLOCK = ",".join(["10"] * 309 + ["11"])  # P = 1.1 10^310, past the double range
 
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laakso import (
+    ValidationError,
     build_graph,
+    compare_spectra,
     discretize,
-    discretize_weighted,
     level_info,
     level_spectrum,
     mesh_spacing,
@@ -90,6 +91,28 @@ def test_edges_are_read_only():
         g.edges[0, 0] = 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda seq: build_graph(seq, 2.0), id="build_graph n=2.0"),
+        pytest.param(lambda seq: build_graph(seq, -1), id="build_graph n=-1"),
+        pytest.param(lambda seq: level_info(seq, 2.0), id="level_info n=2.0"),
+        pytest.param(lambda seq: level_info(seq, -1), id="level_info n=-1"),
+        pytest.param(lambda seq: discretize(build_graph(seq, 1), 2.5), id="discretize m=2.5"),
+        pytest.param(lambda seq: discretize(build_graph(seq, 1), 0), id="discretize m=0"),
+        pytest.param(lambda seq: compare_spectra(seq, 2.0, 3, 10), id="compare n=2.0"),
+        pytest.param(lambda seq: compare_spectra(seq, -1, 3, 10), id="compare n=-1"),
+        pytest.param(lambda seq: compare_spectra(seq, 2, 2.5, 10), id="compare m=2.5"),
+        pytest.param(lambda seq: compare_spectra(seq, 2, 0, 10), id="compare m=0"),
+    ],
+)
+def test_level_and_point_count_must_be_valid_integers(call):
+    """A float level or point count is refused by name, like a negative one,
+    not by a TypeError from the arithmetic it enters."""
+    with pytest.raises(ValidationError, match="level|points_per_edge"):
+        call(parse_sequence("2,3"))
+
+
 def test_subdivide_numbers_edge_by_edge():
     # edge e gains vertices 5 + 2e and 6 + 2e, in order from its first end
     ends = np.array([[0, 1], [3, 2]], dtype=np.int64)
@@ -121,15 +144,6 @@ def test_connectivity():
         )
         n_comp, _ = connected_components(a, directed=False)
         assert n_comp == 1
-
-
-def test_edge_list_serialization():
-    g = build_graph(parse_sequence("2"), 1)
-    lines = g.to_edge_list_text().splitlines()
-    assert lines[0] == "5 4"
-    assert len(lines) == 5
-    u, v, length = lines[1].split()
-    assert float(length) == 0.5
 
 
 # -- discretization ----------------------------------------------------------
@@ -165,24 +179,18 @@ def test_symmetry_is_exact():
     assert (a != a.T).nnz == 0  # bitwise symmetric
 
 
-def test_stiffness_row_sums_vanish_and_psd():
-    g = build_graph(parse_sequence("3"), 2)
-    stiffness, mass = discretize_weighted(g, 3)
-    k = stiffness.to_csr()
-    assert np.abs(k.sum(axis=1)).max() < 1e-9
-    assert (k != k.T).nnz == 0
-    assert np.all(mass > 0)
-    values = np.linalg.eigvalsh(k.toarray())
-    assert values.min() > -1e-10
-
-
 def test_operator_kernel_is_weighted_constant():
-    g = build_graph(parse_sequence("2,3"), 2)
+    """A sqrt(M) 1 = 0 for the mass discretize documents (h inside an edge,
+    deg h/2 at a vertex of F_n): K's rows sum to zero."""
     m = 3
-    a = discretize(g, m).to_csr()
-    _, mass = discretize_weighted(g, m)
-    null = np.sqrt(mass)
-    assert np.linalg.norm(a @ null) / np.linalg.norm(null) < 1e-12
+    for spec in ("2,3", "3"):
+        g = build_graph(parse_sequence(spec), 2)
+        a = discretize(g, m).to_csr()
+        h = mesh_spacing(g, m)
+        mass = np.full(a.shape[0], h)
+        mass[: g.vertex_count] = np.bincount(g.edges.ravel()) * (h / 2.0)
+        null = np.sqrt(mass)
+        assert np.linalg.norm(a @ null) / np.linalg.norm(null) < 1e-12
 
 
 def test_zero_eigenvalue_simple_and_spectrum_nonnegative():
@@ -250,17 +258,6 @@ def test_chain_factor_solves_like_superlu(spec, level, m, shift):
     kappa = 1.0 + 2.0 / abs(shift)
     tol = 4 * np.finfo(float).eps * kappa
     assert np.linalg.norm(chain - superlu) <= tol * np.linalg.norm(superlu)
-
-
-def test_matrix_market_export(tmp_path):
-    import scipy.io
-
-    g = build_graph(parse_sequence("2"), 1)
-    mat = discretize(g, 2)
-    path = tmp_path / "operator.mtx"
-    mat.to_matrix_market(path)
-    loaded = scipy.io.mmread(str(path)).tocsr()
-    assert np.allclose(loaded.toarray(), mat.to_csr().toarray())
 
 
 @given(st.sampled_from(SEQS), st.integers(min_value=1, max_value=4))
