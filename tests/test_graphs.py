@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -131,7 +132,6 @@ def test_brute_force_census_matches_formulas(spec, n):
 
 
 def test_connectivity():
-    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
     for spec in SEQS:
@@ -179,17 +179,39 @@ def test_symmetry_is_exact():
     assert (a != a.T).nnz == 0  # bitwise symmetric
 
 
+def _lumped_mass(g, m):
+    """The mass diagonal discretize documents: h inside an edge, deg h/2 at a
+    vertex of F_n."""
+    h = mesh_spacing(g, m)
+    mass = np.full(g.vertex_count + g.edge_count * m, h)
+    mass[: g.vertex_count] = np.bincount(g.edges.ravel()) * (h / 2.0)
+    return mass
+
+
+def test_stiffness_row_sums_vanish_and_psd():
+    """K = sqrt(M) A sqrt(M), recovered from discretize, annihilates
+    constants, is bitwise symmetric and positive semidefinite."""
+    g = build_graph(parse_sequence("3"), 2)
+    m = 3
+    mass = _lumped_mass(g, m)
+    a = discretize(g, m).to_csr().tocoo()
+    root = np.sqrt(mass)
+    # d_i d_j is one product for (i, j) and (j, i), so K keeps A's exact symmetry
+    k = sp.csr_matrix((a.data * (root[a.row] * root[a.col]), (a.row, a.col)), shape=a.shape)
+    assert np.abs(k.sum(axis=1)).max() < 1e-9
+    assert (k != k.T).nnz == 0
+    assert np.all(mass > 0)
+    values = np.linalg.eigvalsh(k.toarray())
+    assert values.min() > -1e-10
+
+
 def test_operator_kernel_is_weighted_constant():
-    """A sqrt(M) 1 = 0 for the mass discretize documents (h inside an edge,
-    deg h/2 at a vertex of F_n): K's rows sum to zero."""
+    """A sqrt(M) 1 = 0 for the documented mass: K's rows sum to zero."""
     m = 3
     for spec in ("2,3", "3"):
         g = build_graph(parse_sequence(spec), 2)
         a = discretize(g, m).to_csr()
-        h = mesh_spacing(g, m)
-        mass = np.full(a.shape[0], h)
-        mass[: g.vertex_count] = np.bincount(g.edges.ravel()) * (h / 2.0)
-        null = np.sqrt(mass)
+        null = np.sqrt(_lumped_mass(g, m))
         assert np.linalg.norm(a @ null) / np.linalg.norm(null) < 1e-12
 
 
