@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .graphs import _chain_factor, build_graph, continuum_eigenvalues, discretize, trust_cutoff
 from .sequences import JSequence, level_info
 from .solver import cluster_multiplicities, lowest_eigenvalues
@@ -81,8 +81,11 @@ def compare_spectra(
     """The k lowest mesh eigenpairs of F_level, diffed per integer key against level_spectrum."""
     import numpy as np
 
-    if k < 2:
-        raise ValidationError(f"k {k} < 2 compares no key below the top returned one")
+    level = integer("level", level, 0)
+    points_per_edge = integer("points_per_edge", points_per_edge, 1)
+    k = integer("k", k, 2)  # k = 1 compares no key below the top returned one
+    if seed is not None:
+        seed = integer("seed", seed, 0)
     info = level_info(seq, level)
     points = info.nodes + info.cells * points_per_edge
     if points > _MAX_DIMENSION:

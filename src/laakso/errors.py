@@ -1,8 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-input rule."""
+
+from numbers import Integral
 
 
 class ValidationError(ValueError):
     """Malformed input: bad sequence text, out-of-range entry, bad parameter."""
+
+
+def integer(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """int(value) for an Integral, bool excepted, in [low, high]; otherwise a
+    ValidationError naming the parameter and its bound."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        value = int(value)
+        if (low is None or value >= low) and (high is None or value <= high):
+            return value
+    bound = "" if low is None else f" >= {low}"
+    if high is not None:
+        bound = f" in [{low}, {high}]"
+    raise ValidationError(f"{name} {value!r} must be an integer{bound}")
 
 
 class LevelRangeError(ValidationError):

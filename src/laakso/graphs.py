@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import integer
 from .sequences import JSequence
 
 if TYPE_CHECKING:
@@ -102,8 +101,7 @@ def _subdivide(ends: np.ndarray, vertex_count: int, pieces: int) -> np.ndarray:
 
 def build_graph(seq: JSequence, n: int) -> MetricGraph:
     """Construct F_n by n rounds of subdivide, duplicate, identify."""
-    if not (isinstance(n, Integral) and n >= 0):
-        raise ValidationError(f"level {n!r} must be an integer >= 0")
+    n = integer("level", n, 0)
     import numpy as np
 
     vertex_count = 2
@@ -139,8 +137,7 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     degree-d vertex row enforces the Kirchhoff zero-derivative-sum
     condition.  The kernel vector is sqrt(M) * 1, not the plain constant.
     """
-    if not (isinstance(points_per_edge, Integral) and points_per_edge >= 1):
-        raise ValidationError(f"points_per_edge {points_per_edge!r} must be an integer >= 1")
+    points_per_edge = integer("points_per_edge", points_per_edge, 1)
     import numpy as np
     import scipy.sparse as sp
 

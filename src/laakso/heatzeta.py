@@ -47,6 +47,7 @@ from .errors import (
     PoleError,
     TailToleranceError,
     ValidationError,
+    integer,
 )
 from .sequences import EXPLICIT, JSequence, _log_block, dimensions, shape_census
 from .special import _power_tail, complex_gamma, riemann_zeta
@@ -495,15 +496,14 @@ _MAX_POINTS = 10_001  # members of one poles() range, points of one CLI t grid
 
 def poles(seq: JSequence, m_range: tuple[int, int] = (-3, 3)) -> PoleLattice:
     """The coarse pole lattice s_m = d_s/2 + i m p pi / log P: every p-th dominant pole."""
-    if m_range[0] > m_range[1]:
+    lo, hi = (integer("m_range end", end) for end in m_range)
+    if lo > hi:
         raise ValidationError(f"empty m range {m_range}")
-    if m_range[1] - m_range[0] >= _MAX_POINTS:
+    if hi - lo >= _MAX_POINTS:
         raise ValidationError(f"m range {m_range} has more than {_MAX_POINTS} members")
     spacing = seq.period * fine_pole_spacing(seq)
     real_part = _pole_real_part(seq)
-    members = tuple(
-        complex(real_part, m * spacing) for m in range(m_range[0], m_range[1] + 1)
-    )
+    members = tuple(complex(real_part, m * spacing) for m in range(lo, hi + 1))
     return PoleLattice(real_part=real_part, spacing=spacing, members=members)
 
 
@@ -604,6 +604,7 @@ def oscillation_amplitude(seq: JSequence, m: int = 1) -> float:
     Used to certify that the log-periodic wobble stays inside a stated band
     before asserting window-averaged leading-term checks.
     """
+    m = integer("m", m)
     fine = fine_pole_spacing(seq)
     re_dom = _pole_real_part(seq)
     base = residue_coefficient(seq, complex(re_dom, 0.0), "dominant").real
@@ -630,8 +631,8 @@ def estimate_spectral_dimension(
 
     if len(samples) < 10:
         raise ValidationError(f"need at least 10 samples, got {len(samples)}")
-    if log_period <= 0:
-        raise ValidationError(f"log_period {log_period} <= 0")
+    if not 0 < log_period < math.inf:
+        raise ValidationError(f"log_period {log_period} must be finite and > 0")
     ordered = sorted(samples, key=lambda s: s.t)
     tau = np.array([math.log(s.t) for s in ordered])
     if tau[-1] - tau[0] < 2.0 * math.log(10.0):

@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Integral
 
-from .errors import DimensionUndefinedError, LevelRangeError, ValidationError
+from .errors import DimensionUndefinedError, LevelRangeError, ValidationError, integer
 
 PERIODIC = "periodic"
 EXPLICIT = "explicit"
@@ -41,21 +40,17 @@ class JSequence:
             raise ValidationError(f"unknown sequence kind {self.kind!r}")
         if not self.values:
             raise ValidationError("sequence needs at least one value")
-        for v in self.values:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ValidationError(f"entry {v!r} is not an integer")
-            if v < 2:
-                raise ValidationError(f"entry {v} < 2")
+        values = tuple(integer("entry", v, 2) for v in self.values)
         if self.kind == PERIODIC:
-            values, length = self.values, len(self.values)
+            length = len(values)
             # the shortest p dividing the length with values[i] == values[i + p]
             p = next(p for p in range(1, length + 1) if length % p == 0 and values[p:] == values[:-p])
-            object.__setattr__(self, "values", values[:p])
+            values = values[:p]
+        object.__setattr__(self, "values", values)
 
     def j(self, n: int) -> int:
         """j_n for n >= 1.  Raises beyond the prefix of an explicit sequence."""
-        if n < 1:
-            raise ValidationError(f"level index {n} < 1")
+        n = integer("level", n, 1)
         if self.kind == PERIODIC:
             return self.values[(n - 1) % len(self.values)]
         if n > len(self.values):
@@ -67,8 +62,7 @@ class JSequence:
 
     def scale(self, n: int) -> int:
         """I_n = j_1 * ... * j_n (exact integer; cell diameter is 1/I_n)."""
-        if n < 0:
-            raise ValidationError(f"level index {n} < 0")
+        n = integer("level", n, 0)
         if n:
             self.j(n)  # raises beyond an explicit prefix
         # whole passes over the values by exponentiation, so deep periodic
@@ -171,16 +165,13 @@ def parse_sequence(spec: str) -> JSequence:
             v = int(part)
         except ValueError:
             raise ValidationError(f"entry {part!r} is not an integer") from None
-        if v < 2:
-            raise ValidationError(f"entry {v} < 2")
         values.append(v)
     return JSequence(kind=EXPLICIT if explicit else PERIODIC, values=tuple(values))
 
 
 def level_info(seq: JSequence, n: int) -> LevelInfo:
     """Exact I_n, N_n, and node count of F_n."""
-    if not (isinstance(n, Integral) and n >= 0):
-        raise ValidationError(f"level index {n!r} must be an integer >= 0")
+    n = integer("level", n, 0)
     scale = seq.scale(n)  # raises LevelRangeError beyond an explicit prefix
     cells = (1 << n) * scale
     if n == 0:
@@ -197,8 +188,7 @@ def shape_census(seq: JSequence, n: int) -> ShapeCensus:
     appears wherever the parent graph had a degree-4 node, so none exist at
     n = 1 and F_0 (a single interval) has no shapes at all.
     """
-    if n < 1:
-        raise ValidationError("no shapes exist on the unit interval (n = 0)")
+    n = integer("level", n, 1)  # no shapes exist on the unit interval
     scale_prev = seq.scale(n - 1)
     jn = seq.j(n)
     v_count = 1 << n

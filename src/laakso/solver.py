@@ -40,10 +40,9 @@ numpy is imported on first use and scipy on the first call of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import TYPE_CHECKING, Callable
 
-from .errors import ValidationError
+from .errors import ValidationError, integer
 from .graphs import SparseSymmetricMatrix
 
 if TYPE_CHECKING:
@@ -166,20 +165,15 @@ def lowest_eigenvalues(
     """
     import numpy as np
 
-    for name, value in (("k", k), ("block_size", block_size)):
-        if not isinstance(value, Integral):
-            raise ValidationError(f"{name} {value!r} is not an integer")
-    if seed is not None and not (isinstance(seed, Integral) and seed >= 0):
-        raise ValidationError(f"seed {seed!r} must be an integer >= 0")
-    if k < 1:
-        raise ValidationError(f"k {k} < 1")
+    k = integer("k", k, 1)
+    block_size = integer("block_size", block_size, 1)
+    if seed is not None:
+        seed = integer("seed", seed, 0)
     dim = matrix.dimension
     if k >= dim:
         raise ValidationError(f"k {k} must be below the dimension {dim}")
     if not 0 < tol < np.inf:
         raise ValidationError(f"tol {tol} must be finite and > 0")
-    if block_size < 1:
-        raise ValidationError(f"block_size {block_size} < 1")
     width = min(block_size, dim - 1)
     max_basis = min(dim, max(5 * k, k + 15 * width))
     if dim * max_basis > _MAX_BASIS_ENTRIES:

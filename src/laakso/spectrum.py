@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import LevelRangeError, ValidationError
+from .errors import LevelRangeError, ValidationError, integer
 from .sequences import JSequence, shape_census
 
 LINE = "line"
@@ -145,8 +145,7 @@ def _level_cap(seq: JSequence, cap: int | None) -> int | None:
     """
     if cap is None:
         return seq.max_level
-    if cap < 0:
-        raise ValidationError(f"level cap {cap} < 0")
+    cap = integer("level_cap", cap, 0)
     if seq.max_level is not None and cap > seq.max_level:
         raise LevelRangeError(
             f"level cap {cap} exceeds the {seq.max_level}-entry explicit prefix"
@@ -209,9 +208,9 @@ def level_spectrum(seq: JSequence, n_max: int, lambda_max: float) -> SpectrumTab
 
 def counting_function(table: SpectrumTable, lam: float) -> int:
     """Number of eigenvalues (with multiplicity) <= lam in the table."""
-    if lam > table.lambda_max:
+    if not lam <= table.lambda_max:
         raise ValidationError(
-            f"lambda {lam} exceeds the table range {table.lambda_max}"
+            f"lambda {lam} must be at most the table's lambda_max {table.lambda_max}"
         )
     total = 0
     for e in table.entries:
@@ -225,8 +224,7 @@ def first_distinct(seq: JSequence, count: int) -> SpectrumTable:
     """Table holding exactly the first `count` distinct eigenvalues."""
     # the line family alone has count distinct keys up to 2 (count - 1), so an
     # integer bound on count keeps that key in range before any float is formed
-    if not 1 <= count <= _MAX_KEY // 2:
-        raise ValidationError(f"count {count} must be in [1, {_MAX_KEY // 2}]")
+    count = integer("count", count, 1, _MAX_KEY // 2)
     table = full_spectrum(seq, eigenvalue_of_key(2 * (count - 1)) + 1.0)
     entries = table.entries[:count]
     return SpectrumTable(

@@ -8,18 +8,25 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import laakso.compare
 from laakso import (
     ValidationError,
     build_graph,
     compare_spectra,
     discretize,
+    first_distinct,
+    heat_trace,
     level_info,
     level_spectrum,
+    lowest_eigenvalues,
     mesh_spacing,
+    oscillation_amplitude,
     parse_sequence,
+    poles,
     shape_census,
 )
 from laakso.graphs import _chain_factor, _subdivide
+from laakso.sequences import PERIODIC, JSequence
 from laakso.solver import _SHIFT, _superlu_factor
 from conftest import brute_force_census
 
@@ -92,26 +99,77 @@ def test_edges_are_read_only():
         g.edges[0, 0] = 1
 
 
+def _mesh(seq):
+    return discretize(build_graph(seq, 2), 2)
+
+
+# every entry point that takes an integer: (label, call(seq, value), the
+# parameter name its refusal gives, the lowest valid value or None, a valid value)
+INTEGER_INPUTS = [
+    ("JSequence entry", lambda seq, v: JSequence(PERIODIC, (v, 3)), "entry", 2, 2),
+    ("j n", lambda seq, v: seq.j(v), "level", 1, 3),
+    ("scale n", lambda seq, v: seq.scale(v), "level", 0, 3),
+    ("level_info n", level_info, "level", 0, 2),
+    ("shape_census n", shape_census, "level", 1, 2),
+    ("build_graph n", build_graph, "level", 0, 2),
+    ("discretize m", lambda seq, v: discretize(build_graph(seq, 1), v), "points_per_edge", 1, 2),
+    ("eigen k", lambda seq, v: lowest_eigenvalues(_mesh(seq), v), "k", 1, 4),
+    (
+        "eigen block_size",
+        lambda seq, v: lowest_eigenvalues(_mesh(seq), 4, block_size=v),
+        "block_size",
+        1,
+        4,
+    ),
+    ("eigen seed", lambda seq, v: lowest_eigenvalues(_mesh(seq), 4, seed=v), "seed", 0, 1),
+    ("level_spectrum n_max", lambda seq, v: level_spectrum(seq, v, 100.0), "level_cap", 0, 2),
+    ("heat_trace level_cap", lambda seq, v: heat_trace(seq, 1e-2, level_cap=v), "level_cap", 0, 2),
+    ("first_distinct count", first_distinct, "count", 1, 5),
+    ("compare n", lambda seq, v: compare_spectra(seq, v, 3, 10), "level", 0, 2),
+    ("compare m", lambda seq, v: compare_spectra(seq, 2, v, 10), "points_per_edge", 1, 3),
+    ("compare k", lambda seq, v: compare_spectra(seq, 2, 3, v), "k", 2, 10),
+    ("compare seed", lambda seq, v: compare_spectra(seq, 2, 3, 10, seed=v), "seed", 0, 1),
+    ("poles m_range", lambda seq, v: poles(seq, (v, 2)), "m_range", None, -1),
+    ("oscillation_amplitude m", oscillation_amplitude, "m", None, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, name, bad",
     [
-        pytest.param(lambda seq: build_graph(seq, 2.0), id="build_graph n=2.0"),
-        pytest.param(lambda seq: build_graph(seq, -1), id="build_graph n=-1"),
-        pytest.param(lambda seq: level_info(seq, 2.0), id="level_info n=2.0"),
-        pytest.param(lambda seq: level_info(seq, -1), id="level_info n=-1"),
-        pytest.param(lambda seq: discretize(build_graph(seq, 1), 2.5), id="discretize m=2.5"),
-        pytest.param(lambda seq: discretize(build_graph(seq, 1), 0), id="discretize m=0"),
-        pytest.param(lambda seq: compare_spectra(seq, 2.0, 3, 10), id="compare n=2.0"),
-        pytest.param(lambda seq: compare_spectra(seq, -1, 3, 10), id="compare n=-1"),
-        pytest.param(lambda seq: compare_spectra(seq, 2, 2.5, 10), id="compare m=2.5"),
-        pytest.param(lambda seq: compare_spectra(seq, 2, 0, 10), id="compare m=0"),
+        pytest.param(call, name, bad, id=f"{label}={bad}")
+        for label, call, name, low, _ in INTEGER_INPUTS
+        for bad in (2.0, 2.5, True) + (() if low is None else (low - 1,))
     ],
 )
-def test_level_and_point_count_must_be_valid_integers(call):
-    """A float level or point count is refused by name, like a negative one,
-    not by a TypeError from the arithmetic it enters."""
-    with pytest.raises(ValidationError, match="level|points_per_edge"):
-        call(parse_sequence("2,3"))
+def test_level_and_point_count_must_be_valid_integers(call, name, bad):
+    """A float, a bool or a count below its bound is refused by name, by the
+    one integer rule, not by a TypeError from the arithmetic it enters."""
+    with pytest.raises(ValidationError, match=f"^{name} .* must be an integer"):
+        call(parse_sequence("2,3"), bad)
+
+
+@pytest.mark.parametrize(
+    "call, good", [pytest.param(c, good, id=label) for label, c, _, _, good in INTEGER_INPUTS]
+)
+def test_numpy_integer_is_taken_as_int(call, good):
+    seq = parse_sequence("2,3")
+    assert repr(call(seq, np.int64(good))) == repr(call(seq, good))
+
+
+@pytest.mark.parametrize(
+    "level, m", [(2, 0), (2, -1), (np.int64(40), 1)], ids=["m=0", "m=-1", "level=int64(40)"]
+)
+def test_compare_refuses_before_building_the_graph(monkeypatch, level, m):
+    """The mesh is sized from exact ints and refused before F_n is built:
+    a negative point count or an int64 level must not slip under the bound."""
+
+    def spy(*args):
+        raise AssertionError("build_graph reached")
+
+    monkeypatch.setattr(laakso.compare, "build_graph", spy)
+    with pytest.raises(ValidationError):
+        compare_spectra(parse_sequence("2,3"), level, m, 10)
 
 
 def test_subdivide_numbers_edge_by_edge():

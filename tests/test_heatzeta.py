@@ -712,6 +712,10 @@ def test_fit_input_validation():
     loose = heat_trace_grid(J2, np.geomspace(1e-8, 1e-4, 12), 0.5)
     with pytest.raises(ValidationError):
         estimate_spectral_dimension(loose, math.log(4.0))
+    wide = heat_trace_grid(J2, np.geomspace(1e-5, 1e-2, 10))
+    for log_period in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="log_period"):
+            estimate_spectral_dimension(wide, log_period)
 
 
 def test_oscillation_log_period_values():

@@ -59,7 +59,7 @@ def test_parse_rejects_malformed(bad):
 
 
 def test_parse_error_names_offending_entry():
-    with pytest.raises(ValidationError, match="1 < 2"):
+    with pytest.raises(ValidationError, match="^entry 1 must be an integer >= 2"):
         parse_sequence("seq:2,1")
 
 

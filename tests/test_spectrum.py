@@ -190,8 +190,10 @@ def test_counting_small_values():
 
 def test_counting_beyond_range_raises():
     table = full_spectrum(parse_sequence("2,3"), 400.0)
-    with pytest.raises(ValidationError):
-        counting_function(table, 401.0)
+    # NaN compares false with everything: "lam > lambda_max" would count it all
+    for lam in (401.0, math.nan):
+        with pytest.raises(ValidationError):
+            counting_function(table, lam)
 
 
 @given(sequences, st.floats(min_value=1.0, max_value=5e3))
