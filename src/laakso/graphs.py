@@ -167,8 +167,8 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
 
 def _chain_factor(graph: MetricGraph, points_per_edge: int):
     """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
-    A = discretize(graph, points_per_edge), which validates points_per_edge,
-    and any sigma < 0.
+    A = discretize(graph, points_per_edge) and any sigma < 0; mesh_spacing
+    validates points_per_edge.
 
     The m interior points of every edge form the same m x m tridiagonal
     block C = (2/h^2 - sigma) I - (1/h^2) (off-diagonals), tied to its end
@@ -229,7 +229,7 @@ def _chain_factor(graph: MetricGraph, points_per_edge: int):
 
 
 def mesh_spacing(graph: MetricGraph, points_per_edge: int) -> float:
-    return graph.edge_length / (points_per_edge + 1)
+    return graph.edge_length / (integer("points_per_edge", points_per_edge, 1) + 1)
 
 
 def continuum_eigenvalues(

@@ -1,11 +1,11 @@
 """Heat-kernel trace, spectral zeta function, poles, and small-time asymptotics.
 
-Everything here reads the spectrum module's family table: each shape family
-of a level has a count and a key progression m = I_n (step k + phase).
+Everything here reads the spectrum module's family table, level 0 the line:
+each shape family of a level has a count and a key progression m = I_n (step k + phase).
 
 The heat trace Z(t) = sum_k g_k exp(-E_k t) (lambda = 0 included) is summed
-family by family with certified truncation bounds: a geometric series past
-each family's cut, and I_n >= 2 I_{n-1} for the omitted levels.
+row by row with certified truncation bounds: a geometric series past each
+row's cut, and I_n >= 2 I_{n-1} for the omitted levels.
 
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
 has two independent evaluations, sharing only the Euler-Maclaurin tail
@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
     integer,
 )
-from .sequences import EXPLICIT, JSequence, _log_block, dimensions, shape_census
+from .sequences import JSequence, _log_block, dimensions
 from .special import _power_tail, complex_gamma, riemann_zeta
 from .spectrum import _family_table, _level_cap, _occupied_families
 
@@ -77,40 +77,9 @@ class PoleLattice:
     members: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One eigenvalue family: log of count, log of the quadratic scale c
-    (eigenvalues are c (k+offset)^2), the half-integer offset, first k."""
-
-    log_count: float
-    log_c: float
-    offset: float
-    kstart: int
-
-
-def _level_families(seq: JSequence, n: int) -> tuple[int, int, list[_Family]]:
-    """I_n, the level weight (sum of the family counts) and the families of level n.
-
-    Each occupied row of the spectrum's family table, keys
-    m = I_n (step k + phase), becomes eigenvalues c (k + offset)^2 with
-    c = pi^2 I_n^2 step^2 / 4 and offset = phase / step.
-    """
-    scale, rows = _occupied_families(seq, n)
-    log_c = _LOG_PI_SQ + 2.0 * math.log(scale)
-    fams = [
-        _Family(
-            math.log(row.count),
-            log_c + 2.0 * math.log(row.step / 2),
-            row.phase / row.step,
-            row.kstart,
-        )
-        for row in rows
-    ]
-    return scale, sum(row.count for row in rows), fams
-
-
-# the table's line family, m = 2k, without its zero mode k = 0
-_LINE = _Family(0.0, _LOG_PI_SQ, 0.0, 1)
+def _quadratic(scale: int, row) -> tuple[float, float]:
+    """(log c, offset): the row's eigenvalues are c (k + offset)^2, c = pi^2 (I_n step / 2)^2."""
+    return _LOG_PI_SQ + 2.0 * math.log(scale) + 2.0 * math.log(row.step / 2), row.phase / row.step
 
 
 # ---------------------------------------------------------------------------
@@ -118,38 +87,40 @@ _LINE = _Family(0.0, _LOG_PI_SQ, 0.0, 1)
 # ---------------------------------------------------------------------------
 
 
-def _family_tail(fam: _Family, ct: float, k: int) -> float:
+def _family_tail(row, ct: float, k: int) -> float:
     """Certified bound on the family's terms from index k on (ct = c t): the
     geometric series count exp(-ct q^2) / (1 - exp(-2 ct q)), q = k + offset."""
-    q = k + fam.offset
+    q = k + row.phase / row.step
     expo = ct * q * q
     if expo > _EXP_FLOOR:
         return 0.0
     ratio = math.exp(-2.0 * ct * q) if 2.0 * ct * q < _EXP_FLOOR else 0.0
-    return math.exp(fam.log_count) * math.exp(-expo) / (1.0 - ratio)
+    return math.exp(math.log(row.count)) * math.exp(-expo) / (1.0 - ratio)
 
 
-def _family_partial(fam: _Family, t: float, budget: float) -> tuple[float, float]:
+def _family_partial(scale: int, row, t: float, budget: float) -> tuple[float, float]:
     """Partial sum of count * exp(-c (k+offset)^2 t), certified tail <= budget.
 
     Works with the product c*t (bounded once a level passes the caller's
     exponent guard) so that deep-level scales never overflow on their own.
     The sum stops before the first k whose (falling) tail bound fits the
     budget, found by doubling a Gaussian estimate past it and bisecting.
+    Sum and tails scale by exp(log count), the rounding the printed traces carry.
     """
     import numpy as np
 
-    ct = math.exp(fam.log_c + math.log(t))
+    log_c, offset = _quadratic(scale, row)
+    ct = math.exp(log_c + math.log(t))
     # start from the Gaussian estimate count exp(-ct q^2) = budget
-    hi = fam.kstart + 1 + int(math.sqrt(max(fam.log_count - math.log(budget), 0.0) / ct))
-    while _family_tail(fam, ct, hi) > budget:
+    hi = row.kstart + 1 + int(math.sqrt(max(math.log(row.count) - math.log(budget), 0.0) / ct))
+    while _family_tail(row, ct, hi) > budget:
         hi *= 2
     first = bisect.bisect_left(
-        range(hi + 1), True, lo=fam.kstart, key=lambda k: _family_tail(fam, ct, k) <= budget
+        range(hi + 1), True, lo=row.kstart, key=lambda k: _family_tail(row, ct, k) <= budget
     )
-    ks = np.arange(fam.kstart, first, dtype=np.float64) + fam.offset
-    partial = math.exp(fam.log_count) * float(np.exp(-ct * ks * ks).sum())
-    return partial, _family_tail(fam, ct, first)
+    ks = np.arange(row.kstart, first, dtype=np.float64) + offset
+    partial = math.exp(math.log(row.count)) * float(np.exp(-ct * ks * ks).sum())
+    return partial, _family_tail(row, ct, first)
 
 
 def _min_exponent(scale: int, t: float) -> float:
@@ -176,6 +147,12 @@ def _remaining_levels_bound(
     return g_first * u / ((1.0 - u) * (1.0 - rho * u**3))
 
 
+def _checked_tol(tol: float) -> float:
+    if not tol >= _MIN_TOL:
+        raise ValidationError(f"tol {tol} must be >= {_MIN_TOL:g}")
+    return tol
+
+
 def heat_trace(
     seq: JSequence,
     t: float,
@@ -197,8 +174,7 @@ def heat_trace(
     """
     if not t > 0:
         raise ValidationError(f"t {t} must be > 0")
-    if not tol >= _MIN_TOL:
-        raise ValidationError(f"tol {tol} must be >= {_MIN_TOL:g}")
+    tol = _checked_tol(tol)
     # term-by-term summation needs ~sqrt(745 / (pi^2 t)) line-family terms;
     # refuse once that stops being enumerable (use the residue expansion
     # for the deep asymptotic regime instead)
@@ -207,18 +183,17 @@ def heat_trace(
             f"t {t} is below the direct-summation floor 3e-14; "
             "heat_trace_asymptote covers the deep small-t regime"
         )
-    explicit = seq.kind == EXPLICIT
     level_cap = _level_cap(seq, level_cap)
 
-    z = 1.0  # lambda = 0
-    partial, bound = _family_partial(_LINE, t, tol / 4.0)
-    z += partial
+    scale, (line,) = _family_table(seq, 0)  # level 0, the line m = 2k
+    partial, bound = _family_partial(scale, line._replace(kstart=1), t, tol / 4.0)
+    z = 1.0 + partial  # its zero mode k = 0 is the 1.0
 
     n = 1
     while level_cap is None or n <= level_cap:
-        scale, weight, fams = _level_families(seq, n)
+        scale, rows = _occupied_families(seq, n)
         if level_cap is None:
-            remaining = _remaining_levels_bound(seq, scale, weight, t)
+            remaining = _remaining_levels_bound(seq, scale, sum(row.count for row in rows), t)
             if remaining <= tol / 2.0:
                 bound += remaining
                 break
@@ -226,19 +201,18 @@ def heat_trace(
             # every remaining capped level is below double-precision zero
             break
         level_budget = tol / 2.0 ** (n + 2)
-        for fam in fams:
-            partial, tb = _family_partial(fam, t, level_budget / len(fams))
+        for row in rows:
+            partial, tb = _family_partial(scale, row, t, level_budget / len(rows))
             z += partial
             bound += tb
         n += 1
 
-    if explicit:
-        # cheapest possible continuation: the V family of j = 2 at level cap+1
-        census = shape_census(JSequence(EXPLICIT, seq.values[:level_cap] + (2,)), level_cap + 1)
-        expo = _min_exponent(census.scale, t)
+    if seq.max_level is not None:
+        # cheapest possible continuation: the 2^(cap+1) V's of j = 2 at level cap+1, key 2 I_cap
+        expo = _min_exponent(2 * seq.scale(level_cap), t)
         lower = 0.0
         if expo < math.log(_EXP_FLOOR):
-            lower = census.v_count * math.exp(-math.exp(expo))
+            lower = (1 << (level_cap + 1)) * math.exp(-math.exp(expo))
         if lower > tol:
             raise TailToleranceError(
                 f"levels beyond the cap {level_cap} contribute at least "
@@ -260,7 +234,8 @@ def heat_trace_grid(
     *,
     level_cap: int | None = None,
 ) -> list[HeatTraceSample]:
-    """heat_trace at every t of the grid ts, with the same tol and level cap."""
+    """heat_trace at every t of the grid ts; tol and level cap are checked first."""
+    tol, level_cap = _checked_tol(tol), _level_cap(seq, level_cap)
     return [heat_trace(seq, float(t), tol, level_cap=level_cap) for t in ts]
 
 
@@ -274,7 +249,7 @@ _DIRECT_ATOL = 1e-13  # bound on the omitted levels of the direct sum
 _MAX_DIRECT_LEVELS = 20_000  # predicted levels to go; j = 2 at d_s/2 + 2e-3 needs ~1e4
 
 
-def _family_zeta(fam: _Family, s: complex) -> complex:
+def _family_zeta(scale: int, row, s: complex) -> complex:
     """count * sum_k (c (k+offset)^2)^(-s), Euler-Maclaurin finish.
 
     The explicit head grows with |s| by the rule riemann_zeta uses.  The
@@ -285,10 +260,11 @@ def _family_zeta(fam: _Family, s: complex) -> complex:
 
     w = 2.0 * s
     cut = max(_EM_CUT, int(1.5 * abs(w)) + 10)
-    pre = fam.log_count - s * fam.log_c
-    ks = np.arange(fam.kstart, cut, dtype=np.float64) + fam.offset
+    log_c, offset = _quadratic(scale, row)
+    pre = math.log(row.count) - s * log_c
+    ks = np.arange(row.kstart, cut, dtype=np.float64) + offset
     head = complex(np.sum(np.exp(pre - w * np.log(ks))))
-    return head + cmath.exp(pre) * _power_tail(w, cut + fam.offset)
+    return head + cmath.exp(pre) * _power_tail(w, cut + offset)
 
 
 def _finite_s(s: complex) -> complex:
@@ -326,13 +302,14 @@ def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
         ratio = 2.0**p * seq.block ** (1.0 - 2.0 * sigma)
         period_sum = 0.0
 
-    total = _family_zeta(_LINE, s)
+    scale, (line,) = _family_table(seq, 0)  # level 0, the line, without its zero mode
+    total = _family_zeta(scale, line._replace(kstart=1), s)
     n = 1
     while level_cap is None or n <= level_cap:
-        _, _, fams = _level_families(seq, n)
+        scale, rows = _occupied_families(seq, n)
         level_term = 0.0 + 0.0j
-        for fam in fams:
-            level_term += _family_zeta(fam, s)
+        for row in rows:
+            level_term += _family_zeta(scale, row, s)
         total += level_term
         if level_cap is None:
             period_sum += abs(level_term)

@@ -10,13 +10,10 @@ shape-count formulas are marked excluded and are never asserted against
 
 import math
 
-# (lambda, multiplicity) for {2,3,2,3,...}; lambda_k = (k pi)^2
-TABLE1 = tuple(
-    (round((k * math.pi) ** 2, 2), m)
-    for k, m in enumerate(
-        [1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3]
-    )
-)
+# multiplicities of lambda_k = (k pi)^2, k = 0..19, for {2,3,2,3,...}:
+# TABLE1 pairs them with lambda_k, TABLE2["2,3"] with x = k
+_MULTIPLICITIES_2_3 = (1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3)
+TABLE1 = tuple((round((k * math.pi) ** 2, 2), m) for k, m in enumerate(_MULTIPLICITIES_2_3))
 
 # Low-spectrum reference rows per sequence: (x, multiplicity, excluded) with
 # lambda = (x pi)^2.  Excluded rows carry recorded multiplicities that the
@@ -25,12 +22,7 @@ TABLE1 = tuple(
 # also garbled ("199.85.3" in B, "3139.2" for 3193.2 in D) but their
 # multiplicity entries are fine.
 TABLE2 = {
-    "2,3": tuple(
-        (float(k), m, False)
-        for k, m in enumerate(
-            [1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3]
-        )
-    ),
+    "2,3": tuple((float(k), m, False) for k, m in enumerate(_MULTIPLICITIES_2_3)),
     "3,2": (
         (0.0, 1, False), (1.0, 1, False), (1.5, 2, False), (2.0, 1, False),
         (3.0, 8, False), (4.0, 1, False), (4.5, 2, False), (5.0, 1, False),

@@ -121,15 +121,6 @@ class ShapeCensus:
     loop_count: int
     cross_count: int
 
-    @property
-    def degree_one_nodes(self) -> int:
-        # every V contributes its two tips; nothing else has degree 1
-        return 2 * self.v_count
-
-    @property
-    def degree_four_nodes(self) -> int:
-        return (1 << (self.n - 1)) * (self.scale - 1)
-
 
 @dataclass(frozen=True)
 class DimensionReport:

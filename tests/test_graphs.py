@@ -13,9 +13,11 @@ from laakso import (
     ValidationError,
     build_graph,
     compare_spectra,
+    continuum_eigenvalues,
     discretize,
     first_distinct,
     heat_trace,
+    heat_trace_grid,
     level_info,
     level_spectrum,
     lowest_eigenvalues,
@@ -24,6 +26,7 @@ from laakso import (
     parse_sequence,
     poles,
     shape_census,
+    trust_cutoff,
 )
 from laakso.graphs import _chain_factor, _subdivide
 from laakso.sequences import PERIODIC, JSequence
@@ -113,6 +116,15 @@ INTEGER_INPUTS = [
     ("shape_census n", shape_census, "level", 1, 2),
     ("build_graph n", build_graph, "level", 0, 2),
     ("discretize m", lambda seq, v: discretize(build_graph(seq, 1), v), "points_per_edge", 1, 2),
+    ("mesh_spacing m", lambda seq, v: mesh_spacing(build_graph(seq, 1), v), "points_per_edge", 1, 2),
+    ("trust_cutoff m", lambda seq, v: trust_cutoff(build_graph(seq, 1), v), "points_per_edge", 1, 2),
+    (
+        "continuum_eigenvalues m",
+        lambda seq, v: continuum_eigenvalues(build_graph(seq, 1), v, np.array([1.0])),
+        "points_per_edge",
+        1,
+        2,
+    ),
     ("eigen k", lambda seq, v: lowest_eigenvalues(_mesh(seq), v), "k", 1, 4),
     (
         "eigen block_size",
@@ -124,6 +136,7 @@ INTEGER_INPUTS = [
     ("eigen seed", lambda seq, v: lowest_eigenvalues(_mesh(seq), 4, seed=v), "seed", 0, 1),
     ("level_spectrum n_max", lambda seq, v: level_spectrum(seq, v, 100.0), "level_cap", 0, 2),
     ("heat_trace level_cap", lambda seq, v: heat_trace(seq, 1e-2, level_cap=v), "level_cap", 0, 2),
+    ("empty heat_trace_grid level_cap", lambda seq, v: heat_trace_grid(seq, [], level_cap=v), "level_cap", 0, 2),
     ("first_distinct count", first_distinct, "count", 1, 5),
     ("compare n", lambda seq, v: compare_spectra(seq, v, 3, 10), "level", 0, 2),
     ("compare m", lambda seq, v: compare_spectra(seq, 2, v, 10), "points_per_edge", 1, 3),

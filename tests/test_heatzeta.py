@@ -39,18 +39,17 @@ from laakso import (
 )
 from laakso.heatzeta import (
     _DIRECT_ATOL,
-    _LINE,
     _MODE_SUMS,
     _bracket,
     _closed_terms,
     _family_partial,
     _family_tail,
-    _level_families,
     _level_terms,
+    _quadratic,
     _residue_terms,
     _terms_sum,
 )
-from laakso.spectrum import _family_table
+from laakso.spectrum import _family_table, _occupied_families
 
 J2 = parse_sequence("2")
 J3 = parse_sequence("3")
@@ -119,6 +118,13 @@ def test_trace_validates_inputs():
             level_spectrum(seq, cap, 100.0)
 
 
+def test_trace_grid_checks_tol_before_any_t():
+    """An empty grid still refuses a bad tol, with heat_trace's message."""
+    for tol in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValidationError, match="^tol .* must be >= 1e-300"):
+            heat_trace_grid(J2, [], tol)
+
+
 def test_family_cutoff_matches_a_linear_scan():
     """The bisected cutoff is the first index whose tail fits the budget.
 
@@ -126,22 +132,25 @@ def test_family_cutoff_matches_a_linear_scan():
     omitted index, and the partial sum over the kept indices is bitwise
     the one _family_partial returns, together with that index's tail.
     """
-    families = [_LINE]
+    scale, (line,) = _family_table(J2, 0)
+    families = [(scale, line._replace(kstart=1))]  # the line from k = 1
     for spec in ("2", "2,3", "3,4"):
         for n in (1, 2, 3):
-            families += _level_families(parse_sequence(spec), n)[2]
-    for fam in families:
+            scale, rows = _occupied_families(parse_sequence(spec), n)
+            families += [(scale, row) for row in rows]
+    for scale, row in families:
+        log_c, offset = _quadratic(scale, row)
         for t in (1e-8, 1e-5, 1e-2, 1.0):
-            ct = math.exp(fam.log_c + math.log(t))
+            ct = math.exp(log_c + math.log(t))
             for budget in (1e-6, 1e-10, 1e-13):
-                first = fam.kstart
-                while _family_tail(fam, ct, first) > budget:
+                first = row.kstart
+                while _family_tail(row, ct, first) > budget:
                     first += 1
-                ks = np.arange(fam.kstart, first, dtype=np.float64) + fam.offset
-                kept = math.exp(fam.log_count) * float(np.exp(-ct * ks * ks).sum())
-                assert _family_partial(fam, t, budget) == (
+                ks = np.arange(row.kstart, first, dtype=np.float64) + offset
+                kept = math.exp(math.log(row.count)) * float(np.exp(-ct * ks * ks).sum())
+                assert _family_partial(scale, row, t, budget) == (
                     kept,
-                    _family_tail(fam, ct, first),
+                    _family_tail(row, ct, first),
                 )
 
 
