@@ -2,28 +2,39 @@
 
 One path serves every dimension, a block shift-invert Krylov iteration:
 the matrix is shifted just below zero, sigma = -1e-4 scale (it is PSD, so
-A - sigma I is definite), factorized once, and a block Krylov basis of the
-inverse is grown with full reorthogonalization until Rayleigh-Ritz
-residuals certify the requested pairs.  The factorization is SuperLU on
-the assembled matrix unless the caller passes a `factor`: the mesh callers
-pass graphs._chain_factor, which solves the identical edge chains of the
-mesh together and factors only a Schur complement on the graph's
-vertices.  Blocks are essential here: the mesh Laplacians have exactly
-degenerate eigenvalues (one copy per congruent shape), and a single-vector
-Krylov space contains only one direction per eigenspace, so multiplicities
-would come out short.  The starting block is deterministic (all-ones
-first column, seeded Gaussian fill) so runs reproduce bit for bit.
+A - sigma I is definite), factorized once, and a block Krylov basis of
+S = (A - sigma I)^-1 is grown with full reorthogonalization until the
+residuals of purified Ritz vectors certify the requested pairs.  The
+factorization is SuperLU on the assembled matrix unless the caller passes
+a `factor`: the mesh callers pass graphs._chain_factor, which solves the
+identical edge chains of the mesh together and factors only a Schur
+complement on the graph's vertices.  Blocks are essential here: the mesh
+Laplacians have exactly degenerate eigenvalues (one copy per congruent
+shape), and a single-vector Krylov space contains only one direction per
+eigenspace, so multiplicities would come out short.  The starting block is
+deterministic (all-ones first column, seeded Gaussian fill) so runs
+reproduce bit for bit.
 
-The basis lives in one preallocated Fortran-order dim x max_basis buffer,
-and the projected matrices T = basis.T A basis and G = basis.T A^2 basis
-are grown one block at a time, from A q and A (A q) of the new block q.
-A times the basis is never stored.  Each step estimates every Ritz
-residual from the projection alone, ||A x - theta x||^2 = y'Gy - theta^2
-for the Ritz vector x = basis y; only when every estimate is within
-rounding of the tolerance (or the basis is full) are the k Ritz vectors
-formed (transposed, as (y' basis')', which needs no BLAS scratch beyond
-the result) and their explicit residuals, the certificate, computed.  A
-step whose explicit residuals fail goes on growing the basis.  New blocks are
+The loop is spectral-transformation block Lanczos (Ericsson and Ruhe,
+Math. Comp. 35, 1980).  The basis lives in one preallocated Fortran-order
+dim x max_basis buffer.  Each step solves z = S q for the newest block q
+and projects the basis out of z in two passes: the coefficients on q are
+the diagonal block q'Sq of H = basis' S basis, and the orthonormalization
+z = q_new r of what remains gives the next block and, in r, the
+subdiagonal block.  Coefficients on older blocks are rounding-level and
+dropped, so H is block tridiagonal, read off numbers the loop computes
+anyway; the loop never multiplies by A.  An eigenpair (theta, y) of H,
+with y_L its rows on the newest block, satisfies
+S basis y = theta basis y + z y_L, so the purified Ritz vector
+x = basis y + z y_L / theta (Nour-Omid, Parlett, Ericsson and Jensen,
+Math. Comp. 48, 1987) has A x - (sigma + 1/theta) x = -z y_L / theta^2
+exactly, and ||x||^2 = 1 + ||z y_L||^2 / theta^2.  Its residual is thus
+known from y_L and z's Gram matrix, the first product of Cholesky-QR2, with
+no rounding floor near the tolerance.  Only when every estimate meets the
+tolerance (or the basis is full) are the k purified vectors formed, one
+block width of them at a time, and their Rayleigh quotients (the returned
+values) and explicit residuals, the certificate, computed.  A step whose
+explicit residuals fail goes on growing the basis.  New blocks are
 orthonormalized by Cholesky-QR2, with Householder QR as the error path.
 Memory is therefore about one dim x max_basis buffer plus the factors.
 
@@ -51,11 +62,13 @@ if TYPE_CHECKING:
 
 _MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x max_basis buffer: 1 GiB
 # sigma / scale.  Nearer 0 the wanted eigenvalues separate better under
-# (A - sigma I)^-1: one to four Krylov steps fewer than at -1e-3 on the
-# benchmark meshes and at levels 6 and 7.  Deeper shifts save no further
-# step there, while the solve's rounding grows with the condition number
-# 2 scale / |sigma|: the largest error against eigvalsh on 3,4 at level 2
-# (m = 1, all 77 pairs) is 3e-11 here, 3e-10 at -1e-5 and 4e-9 at -1e-6.
+# (A - sigma I)^-1: up to four Krylov steps fewer than at -1e-3 on the
+# benchmark meshes and at levels 6 and 7 (seed 31: 300 columns against 360
+# at level 5, 300 against 420 at level 6).  Deeper shifts save one more
+# step at level 7 and none on the others.  The purified Rayleigh quotients
+# do not feel the solve's conditioning: the largest error against eigvalsh
+# on 3,4 at level 2 (m = 1, all 77 pairs) is 3.6e-12 here and 3.2e-12 at
+# -1e-3, -1e-5 and -1e-6.
 _SHIFT = -1e-4
 
 
@@ -67,9 +80,10 @@ class EigenResult:
     k_converged: int
     iterations: int  # Krylov steps taken after the starting block
     basis_width: int  # basis columns used, at most max(5k, k + 15 block_size)
-    # largest projected residual estimate (relative, like residual_norms) per
-    # Rayleigh-Ritz step, iterations + 1 of them; rounding puts a floor under
-    # it, 4e-9 to 6e-9 on the benchmark meshes
+    # largest residual estimate of the k purified Ritz pairs (relative, like
+    # residual_norms) per Krylov step, iterations + 1 of them; read off the
+    # Lanczos relation, it has no rounding floor near the tolerance and at
+    # the stop matches the certificate to about 1e-6 relative or better
     residual_history: np.ndarray
 
 
@@ -102,46 +116,90 @@ def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
     return q
 
 
-def _project_out(z: np.ndarray, v: np.ndarray) -> None:
-    """z -= v v'z in place, in two passes (full reorthogonalization).
+def _project_out(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """z -= v v'z in place, in two passes (full reorthogonalization); returns
+    v'z, the two passes' coefficients summed, one row per column of v.
 
     The product is formed transposed so that it lands in column order like
     z and the basis: 1.6x faster than v @ (v.T @ z) on a 19,632 x 360 basis.
     """
-    for _ in range(2):
-        z -= ((z.T @ v) @ v.T).T
+    coef = z.T @ v
+    z -= (coef @ v.T).T
+    again = z.T @ v
+    z -= (again @ v.T).T
+    coef += again
+    return coef.T
 
 
-def _orthonormalize(z: np.ndarray, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """An orthonormal block as wide as z, spanning z's columns with v's span removed.
+def _orthonormalize(
+    z: np.ndarray, gram: np.ndarray, v: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(q, r) with q an orthonormal block as wide as z, orthogonal to v's
+    columns, and z = q r, for a z already projected off v (_project_out)
+    and its Gram matrix gram = z'z.
 
-    z (overwritten) is projected off v's orthonormal columns, then
-    orthonormalized by Cholesky-QR2: two Gram products and two small
-    triangular factors.  Householder QR is the error path, taken when the
-    first factor fails or has a diagonal below 1e-10, or when the first
-    pass's output is further than 1/2 (Frobenius) from orthonormal; it
-    refills each column with |r_ii| < 1e-10 at random, then projects v out
-    again and re-orthonormalizes, since a nearly dependent z amplifies its
-    rounding-level overlap with v by 1 / min |r_ii|.
+    Cholesky-QR2: the given Gram matrix and one more, and two small
+    triangular factors, whose product is r.  Householder QR is the error
+    path, taken when the first factor fails or has a diagonal below 1e-10,
+    or when the first pass's output is further than 1/2 (Frobenius) from
+    orthonormal.  There z = q1 r1, and with u the left singular vectors of
+    r1, the columns of q1 u of singular value at least 1e-10 span z's
+    columns; each other column is refilled at random, v is projected out
+    again (a nearly dependent z amplifies its rounding-level overlap with v
+    by the inverse of its smallest singular value) and the block is
+    re-orthonormalized, with r = q'z.  z = q r holds to rounding even for a
+    dependent z, since q still spans its columns; refilling q1's own
+    columns with |r1_ii| < 1e-10 would drop the components that later
+    columns of z have along them.
     """
     import numpy as np
 
-    _project_out(z, v)
     try:
-        r = np.linalg.cholesky(z.T @ z, upper=True)
+        r = np.linalg.cholesky(gram, upper=True)
     except np.linalg.LinAlgError:
         r = None
     if r is not None and np.diag(r).min() >= 1e-10:
         q = z @ np.linalg.inv(r)
         gram = q.T @ q
         if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
-            return q @ np.linalg.inv(np.linalg.cholesky(gram, upper=True))
+            again = np.linalg.cholesky(gram, upper=True)
+            return q @ np.linalg.inv(again), again @ r
     q, r = np.linalg.qr(z)
-    dead = np.abs(np.diag(r)) < 1e-10
+    u, s, _ = np.linalg.svd(r)
+    q = q @ u
+    dead = s < 1e-10
     q[:, dead] = rng.standard_normal((len(q), int(dead.sum())))
     _project_out(q, v)
     q, _ = np.linalg.qr(q)
-    return q
+    return q, q.T @ z
+
+
+def _certify(
+    a: sp.csr_matrix,
+    v: np.ndarray,
+    z: np.ndarray,
+    y: np.ndarray,
+    theta: np.ndarray,
+    scale: float,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh quotients and explicit relative residuals of the purified
+    Ritz vectors x = v y + z y_L / theta, formed width columns at a time."""
+    import numpy as np
+
+    n, k = y.shape
+    rho, res = np.empty(k), np.empty(k)
+    for j in range(0, k, width):
+        cols = slice(j, j + width)
+        x = (y[:, cols].T @ v.T).T  # transposed, like _project_out: no BLAS scratch
+        x += z @ (y[n - z.shape[1] :, cols] / theta[cols])
+        x /= np.sqrt(np.einsum("ij,ij->j", x, x))
+        ax = a @ x
+        rho[cols] = np.einsum("ij,ij->j", x, ax)
+        x *= rho[cols]
+        ax -= x
+        res[cols] = np.sqrt(np.einsum("ij,ij->j", ax, ax)) / scale
+    return rho, res
 
 
 def lowest_eigenvalues(
@@ -187,48 +245,43 @@ def lowest_eigenvalues(
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
     basis = np.empty((dim, max_basis), order="F")
-    t = np.empty((max_basis, max_basis))  # projected matrix basis.T A basis
-    g = np.empty((max_basis, max_basis))  # basis.T A^2 basis, for the estimates
+    # lower triangle of basis.T S basis, S = (A - sigma I)^-1: block tridiagonal
+    h = np.zeros((max_basis, max_basis))
     history = []
     q = _starting_block(dim, width, seed)
     n = steps = 0
     while True:
-        # append the block; t and g each gain a column block and a row block
+        # the newest block q joins the basis; z = S q projected off it is the
+        # Lanczos residual, and the last coefficients are q'Sq, h's diagonal block
         w = q.shape[1]
-        aq = a @ q
         basis[:, n : n + w] = q
         q, v = basis[:, n : n + w], basis[:, : n + w]
-        t[: n + w, n : n + w] = v.T @ aq
-        aq = a @ aq
-        g[: n + w, n : n + w] = v.T @ aq
-        del aq
-        t[n : n + w, :n] = t[:n, n : n + w].T
-        g[n : n + w, :n] = g[:n, n : n + w].T
+        z = solve(q)
+        h[n : n + w, n : n + w] = _project_out(z, v)[n:]
+        gram = z.T @ z
         n += w
-        theta, y = np.linalg.eigh(t[:n, :n])
-        # ||A x - theta x||^2 = y'Gy - theta^2 for x = v y.  G has entries near
-        # ||T||^2 (the random starting block is rough), so rounding leaves an
-        # error of up to about sqrt(dim) eps ||T||^2 in the difference (0.4 of
-        # that at most, measured on meshes of dimension 210 to 83,136): the
-        # explicit residuals are formed once every estimate is within it of tol.
-        floor = np.sqrt(dim) * np.finfo(float).eps * theta[-1] ** 2
-        theta, y = theta[:k], y[:, :k]
-        square = (np.einsum("ij,ij->j", y, g[:n, :n] @ y) - theta**2).max()
-        history.append(np.sqrt(max(square, 0.0)) / scale)
-        if n >= max_basis or (n >= k and square <= (tol * scale) ** 2 + floor):
-            x = (y.T @ v.T).T  # transposed, like _project_out: no BLAS scratch
-            res = a @ x
-            x *= theta
-            res -= x
-            res = np.linalg.norm(res, axis=0) / scale
+        theta, y = np.linalg.eigh(h[:n, :n], UPLO="L")
+        theta, y = theta[: -k - 1 : -1], y[:, : -k - 1 : -1]  # largest of S
+        # the purified x = v y + z y_L / theta has residual ||z y_L|| / theta^2
+        # and ||x||^2 = 1 + ||z y_L||^2 / theta^2.  ||z y_L||^2 comes from the
+        # Gram matrix, where rounding can leave it below 0 once z is at
+        # rounding level, as when the basis spans everything
+        tail = np.maximum(np.einsum("ij,ij->j", y[n - w :], gram @ y[n - w :]), 0.0)
+        estimate = np.sqrt(tail / (theta**2 * (theta**2 + tail))) / scale
+        history.append(estimate.max())
+        if n >= max_basis or (n >= k and estimate.max() <= tol):
+            rho, res = _certify(a, v, z, y, theta, scale, width)
             if n >= max_basis or np.all(res <= tol):
                 break
-        q = _orthonormalize(solve(q), v, rng)[:, : max_basis - n]
+        q, r = _orthonormalize(z, gram, v, rng)
+        q = q[:, : max_basis - n]
+        h[n : n + q.shape[1], n - w : n] = r[: q.shape[1]]  # q' S (last block)
         steps += 1
 
+    order = np.argsort(rho, kind="stable")  # theta's order, up to rounding
     return EigenResult(
-        values=theta,
-        residual_norms=res,
+        values=rho[order],
+        residual_norms=res[order],
         k_requested=k,
         k_converged=int(np.sum(res <= tol)),
         iterations=steps,

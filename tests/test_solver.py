@@ -15,7 +15,7 @@ from laakso import (
     lowest_eigenvalues,
     parse_sequence,
 )
-from laakso.solver import _orthonormalize, cluster_multiplicities
+from laakso.solver import _orthonormalize, _project_out, cluster_multiplicities
 
 
 def _diag_matrix(n: int) -> SparseSymmetricMatrix:
@@ -165,18 +165,30 @@ def test_clipped_last_block():
     assert np.all(np.abs(res.values - dense)[converged] <= 10 * tol * scale)
 
 
+def _split(z, v, rng):
+    """_project_out then _orthonormalize, as one Krylov step does; checks
+    the identity z_in = v coef + q r that the solver's h and estimates read."""
+    z_in = z.copy()
+    coef = _project_out(z, v)
+    q, r = _orthonormalize(z, z.T @ z, v, rng)
+    assert r.shape == (z.shape[1], z.shape[1])
+    assert np.linalg.norm(z_in - v @ coef - q @ r) <= 1e-12 * np.linalg.norm(z_in)
+    return q
+
+
 @pytest.mark.parametrize(
     "broken, qr_calls",
     [("repeated", 2), ("zero", 2), ("in the basis", 2), ("nearly repeated", 2)],
 )
 def test_rank_deficient_block_falls_back_to_householder(monkeypatch, broken, qr_calls):
     """A block with a repeated, zero or already-spanned column fails
-    Cholesky-QR2's first factor; Householder QR refills the dead column and
-    returns a full-width orthonormal block orthogonal to the basis.  A
-    nearly repeated column (cond ~ 1e9) fails the first factor or leaves its
-    output far from orthonormal: Householder QR again, with no column dead.
-    Its rounding-level overlap with the basis, which that condition number
-    amplifies to ~1e-7, is projected out again before the second QR."""
+    Cholesky-QR2's first factor; Householder QR refills the dead direction
+    and returns a full-width orthonormal block orthogonal to the basis that
+    still spans the block's columns.  A nearly repeated column (cond ~ 1e9)
+    fails the first factor or leaves its output far from orthonormal:
+    Householder QR again, with nothing dead.  Its rounding-level overlap
+    with the basis, which that condition number amplifies to ~1e-7, is
+    projected out again before the second QR."""
     rng = np.random.default_rng(6)
     dim, width = 200, 6
     v, _ = np.linalg.qr(rng.standard_normal((dim, 10)))
@@ -190,7 +202,7 @@ def test_rank_deficient_block_falls_back_to_householder(monkeypatch, broken, qr_
     calls = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda m: calls.append(m.shape) or qr(m))
-    q = _orthonormalize(z, v, np.random.default_rng(0))
+    q = _split(z, v, np.random.default_rng(0))
     assert calls == [(dim, width)] * qr_calls
     assert q.shape == (dim, width)
     assert np.abs(q.T @ q - np.eye(width)).max() <= 1e-12
@@ -201,32 +213,35 @@ def test_full_rank_block_takes_cholesky_qr2(monkeypatch):
     rng = np.random.default_rng(6)
     v, _ = np.linalg.qr(rng.standard_normal((200, 10)))
     monkeypatch.setattr(np.linalg, "qr", None)  # any call would raise
-    q = _orthonormalize(rng.standard_normal((200, 6)), v, rng)
+    q = _split(rng.standard_normal((200, 6)), v, rng)
     assert np.abs(q.T @ q - np.eye(6)).max() <= 1e-14
     assert np.abs(v.T @ q).max() <= 1e-14
 
 
 def test_residual_estimate_agrees_with_the_certificate():
-    """The projected estimate that decides when to form Ritz vectors matches
-    the explicit residuals it hands over to."""
+    """The purified Ritz vectors' residual, read off the Lanczos relation,
+    matches the explicit residuals it hands over to."""
     mat = discretize(build_graph(parse_sequence("2,3"), 3), 18)  # dimension 1,788
     k, tol = 60, 1e-7
     res = lowest_eigenvalues(mat, k, tol=tol, block_size=30)
     assert res.k_converged == k
     assert len(res.residual_history) == res.iterations + 1
-    assert abs(res.residual_history[-1] - res.residual_norms.max()) <= tol / 10
+    cert = res.residual_norms.max()
+    assert abs(res.residual_history[-1] - cert) <= 1e-6 * cert
     dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
     scale = float(np.abs(mat.to_csr().diagonal()).max())
     assert np.max(np.abs(res.values - dense)) <= 10 * tol * scale
 
 
-def test_tolerance_below_the_estimate_floor_still_stops_early():
-    """At tol = 1e-10 the projected estimates stall at their rounding floor,
-    above tol; the explicit check still runs and ends the solve as soon as
-    the certificates pass, before the basis is full."""
+def test_estimate_meets_a_tolerance_of_1e_10():
+    """The estimate has no rounding floor near 1e-8: at tol = 1e-10 it
+    reaches tol, equals the certificate and ends the solve before the basis
+    is full."""
     mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
     k, width, tol = 16, 12, 1e-10
     res = lowest_eigenvalues(mat, k, tol=tol, block_size=width)
+    assert res.residual_history[-1] <= tol
+    cert = res.residual_norms.max()
+    assert abs(res.residual_history[-1] - cert) <= 1e-4 * cert
     assert res.k_converged == k
-    assert res.residual_history[-1] > tol
     assert res.basis_width < max(5 * k, k + 15 * width)
