@@ -32,7 +32,6 @@ from .heatzeta import (
     heat_trace,
     heat_trace_asymptote,
     heat_trace_grid,
-    oscillation_amplitude,
     oscillation_log_period,
     poles,
     residue_coefficient,
@@ -106,7 +105,6 @@ __all__ = [
     "level_spectrum",
     "lowest_eigenvalues",
     "mesh_spacing",
-    "oscillation_amplitude",
     "oscillation_log_period",
     "parse_sequence",
     "poles",

@@ -4,8 +4,16 @@ Everything here reads the spectrum module's family table, level 0 the line:
 each shape family of a level has a count and a key progression m = I_n (step k + phase).
 
 The heat trace Z(t) = sum_k g_k exp(-E_k t) (lambda = 0 included) is summed
-row by row with certified truncation bounds: a geometric series past each
-row's cut, and I_n >= 2 I_{n-1} for the omitted levels.
+row by row, a = c t for a row's eigenvalues c (k + offset)^2.  Jacobi's
+imaginary transformation (Poisson summation; Stein-Shakarchi, Complex
+Analysis, ch. 10) gives both row kinds a dual series,
+
+  sum_(k>=1) exp(-a k^2) = (sqrt(pi/a) (1 + 2 sum_(m>=1) exp(-pi^2 m^2/a)) - 1) / 2,
+  sum_(k>=0) exp(-a (k+1/2)^2) = sqrt(pi/a) (1/2 + sum_(m>=1) (-1)^m exp(-pi^2 m^2/a)),
+
+summed below a = pi, the direct series from there on: a few terms per row
+at any t > 0.  A geometric series bounds what each series drops, and
+I_n >= 2 I_{n-1} the omitted levels.
 
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
 has two independent evaluations, sharing only the Euler-Maclaurin tail
@@ -28,14 +36,12 @@ and s = 0 terms give the small-t expansion of Z(t), heat_trace_asymptote.
 The closed form's counts are exact integers; one past the double range (a
 block near 10^300 has such counts) enters through its logarithm.
 
-numpy is imported on first use (the heat trace's family sums, the direct
-zeta's heads, the slope fit), so the closed zeta, its poles and residues
-run without it.
+numpy is imported on first use (the direct zeta's heads, the slope fit), so
+the heat trace, the closed zeta, its poles and residues run without it.
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
 import math
@@ -57,14 +63,14 @@ _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal-ish double
 _POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
-_MIN_TOL = 1e-300  # keeps each family's share tol / 2^(n+2) / count above 0
+_MIN_TOL = 1e-300  # smallest heat-trace tol; a deep row's share may still underflow to 0
 
 
 @dataclass(frozen=True)
 class HeatTraceSample:
     t: float
     z: float
-    tail_bound: float
+    tail_bound: float  # truncation only (dropped terms and levels), not rounding
     level_cap: int | None = None
 
 
@@ -87,40 +93,39 @@ def _quadratic(scale: int, row) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _family_tail(row, ct: float, k: int) -> float:
-    """Certified bound on the family's terms from index k on (ct = c t): the
-    geometric series count exp(-ct q^2) / (1 - exp(-2 ct q)), q = k + offset."""
-    q = k + row.phase / row.step
-    expo = ct * q * q
-    if expo > _EXP_FLOOR:
-        return 0.0
-    ratio = math.exp(-2.0 * ct * q) if 2.0 * ct * q < _EXP_FLOOR else 0.0
-    return math.exp(math.log(row.count)) * math.exp(-expo) / (1.0 - ratio)
+def _times(count: int, x: float) -> float:
+    """count * x, the exact count possibly past the double range (t below ~1e-307)."""
+    shift = max(count.bit_length() - 1000, 0)
+    return (count >> shift) * x * 2.0**shift
 
 
-def _family_partial(scale: int, row, t: float, budget: float) -> tuple[float, float]:
-    """Partial sum of count * exp(-c (k+offset)^2 t), certified tail <= budget.
+def _gauss_sum(alpha: float, q: float, sign: float, budget: float) -> float:
+    """sum_(i >= 0) sign^(i+1) exp(-alpha (q+i)^2), cut at the first p = q + i whose
+    tail bound, the geometric series exp(-alpha p^2) / (1 - exp(-2 alpha p)), fits the budget."""
+    total, term_sign = 0.0, sign
+    while True:
+        term = math.exp(-alpha * q * q)
+        if not term / (1.0 - math.exp(-2.0 * alpha * q)) > budget:
+            return total
+        total += term_sign * term
+        term_sign *= sign
+        q += 1.0
 
-    Works with the product c*t (bounded once a level passes the caller's
-    exponent guard) so that deep-level scales never overflow on their own.
-    The sum stops before the first k whose (falling) tail bound fits the
-    budget, found by doubling a Gaussian estimate past it and bisecting.
-    Sum and tails scale by exp(log count), the rounding the printed traces carry.
-    """
-    import numpy as np
 
-    log_c, offset = _quadratic(scale, row)
-    ct = math.exp(log_c + math.log(t))
-    # start from the Gaussian estimate count exp(-ct q^2) = budget
-    hi = row.kstart + 1 + int(math.sqrt(max(math.log(row.count) - math.log(budget), 0.0) / ct))
-    while _family_tail(row, ct, hi) > budget:
-        hi *= 2
-    first = bisect.bisect_left(
-        range(hi + 1), True, lo=row.kstart, key=lambda k: _family_tail(row, ct, k) <= budget
-    )
-    ks = np.arange(row.kstart, first, dtype=np.float64) + offset
-    partial = math.exp(math.log(row.count)) * float(np.exp(-ct * ks * ks).sum())
-    return partial, _family_tail(row, ct, first)
+def _theta(scale: int, row, t: float, budget: float) -> float:
+    """count * sum_k exp(-a (k + offset)^2), a = c t, with the dropped terms at most budget.
+
+    Offset 0 rows run from k = 1, the V's (offset 1/2) from k = 0.  Below a = pi
+    the dual series is summed, and its dropped terms scale by sqrt(pi/a)."""
+    offset = row.phase / row.step
+    r = (scale * row.step / 2) * math.sqrt(math.pi * t)  # sqrt(a / pi); c alone may overflow
+    budget *= 1 / row.count  # per copy; int division, so a count past the double range gives 0
+    if r >= 1.0:
+        value = _gauss_sum(math.pi * r * r, row.kstart + offset, 1.0, budget)
+    else:  # with sqrt(pi/a) = 1/r the dual value is (1/2 + sum - (1/2 - offset) r) / r
+        total = _gauss_sum(math.pi / (r * r), 1.0, -1.0 if offset else 1.0, budget * r)
+        value = (0.5 - (0.5 - offset) * r + total) / r
+    return _times(row.count, value)
 
 
 def _min_exponent(scale: int, t: float) -> float:
@@ -133,18 +138,14 @@ def _remaining_levels_bound(
 ) -> float:
     """Certified bound on the total contribution of the first omitted level
     (scale I, weight = its total multiplicity count) and every level after it."""
-    if _min_exponent(scale_first, t) > math.log(_EXP_FLOOR):
-        return 0.0
-    # the guard above also keeps float(scale_first) ** 2 from overflowing
-    lam_min = _PI_SQ * float(scale_first) ** 2 / 4.0
-    u = math.exp(-lam_min * t)
+    root = (math.pi / 2.0) * scale_first * math.sqrt(t)  # sqrt(lambda_min t); lambda_min may overflow
+    u = math.exp(-root * root)
     rho = 2.0 * max(seq.values)
     if u > 0.5 or rho * u**3 >= 0.5:
         return math.inf
-    g_first = 3.0 * float(weight_first)
     # weights grow at most like rho per level while the Boltzmann factors
     # contract like u^(1+3i); sum the dominating geometric series
-    return g_first * u / ((1.0 - u) * (1.0 - rho * u**3))
+    return _times(3 * weight_first, u) / ((1.0 - u) * (1.0 - rho * u**3))
 
 
 def _checked_tol(tol: float) -> float:
@@ -160,7 +161,7 @@ def heat_trace(
     *,
     level_cap: int | None = None,
 ) -> HeatTraceSample:
-    """Z(t) with a certified truncation bound at most tol.
+    """Z(t) with a certified truncation bound at most tol, at any t > 0 whose Z(t) fits a double.
 
     With no level cap (constant and periodic sequences) the sum runs over
     every level and the omitted-level remainder is dominated geometrically.
@@ -175,19 +176,11 @@ def heat_trace(
     if not t > 0:
         raise ValidationError(f"t {t} must be > 0")
     tol = _checked_tol(tol)
-    # term-by-term summation needs ~sqrt(745 / (pi^2 t)) line-family terms;
-    # refuse once that stops being enumerable (use the residue expansion
-    # for the deep asymptotic regime instead)
-    if t < 3e-14:
-        raise ValidationError(
-            f"t {t} is below the direct-summation floor 3e-14; "
-            "heat_trace_asymptote covers the deep small-t regime"
-        )
     level_cap = _level_cap(seq, level_cap)
 
     scale, (line,) = _family_table(seq, 0)  # level 0, the line m = 2k
-    partial, bound = _family_partial(scale, line._replace(kstart=1), t, tol / 4.0)
-    z = 1.0 + partial  # its zero mode k = 0 is the 1.0
+    z = 1.0 + _theta(scale, line._replace(kstart=1), t, tol / 4.0)  # its zero mode is the 1.0
+    bound = tol / 4.0  # the budgets handed out, which the dropped terms stay within
 
     n = 1
     while level_cap is None or n <= level_cap:
@@ -202,10 +195,11 @@ def heat_trace(
             break
         level_budget = tol / 2.0 ** (n + 2)
         for row in rows:
-            partial, tb = _family_partial(scale, row, t, level_budget / len(rows))
-            z += partial
-            bound += tb
+            z += _theta(scale, row, t, level_budget / len(rows))
+        bound += level_budget
         n += 1
+    if not math.isfinite(z):
+        raise ValidationError(f"Z(t) overflows double precision at t = {t}")
 
     if seq.max_level is not None:
         # cheapest possible continuation: the 2^(cap+1) V's of j = 2 at level cap+1, key 2 I_cap
@@ -219,7 +213,7 @@ def heat_trace(
                 f"{lower:.3e} > tol {tol:.3e} at t = {t}",
                 achieved_bound=bound + lower,
             )
-    if bound > tol:
+    if not bound <= tol:
         raise TailToleranceError(
             f"achieved certified bound {bound:.3e} exceeds tol {tol:.3e}",
             achieved_bound=bound,
@@ -570,23 +564,14 @@ def heat_trace_asymptote(seq: JSequence, t: float) -> float:
     log_t = math.log(t)
     total = 1.0 + zeta_at_zero(seq)
     total += sqrt_term_coefficient(seq) / math.sqrt(math.pi * t)
-    for s, coeff in _residue_terms(seq):
-        total += (coeff * cmath.exp(-s * log_t)).real
+    try:
+        for s, coeff in _residue_terms(seq):
+            total += (coeff * cmath.exp(-s * log_t)).real
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError(f"the residue expansion overflows double precision at t = {t}")
     return total
-
-
-def oscillation_amplitude(seq: JSequence, m: int = 1) -> float:
-    """|a_m|: the m-th dominant oscillation coefficient relative to a_0.
-
-    Used to certify that the log-periodic wobble stays inside a stated band
-    before asserting window-averaged leading-term checks.
-    """
-    m = integer("m", m)
-    fine = fine_pole_spacing(seq)
-    re_dom = _pole_real_part(seq)
-    base = residue_coefficient(seq, complex(re_dom, 0.0), "dominant").real
-    osc = residue_coefficient(seq, complex(re_dom, m * fine), "dominant")
-    return abs(osc) / abs(base)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ import numpy as np
 from laakso import (
     dimensions,
     estimate_spectral_dimension,
+    fine_pole_spacing,
     first_distinct,
     heat_trace,
     heat_trace_asymptote,
     heat_trace_grid,
     level_info,
-    oscillation_amplitude,
     oscillation_log_period,
     parse_sequence,
     poles,
+    residue_coefficient,
     shape_census,
     spectral_zeta_closed,
     spectral_zeta_direct,
@@ -122,11 +123,18 @@ def test_criterion_4_spectral_dimension_from_trace():
     _report(4, ok, "trace-slope spectral dimensions within 2%", "; ".join(details))
 
 
+def _oscillation_amplitude(seq, m):
+    """|a_m| / |a_0|: the m-th dominant residue against the real one."""
+    half_ds, fine = dimensions(seq).spectral / 2.0, fine_pole_spacing(seq)
+    base = residue_coefficient(seq, complex(half_ds, 0.0), "dominant").real
+    return abs(residue_coefficient(seq, complex(half_ds, m * fine), "dominant")) / abs(base)
+
+
 def test_criterion_5_weyl_coefficient_constant_two():
     seq = parse_sequence("2")
     # residue-coefficient oracle: the oscillation amplitude plus the
     # square-root and constant corrections stay inside the 2% band
-    osc_band = 2.0 * sum(oscillation_amplitude(seq, m) for m in (1, 2, 3))
+    osc_band = 2.0 * sum(_oscillation_amplitude(seq, m) for m in (1, 2, 3))
     t_hi = 1e-6
     sqrt_corr = (
         16.0 * math.log(2.0) * t_hi

@@ -422,6 +422,7 @@ def test_config_echoed(tmp_path):
         ["dims", "-j", "2,3", "--assume-periodic"],
         ["heat", "-j", "2", "--t", "1e-3", "--tol", "1e-320"],
         ["heat", "-j", "2", "--t", "1e-3", "--tol", "5e-324"],
+        ["heat", "-j", "2", "--t", "1e-320"],
         ["heat", "-j", "2", "--t", "1e-9:1e-5:10002log"],
         ["spectrum", "-j", "2", "--lambda-max", "1e12"],
         ["spectrum", "-j", "2", "--count", "300000"],

@@ -22,7 +22,6 @@ from laakso import (
     level_spectrum,
     lowest_eigenvalues,
     mesh_spacing,
-    oscillation_amplitude,
     parse_sequence,
     poles,
     shape_census,
@@ -143,7 +142,6 @@ INTEGER_INPUTS = [
     ("compare k", lambda seq, v: compare_spectra(seq, 2, 3, v), "k", 2, 10),
     ("compare seed", lambda seq, v: compare_spectra(seq, 2, 3, 10, seed=v), "seed", 0, 1),
     ("poles m_range", lambda seq, v: poles(seq, (v, 2)), "m_range", None, -1),
-    ("oscillation_amplitude m", oscillation_amplitude, "m", None, 2),
 ]
 
 

@@ -27,7 +27,6 @@ from laakso import (
     heat_trace,
     heat_trace_asymptote,
     heat_trace_grid,
-    oscillation_amplitude,
     oscillation_log_period,
     parse_sequence,
     poles,
@@ -42,12 +41,10 @@ from laakso.heatzeta import (
     _MODE_SUMS,
     _bracket,
     _closed_terms,
-    _family_partial,
-    _family_tail,
     _level_terms,
-    _quadratic,
     _residue_terms,
     _terms_sum,
+    _theta,
 )
 from laakso.spectrum import _family_table, _occupied_families
 
@@ -105,7 +102,7 @@ def test_trace_validates_inputs():
     with pytest.raises(ValidationError):
         heat_trace(J2, 1.0, -1e-9)
     with pytest.raises(ValidationError):
-        heat_trace(J2, 1e-15, 1e-9)  # below the direct-summation floor
+        heat_trace(J2, 1e-320, 1e-9)  # Z(t) ~ 1 / (16 log 2 t) past the double range
     for t, tol in ((math.nan, 1e-9), (1.0, math.nan)):
         with pytest.raises(ValidationError):
             heat_trace(J2, t, tol)
@@ -125,33 +122,78 @@ def test_trace_grid_checks_tol_before_any_t():
             heat_trace_grid(J2, [], tol)
 
 
-def test_family_cutoff_matches_a_linear_scan():
-    """The bisected cutoff is the first index whose tail fits the budget.
-
-    A linear scan from the family's first index finds the same first
-    omitted index, and the partial sum over the kept indices is bitwise
-    the one _family_partial returns, together with that index's tail.
-    """
+@mpmath.workdps(40)
+def test_theta_matches_the_term_by_term_sum():
+    """Both row kinds, a on both sides of pi (the switch between the dual and
+    the direct series): the helper's value is the term-by-term sum, to 40
+    digits at the same double a the helper forms, within the budget and
+    8 ulp of rounding.  Rows: the line from k = 1 and every occupied row of
+    levels 1-3 of three spaces."""
     scale, (line,) = _family_table(J2, 0)
-    families = [(scale, line._replace(kstart=1))]  # the line from k = 1
+    rows = [(scale, line._replace(kstart=1))]
     for spec in ("2", "2,3", "3,4"):
         for n in (1, 2, 3):
-            scale, rows = _occupied_families(parse_sequence(spec), n)
-            families += [(scale, row) for row in rows]
-    for scale, row in families:
-        log_c, offset = _quadratic(scale, row)
-        for t in (1e-8, 1e-5, 1e-2, 1.0):
-            ct = math.exp(log_c + math.log(t))
-            for budget in (1e-6, 1e-10, 1e-13):
-                first = row.kstart
-                while _family_tail(row, ct, first) > budget:
-                    first += 1
-                ks = np.arange(row.kstart, first, dtype=np.float64) + offset
-                kept = math.exp(math.log(row.count)) * float(np.exp(-ct * ks * ks).sum())
-                assert _family_partial(scale, row, t, budget) == (
-                    kept,
-                    _family_tail(row, ct, first),
-                )
+            scale, occupied = _occupied_families(parse_sequence(spec), n)
+            rows += [(scale, row) for row in occupied]
+    kinds = set()
+    for scale, row in rows:
+        offset = Fraction(row.phase, row.step)
+        for a_target in (1e-3, 0.3, 3.0, math.pi * (1 - 1e-12), math.pi, 3.3, 30.0, 300.0):
+            t = a_target / (math.pi * scale * row.step / 2) ** 2
+            r = (scale * row.step / 2) * math.sqrt(math.pi * t)
+            a = mpmath.mpf(math.pi * r * r)
+            kinds.add((offset, r < 1.0))
+            oracle, k = mpmath.mpf(0), row.kstart
+            while k < 5 or oracle * mpmath.mpf(10) ** -45 < mpmath.exp(-a * (k + offset) ** 2):
+                oracle += mpmath.exp(-a * (k + offset) ** 2)
+                k += 1
+            oracle *= row.count
+            for budget in (1e-6, 1e-10, 1e-13, 0.0):  # 0 sums until the terms underflow
+                value = _theta(scale, row, t, budget)
+                assert abs(value - oracle) <= budget + 8 * math.ulp(value), (row, a_target, budget)
+    assert kinds == {(o, dual) for o in (0, Fraction(1, 2)) for dual in (False, True)}
+
+
+@mpmath.workdps(40)
+def _theta_reference(seq, t):
+    """Z(t) to 40 digits: every row by the same dual (a < pi) or direct series,
+    summed until its terms and then whole levels stop counting at 45 digits."""
+    t, small = mpmath.mpf(t), mpmath.mpf(10) ** -45
+
+    def series(alpha, q, sign):
+        total, i = mpmath.mpf(0), 0
+        while i < 3 or mpmath.exp(-alpha * (q + i) ** 2) > small * abs(total):
+            total += sign ** (i + 1) * mpmath.exp(-alpha * (q + i) ** 2)
+            i += 1
+        return total
+
+    def row_sum(scale, row):
+        a = mpmath.pi**2 * (mpmath.mpf(scale) * row.step / 2) ** 2 * t
+        offset = mpmath.mpf(row.phase) / row.step
+        if a >= mpmath.pi:
+            return row.count * series(a, row.kstart + offset, 1)
+        dual = series(mpmath.pi**2 / a, 1, -1 if offset else 1)
+        return row.count * (mpmath.sqrt(mpmath.pi / a) * (0.5 + dual) - (0.5 - offset))
+
+    scale, (line,) = _family_table(seq, 0)
+    z, n = 1 + row_sum(scale, line._replace(kstart=1)), 1
+    while True:
+        scale, rows = _occupied_families(seq, n)
+        level = sum(row_sum(scale, row) for row in rows)
+        z += level
+        if level < small * z and mpmath.pi**2 * scale**2 * t / 4 > 100:
+            return z
+        n += 1
+
+
+@pytest.mark.parametrize("t", [1e-13, 1e-9, 1e-5])
+def test_trace_matches_a_40_digit_sum(t):
+    """mpmath.jtheta refuses a nome this close to 1, so the reference sums
+    the same series itself; the trace is within its bound and 8 ulp of it
+    (a tol of 1e-14 keeps the bound below an ulp of z)."""
+    sample = heat_trace(J23, t, 1e-14)
+    reference = _theta_reference(J23, t)
+    assert abs(sample.z - reference) <= sample.tail_bound + 8 * math.ulp(sample.z)
 
 
 def test_trace_explicit_prefix_needs_reachable_tolerance():
@@ -555,12 +597,6 @@ def test_sqrt_term_only_for_all_twos():
         assert sqrt_term_coefficient(parse_sequence(spec)) == 0.0
 
 
-def test_oscillation_amplitude_small_for_j2():
-    # the first oscillation coefficient is a fraction of a percent
-    amp = oscillation_amplitude(J2, 1)
-    assert 1e-4 < amp < 5e-3
-
-
 def test_sqrt_coefficient_measured_from_the_trace():
     """The square-root term is read off the trace itself.
 
@@ -613,6 +649,53 @@ def test_asymptote_matches_trace_to_rounding(spec):
     for t in np.geomspace(1e-9, 1e-3, 13):
         z = heat_trace(seq, float(t), 1e-10).z
         assert heat_trace_asymptote(seq, float(t)) == pytest.approx(z, rel=1e-11)
+
+
+DEEP_SPECS = ["2", "2,3", "3,4", "2,5", "7", "2,3,4"]
+
+
+@pytest.mark.parametrize("spec", DEEP_SPECS)
+def test_trace_meets_the_asymptote_at_deep_t(spec):
+    """Far below t = 1e-13 the level sums alone check the closed form's
+    residues and its pole height: no zeta enters the trace."""
+    seq = parse_sequence(spec)
+    for t in (1e-20, 1e-40, 1e-80):
+        assert heat_trace(seq, t).z == pytest.approx(heat_trace_asymptote(seq, t), rel=1e-13)
+
+
+@pytest.mark.parametrize("spec", DEEP_SPECS + ["3"])
+def test_trace_ratio_over_one_period_is_the_spectral_dimension(spec):
+    """Over one log-period L the oscillation cancels, so at t = 1e-120 the
+    ratio 2 log(Z(t) / Z(t e^L)) / L is d_s without a fit."""
+    seq = parse_sequence(spec)
+    t, log_period = 1e-120, oscillation_log_period(seq)
+    ratio = heat_trace(seq, t).z / heat_trace(seq, t * math.exp(log_period)).z
+    assert 2.0 * math.log(ratio) / log_period == pytest.approx(dimensions(seq).spectral, abs=1e-13)
+
+
+def test_trace_at_the_bottom_of_the_double_range():
+    """Below t ~ 1e-307 the deepest counts of the constant-2 space pass the
+    double range while Z(t) does not.  At 1e-309 the trace is still a double
+    but the expansion's t^(-s) is not, and the expansion refuses."""
+    for t in (1e-307, 1e-308):
+        assert heat_trace(J2, t).z == pytest.approx(heat_trace_asymptote(J2, t), rel=1e-13)
+    assert math.isfinite(heat_trace(J2, 1e-309).z)
+    with pytest.raises(ValidationError, match="overflows double precision"):
+        heat_trace_asymptote(J2, 1e-309)
+
+
+def test_trace_leaves_numpy_unloaded():
+    code = (
+        "import sys\n"
+        "from laakso import heat_trace, parse_sequence\n"
+        "heat_trace(parse_sequence('2,3'), 1e-9)\n"
+        "print('numpy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.strip() == "False", done.stderr
 
 
 def test_leading_term_m0_decomposition_j2():
