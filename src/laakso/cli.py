@@ -14,9 +14,8 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import asdict
-from typing import TYPE_CHECKING
 
 from . import refdata
 from .compare import compare_spectra
@@ -38,9 +37,6 @@ from .heatzeta import (
 )
 from .sequences import dimensions, parse_sequence
 from .spectrum import first_distinct, full_spectrum, level_spectrum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ReferenceMismatch(Exception):
@@ -65,13 +61,15 @@ def _number(kind, text: str, what: str):
         raise ValidationError(f"{what} {text!r} is not a valid {kind.__name__}") from None
 
 
-def _parse_t_grid(spec: str) -> np.ndarray:
-    """"a:b:Nlog" -> N log-spaced points in [a, b]; a bare number -> [a]."""
-    import numpy as np
+def _parse_t_grid(spec: str) -> list[float]:
+    """"a:b:Nlog" -> N log-spaced points in [a, b]; a bare number -> [a].
 
+    The points are laid out as numpy's geomspace does, 10^(i step + log10 a)
+    with both ends pinned to a and b, but from libm's pow.
+    """
     parts = spec.split(":")
     if len(parts) == 1:
-        return np.array([_number(float, parts[0], "t")])
+        return [_number(float, parts[0], "t")]
     if len(parts) == 3 and parts[2].endswith("log"):
         n = _number(int, parts[2][:-3], "t grid point count")
         if not 1 <= n <= _MAX_POINTS:
@@ -79,7 +77,17 @@ def _parse_t_grid(spec: str) -> np.ndarray:
         lo, hi = (_number(float, part, "t grid end") for part in parts[:2])
         if lo <= 0 or hi <= 0:
             raise ValidationError(f"t grid ends must be positive: {spec!r}")
-        return np.geomspace(lo, hi, n)
+        if n == 1:
+            return [lo]
+        start = math.log10(lo)
+        step = (math.log10(hi) - start) / (n - 1)
+        ts = [lo]
+        for i in range(1, n - 1):
+            try:
+                ts.append(10.0 ** (i * step + start))
+            except OverflowError:  # rounded past an end at the top of the double range
+                ts.append(max(lo, hi))
+        return ts + [hi]
     raise ValidationError(f"bad t grid {spec!r}; use a:b:Nlog or a single value")
 
 
@@ -212,7 +220,7 @@ def cmd_compare(args) -> int:
 
 def cmd_dims(args) -> int:
     seq = parse_sequence(args.sequence)
-    dims = asdict(dimensions(seq))
+    dims = dimensions(seq)._asdict()
     rows = [[repr(value) for value in dims.values()]]
     _emit(args, {"config": _config(args), **dims}, rows, list(dims))
     return 0
@@ -255,7 +263,7 @@ def cmd_heat(args) -> int:
             "spectral_dimension": fitted,
             "expected": rep.spectral,
         }
-        payload["dimensions"] = asdict(rep)
+        payload["dimensions"] = rep._asdict()
         lattice = poles(seq)
         payload["poles"] = {
             "real_part": lattice.real_part,

@@ -12,7 +12,7 @@ so a split, merged or missing cluster is one mismatched row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError, integer
 from .graphs import _chain_factor, build_graph, continuum_eigenvalues, discretize, trust_cutoff
@@ -24,8 +24,7 @@ _TOL = 1e-7  # residual bound each compared eigenpair must meet
 _MAX_DIMENSION = 2**17  # mesh points; level 7 of 2,3 at m = 1 has 83,136
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """One key; the numeric fields are None when the mesh returned no copy."""
 
     analytic_value: float
@@ -41,8 +40,7 @@ class ComparisonRow:
         return self.analytic_multiplicity == self.numeric_multiplicity
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     sequence: str
     level: int
     points_per_edge: int

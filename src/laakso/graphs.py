@@ -27,8 +27,7 @@ module loads neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import integer
 from .sequences import JSequence
@@ -38,8 +37,7 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 
-@dataclass(frozen=True, eq=False)
-class MetricGraph:
+class MetricGraph(NamedTuple):
     """F_n as vertices 0..vertex_count-1 plus equilateral edges as an array.
 
     `edges` is a read-only (E, 2) int64 array of endpoint pairs; parallel
@@ -56,8 +54,7 @@ class MetricGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class SparseSymmetricMatrix:
+class SparseSymmetricMatrix(NamedTuple):
     """Symmetric CSR matrix (row offsets, column indices, values)."""
 
     dimension: int
@@ -77,12 +74,7 @@ class SparseSymmetricMatrix:
     def from_csr(mat: sp.csr_matrix) -> "SparseSymmetricMatrix":
         mat = mat.tocsr()
         mat.sum_duplicates()
-        return SparseSymmetricMatrix(
-            dimension=mat.shape[0],
-            indptr=mat.indptr,
-            indices=mat.indices,
-            data=mat.data,
-        )
+        return SparseSymmetricMatrix(mat.shape[0], mat.indptr, mat.indices, mat.data)
 
 
 def _subdivide(ends: np.ndarray, vertex_count: int, pieces: int) -> np.ndarray:

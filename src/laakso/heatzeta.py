@@ -36,8 +36,8 @@ and s = 0 terms give the small-t expansion of Z(t), heat_trace_asymptote.
 The closed form's counts are exact integers; one past the double range (a
 block near 10^300 has such counts) enters through its logarithm.
 
-numpy is imported on first use (the direct zeta's heads, the slope fit), so
-the heat trace, the closed zeta, its poles and residues run without it.
+Nothing here uses numpy: the direct zeta's heads are sums of exps over a
+cached log table, and the slope fit is least squares with math.fsum.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DivergenceError,
@@ -66,16 +66,14 @@ _POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
 _MIN_TOL = 1e-300  # smallest heat-trace tol; a deep row's share may still underflow to 0
 
 
-@dataclass(frozen=True)
-class HeatTraceSample:
+class HeatTraceSample(NamedTuple):
     t: float
     z: float
     tail_bound: float  # truncation only (dropped terms and levels), not rounding
     level_cap: int | None = None
 
 
-@dataclass(frozen=True)
-class PoleLattice:
+class PoleLattice(NamedTuple):
     """Arithmetic progression of zeta poles governing the small-t behavior."""
 
     real_part: float  # d_s / 2 from dimensions(), where |w| = 2^p P^(1-2 Re s) = 1
@@ -243,6 +241,12 @@ _DIRECT_ATOL = 1e-13  # bound on the omitted levels of the direct sum
 _MAX_DIRECT_LEVELS = 20_000  # predicted levels to go; j = 2 at d_s/2 + 2e-3 needs ~1e4
 
 
+@functools.lru_cache
+def _log_keys(kstart: int, offset: float, cut: int) -> tuple[float, ...]:
+    """log(k + offset) for kstart <= k < cut: one direct zeta head, shared by every level."""
+    return tuple(math.log(k + offset) for k in range(kstart, cut))
+
+
 def _family_zeta(scale: int, row, s: complex) -> complex:
     """count * sum_k (c (k+offset)^2)^(-s), Euler-Maclaurin finish.
 
@@ -250,14 +254,16 @@ def _family_zeta(scale: int, row, s: complex) -> complex:
     prefactor count * c^(-s) sits in the exponent of every head term, so a
     (k+offset)^(-2s) past the double range never meets it as inf * 0.
     """
-    import numpy as np
-
     w = 2.0 * s
     cut = max(_EM_CUT, int(1.5 * abs(w)) + 10)
     log_c, offset = _quadratic(scale, row)
     pre = math.log(row.count) - s * log_c
-    ks = np.arange(row.kstart, cut, dtype=np.float64) + offset
-    head = complex(np.sum(np.exp(pre - w * np.log(ks))))
+    logs = _log_keys(row.kstart, offset, cut)
+    if w.imag:
+        head = sum(map(cmath.exp, [pre - w * lk for lk in logs]))
+    else:  # the same terms, by the cheaper real exp
+        re_pre, re_w = pre.real, w.real
+        head = sum(map(math.exp, [re_pre - re_w * lk for lk in logs]))
     return head + cmath.exp(pre) * _power_tail(w, cut + offset)
 
 
@@ -566,7 +572,10 @@ def heat_trace_asymptote(seq: JSequence, t: float) -> float:
     total += sqrt_term_coefficient(seq) / math.sqrt(math.pi * t)
     try:
         for s, coeff in _residue_terms(seq):
-            total += (coeff * cmath.exp(-s * log_t)).real
+            try:
+                total += (coeff * cmath.exp(-s * log_t)).real
+            except OverflowError:  # t^(-s) alone is past the double range, the term may not be
+                total += cmath.exp(cmath.log(coeff) - s * log_t).real
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
@@ -589,14 +598,12 @@ def estimate_spectral_dimension(
     wobble exactly on a uniform log grid.  Requires >= 10 samples spanning
     at least two decades with tail_bound/z < 1e-6.
     """
-    import numpy as np
-
     if len(samples) < 10:
         raise ValidationError(f"need at least 10 samples, got {len(samples)}")
     if not 0 < log_period < math.inf:
         raise ValidationError(f"log_period {log_period} must be finite and > 0")
     ordered = sorted(samples, key=lambda s: s.t)
-    tau = np.array([math.log(s.t) for s in ordered])
+    tau = [math.log(s.t) for s in ordered]
     if tau[-1] - tau[0] < 2.0 * math.log(10.0):
         raise ValidationError("samples span fewer than two decades of t")
     for s in ordered:
@@ -605,15 +612,20 @@ def estimate_spectral_dimension(
                 f"sample at t={s.t} has tail_bound/z = "
                 f"{s.tail_bound / s.z:.2e} >= 1e-6"
             )
-    y = np.array([math.log(s.z) for s in ordered])
-    delta = float(np.mean(np.diff(tau)))
+    y = [math.log(s.z) for s in ordered]
+    delta = (tau[-1] - tau[0]) / (len(tau) - 1)  # the mean step of log t
     q = max(1, round(log_period / delta))
     if q >= len(ordered):
         raise ValidationError(
             "averaging window exceeds the sample span; extend the t grid"
         )
-    kernel = np.ones(q) / q
-    y_bar = np.convolve(y, kernel, mode="valid")
-    tau_bar = np.convolve(tau, kernel, mode="valid")
-    slope = float(np.polyfit(tau_bar, y_bar, 1)[0])
+
+    def window_means(v):
+        return [math.fsum(v[i : i + q]) / q for i in range(len(v) - q + 1)]
+
+    # the least-squares slope of the window means of y against those of tau
+    tau_bar, y_bar = window_means(tau), window_means(y)
+    tau_mean, y_mean = math.fsum(tau_bar) / len(tau_bar), math.fsum(y_bar) / len(y_bar)
+    dx = [x - tau_mean for x in tau_bar]
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y_bar)) / math.fsum(d * d for d in dx)
     return -2.0 * slope

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DimensionUndefinedError, LevelRangeError, ValidationError, integer
 
@@ -21,8 +21,12 @@ PERIODIC = "periodic"
 EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class JSequence:
+class _Spec(NamedTuple):  # JSequence's fields; its __new__ validates them
+    kind: str
+    values: tuple[int, ...]
+
+
+class JSequence(_Spec):
     """The sequence {j_n} defining a Laakso space.
 
     kind is "periodic" or "explicit".  values holds the finite prefix as
@@ -32,21 +36,25 @@ class JSequence:
     to build F_1.
     """
 
-    kind: str
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (PERIODIC, EXPLICIT):
-            raise ValidationError(f"unknown sequence kind {self.kind!r}")
-        if not self.values:
+    def __new__(cls, kind: str, values: tuple[int, ...]):
+        if kind not in (PERIODIC, EXPLICIT):
+            raise ValidationError(f"unknown sequence kind {kind!r}")
+        if not values:
             raise ValidationError("sequence needs at least one value")
-        values = tuple(integer("entry", v, 2) for v in self.values)
-        if self.kind == PERIODIC:
+        values = tuple(integer("entry", v, 2) for v in values)
+        if kind == PERIODIC:
             length = len(values)
             # the shortest p dividing the length with values[i] == values[i + p]
             p = next(p for p in range(1, length + 1) if length % p == 0 and values[p:] == values[:-p])
             values = values[:p]
-        object.__setattr__(self, "values", values)
+        return super().__new__(cls, kind, values)
+
+    @classmethod
+    def _make(cls, iterable) -> JSequence:
+        """What _replace builds with: through __new__, so it validates too."""
+        return cls(*iterable)
 
     def j(self, n: int) -> int:
         """j_n for n >= 1.  Raises beyond the prefix of an explicit sequence."""
@@ -101,8 +109,7 @@ class JSequence:
         return self.spec_string()
 
 
-@dataclass(frozen=True)
-class LevelInfo:
+class LevelInfo(NamedTuple):
     """Exact counts for the level-n graph F_n."""
 
     n: int
@@ -111,8 +118,7 @@ class LevelInfo:
     nodes: int  # 2^(n-1) * (I_n + 3), which is 2 at n = 0
 
 
-@dataclass(frozen=True)
-class ShapeCensus:
+class ShapeCensus(NamedTuple):
     """How many of each spectral motif the level-n graph contains."""
 
     n: int
@@ -122,8 +128,7 @@ class ShapeCensus:
     cross_count: int
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Hausdorff, spectral, and walk dimensions of the limit space."""
 
     r: float  # contraction-limit value, lim I_n^(1/n)
@@ -185,13 +190,7 @@ def shape_census(seq: JSequence, n: int) -> ShapeCensus:
     v_count = 1 << n
     loop_count = (1 << (n - 1)) * (jn - 2) * scale_prev
     cross_count = 0 if n == 1 else (1 << (n - 2)) * (scale_prev - 1)
-    return ShapeCensus(
-        n=n,
-        scale=scale_prev * jn,
-        v_count=v_count,
-        loop_count=loop_count,
-        cross_count=cross_count,
-    )
+    return ShapeCensus(n, scale_prev * jn, v_count, loop_count, cross_count)
 
 
 def _log_block(seq: JSequence) -> float:

@@ -50,8 +50,7 @@ numpy is imported on first use and scipy on the first call of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import ValidationError, integer
 from .graphs import SparseSymmetricMatrix
@@ -72,8 +71,7 @@ _MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x max_basis buffer: 1 GiB
 _SHIFT = -1e-4
 
 
-@dataclass(frozen=True)
-class EigenResult:
+class EigenResult(NamedTuple):
     values: np.ndarray  # ascending
     residual_norms: np.ndarray  # ||A x - lambda x|| / (||x|| * scale)
     k_requested: int

@@ -13,8 +13,8 @@ comparison on m, so multiplicities merge without floating-point ties.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import LevelRangeError, ValidationError, integer
@@ -40,8 +40,7 @@ _MAX_KEY = 2**19
 _MAX_LAMBDA = eigenvalue_of_key(_MAX_KEY)
 
 
-@dataclass(frozen=True)
-class Contribution:
+class Contribution(NamedTuple):
     """One family's donation to an eigenvalue: which shape, where, and how many."""
 
     shape: str
@@ -50,8 +49,7 @@ class Contribution:
     count: int
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     m: int  # eigenvalue key; lambda = (m/2)^2 pi^2
     multiplicity: int
     contributions: tuple[Contribution, ...]
@@ -66,15 +64,11 @@ class SpectrumEntry:
             "m": str(self.m),
             "lambda": self.value,
             "multiplicity": self.multiplicity,
-            "contributions": [
-                {"shape": c.shape, "level": c.level, "k": c.k, "count": c.count}
-                for c in self.contributions
-            ],
+            "contributions": [c._asdict() for c in self.contributions],
         }
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Sorted distinct eigenvalues with exact aggregated multiplicities."""
 
     sequence: JSequence
@@ -94,6 +88,7 @@ class _FamilyRow(NamedTuple):
     kstart: int
 
 
+@functools.lru_cache(maxsize=1024)  # the deepest trace, 2 at t = 5e-324, has 543 levels
 def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
     """I_n and the row of every family that lives at level n, empty ones included.
 
@@ -183,9 +178,7 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
         )
         for m, contribs in sorted(collected.items())
     )
-    return SpectrumTable(
-        sequence=seq, entries=entries, lambda_max=lambda_max, level_cap=level_cap
-    )
+    return SpectrumTable(seq, entries, lambda_max, level_cap)
 
 
 def full_spectrum(seq: JSequence, lambda_max: float) -> SpectrumTable:
@@ -227,9 +220,4 @@ def first_distinct(seq: JSequence, count: int) -> SpectrumTable:
     count = integer("count", count, 1, _MAX_KEY // 2)
     table = full_spectrum(seq, eigenvalue_of_key(2 * (count - 1)) + 1.0)
     entries = table.entries[:count]
-    return SpectrumTable(
-        sequence=seq,
-        entries=entries,
-        lambda_max=entries[-1].value,
-        level_cap=table.level_cap,
-    )
+    return table._replace(entries=entries, lambda_max=entries[-1].value)

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import laakso
-from laakso.cli import main
+from laakso.cli import _parse_t_grid, main
 
 
 def run(tmp_path, *argv):
@@ -250,6 +251,30 @@ def test_heat_csv(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "lo, hi, n",
+    [(1e-300, 1e2, 10_001), (1e-300, 1e-299, 50), (1e-9, 1e-5, 40), (1e-9, 1e-7, 20),
+     (3e-17, 0.7, 333), (1e-3, 1e2, 2)],
+)
+def test_t_grid_is_numpys_geomspace_in_plain_floats(lo, hi, n):
+    """The a:b:Nlog grid keeps its ends exactly, increases strictly and stays
+    within 1e-12 relative of numpy's geomspace, from 1e-300 to 1e2."""
+    ts = _parse_t_grid(f"{lo!r}:{hi!r}:{n}log")
+    assert len(ts) == n and ts[0] == lo and ts[-1] == hi
+    assert all(a < b for a, b in zip(ts, ts[1:]))
+    assert ts == pytest.approx(list(np.geomspace(lo, hi, n)), rel=1e-12, abs=0.0)
+    assert _parse_t_grid(f"{lo!r}:{hi!r}:1log") == [lo]
+
+
+def test_t_grid_at_the_top_of_the_double_range_stays_finite():
+    """10^y for the log of an end near the largest double rounds past the
+    double range; such a point is that end, not an overflow or inf."""
+    lo, hi = 1.7976931348623e308, sys.float_info.max
+    for ends in ((lo, hi), (hi, lo), (hi, hi)):
+        ts = _parse_t_grid(f"{ends[0]!r}:{ends[1]!r}:5log")
+        assert all(lo <= t <= hi for t in ts), ts
+
+
 # -- zeta ----------------------------------------------------------------------
 
 
@@ -311,6 +336,8 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 assert not loaded, loaded
 # exact arithmetic stays in int
 assert "fractions" not in sys.modules and "decimal" not in sys.modules
+# records are NamedTuples: no dataclasses, and with it no inspect, at start-up
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 for name in ("laakso.graphs", "laakso.solver", "laakso.compare"):
     assert name in sys.modules, name
 for name in laakso.__all__:
@@ -322,7 +349,8 @@ assert report.all_multiplicities_match and report.compared_converged
 
 def test_cold_cli_loads_no_scipy_outside_the_mesh_route(tmp_path):
     """A fresh process that imports the package and runs an exact command
-    loads no scipy, fractions or decimal, yet keeps every submodule and
+    loads no scipy, fractions, decimal, dataclasses or inspect, yet keeps
+    every submodule (bench/tracing.py reads each one from sys.modules) and
     public name in place and can still run the mesh comparison afterwards."""
     env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
     done = subprocess.run(
@@ -342,20 +370,26 @@ assert not loaded, loaded
 """
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_COMMANDS = [
+    line for line in README.read_text().splitlines() if line.startswith("laakso ")
+]
+
+
 @pytest.mark.parametrize(
     "command",
     [
-        "spectrum -j 2,3 --count 20 --expect table1",
-        "spectrum -j 2 --lambda-max 500",
-        "spectrum -j 2,3 --level-max 3 --lambda-max 2000 --format csv",
-        "dims -j 2,3",
-        "poles -j 2 -m -3:3",
-        "zeta -j 2 --s 2 --s 1.5 --s 3 --mode closed",
-    ],
+        command.removeprefix("laakso ")
+        for command in README_COMMANDS
+        if not command.startswith("laakso compare")
+    ]
+    + ["zeta -j 2 --s 2 --s 1.5 --s 3 --mode closed"],
 )
 def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path, command):
-    """The exact routes are integer table walks and closed-form sums: a fresh
-    process that runs one of them never imports numpy or scipy."""
+    """Every README command but compare is an integer table walk or a sum in
+    plain floats (the heat trace and its t grid, the slope fit, both zeta
+    routes): a fresh process that runs one of them never imports numpy or
+    scipy."""
     env = dict(os.environ, PYTHONPATH=str(Path(laakso.__file__).parents[1]))
     done = subprocess.run(
         [sys.executable, "-c", _NO_ARRAYS_CHECK, command, str(tmp_path / "out.txt")],
@@ -513,12 +547,6 @@ def test_direct_zeta_near_the_abscissa_is_a_numerical_failure():
     )
     assert done.returncode == 2
     assert done.stderr.startswith("numerical failure:")
-
-
-README = Path(__file__).resolve().parents[1] / "README.md"
-README_COMMANDS = [
-    line for line in README.read_text().splitlines() if line.startswith("laakso ")
-]
 
 
 @pytest.mark.parametrize("command", README_COMMANDS)

@@ -41,6 +41,7 @@ from laakso.heatzeta import (
     _MODE_SUMS,
     _bracket,
     _closed_terms,
+    _gauss_sum,
     _level_terms,
     _residue_terms,
     _terms_sum,
@@ -152,6 +153,23 @@ def test_theta_matches_the_term_by_term_sum():
                 value = _theta(scale, row, t, budget)
                 assert abs(value - oracle) <= budget + 8 * math.ulp(value), (row, a_target, budget)
     assert kinds == {(o, dual) for o in (0, Fraction(1, 2)) for dual in (False, True)}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("budget", [1e-3, 1e-6, 1e-9])
+def test_gauss_sum_drops_at_most_its_budget_at_small_alpha(budget, q, sign):
+    """At alpha = 1e-3 the geometric factor 1/(1 - exp(-2 alpha p)) of the tail
+    bound is ~5 where the sum stops, so stopping at the first term below the
+    budget would drop about five budgets.  The dropped tail is the full sum,
+    term by term until the terms underflow, less the returned one."""
+    alpha, terms, p, term_sign = 1e-3, [], q, sign
+    while (term := math.exp(-alpha * p * p)) > 0.0:
+        terms.append(term_sign * term)
+        term_sign *= sign
+        p += 1.0
+    dropped = math.fsum(terms) - _gauss_sum(alpha, q, sign, budget)
+    assert abs(dropped) <= budget
 
 
 @mpmath.workdps(40)
@@ -675,13 +693,14 @@ def test_trace_ratio_over_one_period_is_the_spectral_dimension(spec):
 
 def test_trace_at_the_bottom_of_the_double_range():
     """Below t ~ 1e-307 the deepest counts of the constant-2 space pass the
-    double range while Z(t) does not.  At 1e-309 the trace is still a double
-    but the expansion's t^(-s) is not, and the expansion refuses."""
-    for t in (1e-307, 1e-308):
+    double range while Z(t) does not.  At 1e-309 the expansion's t^(-s) is
+    past it too, but each residue term, formed in log space, is not.  At
+    1e-320 Z(t) itself is past the double range, and both refuse."""
+    for t in (1e-307, 1e-308, 1e-309):
         assert heat_trace(J2, t).z == pytest.approx(heat_trace_asymptote(J2, t), rel=1e-13)
-    assert math.isfinite(heat_trace(J2, 1e-309).z)
-    with pytest.raises(ValidationError, match="overflows double precision"):
-        heat_trace_asymptote(J2, 1e-309)
+    for route in (heat_trace, heat_trace_asymptote):
+        with pytest.raises(ValidationError, match="overflows double precision"):
+            route(J2, 1e-320)
 
 
 def test_trace_leaves_numpy_unloaded():
@@ -792,6 +811,19 @@ def test_fit_alternating():
 def test_fit_constant_three():
     expected = math.log(6.0) / math.log(3.0)
     assert abs(_fit(J3) - expected) <= 0.035
+
+
+@pytest.mark.parametrize("seq, n", [(J2, 40), (J23, 81)])
+def test_fit_matches_a_polyfit_reference(seq, n):
+    """The window means and least-squares slope, formed with math.fsum, are
+    numpy's convolve and polyfit to 1e-12 on the README grid 1e-9:1e-5."""
+    samples = heat_trace_grid(seq, np.geomspace(1e-9, 1e-5, n))
+    log_period = oscillation_log_period(seq)
+    tau, y = np.log([s.t for s in samples]), np.log([s.z for s in samples])
+    q = round(log_period / np.mean(np.diff(tau)))
+    kernel = np.ones(q) / q
+    slope = np.polyfit(np.convolve(tau, kernel, "valid"), np.convolve(y, kernel, "valid"), 1)[0]
+    assert estimate_spectral_dimension(samples, log_period) == pytest.approx(-2.0 * slope, rel=1e-12)
 
 
 def test_fit_input_validation():

@@ -81,6 +81,18 @@ def test_periodic_pattern_is_its_primitive_block():
     assert parse_sequence("seq:2,2") != parse_sequence("seq:2")
 
 
+def test_replace_validates_and_reduces_like_construction():
+    """JSequence is a NamedTuple whose __new__ checks and reduces the pattern;
+    _replace goes through it too, so no copy skips the check."""
+    seq = parse_sequence("2,3")
+    assert seq._replace(values=(3, 3, 3)) == parse_sequence("3")
+    assert seq._replace(kind="explicit").spec_string() == "seq:2,3"
+    with pytest.raises(ValidationError, match="^entry 1 must be an integer >= 2"):
+        seq._replace(values=(2, 1))
+    with pytest.raises(ValidationError, match="unknown sequence kind"):
+        seq._replace(kind="cyclic")
+
+
 @given(patterns, st.integers(min_value=1, max_value=4))
 def test_repeated_pattern_is_the_same_value(values, times):
     seq = parse_sequence(",".join(map(str, values)))
