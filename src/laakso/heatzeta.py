@@ -1,10 +1,13 @@
 """Heat-kernel trace, spectral zeta function, poles, and small-time asymptotics.
 
-Everything here reads the spectrum module's family table, level 0 the line:
-each shape family of a level has a count and a key progression m = I_n (step k + phase).
+Everything here reads the spectrum module's family table, walked level by
+level from level 0, the line, by spectrum._levels: each shape family of a
+level has a count and the positive keys m = I_n (step k + phase) of its
+progression.  No row holds lambda = 0: the heat trace adds it as its 1, and
+the zeta function excludes it.
 
-The heat trace Z(t) = sum_k g_k exp(-E_k t) (lambda = 0 included) is summed
-row by row, a = c t for a row's eigenvalues c (k + offset)^2.  Jacobi's
+The heat trace Z(t) = 1 + sum_(E_k>0) g_k exp(-E_k t) is summed row by row,
+a = c t for a row's eigenvalues c (k + offset)^2.  Jacobi's
 imaginary transformation (Poisson summation; Stein-Shakarchi, Complex
 Analysis, ch. 10) gives both row kinds a dual series,
 
@@ -12,7 +15,7 @@ Analysis, ch. 10) gives both row kinds a dual series,
   sum_(k>=0) exp(-a (k+1/2)^2) = sqrt(pi/a) (1/2 + sum_(m>=1) (-1)^m exp(-pi^2 m^2/a)),
 
 summed below a = pi, the direct series from there on: a few terms per row
-at any t > 0.  A geometric series bounds what each series drops, and
+at any finite t > 0.  A geometric series bounds what each series drops, and
 I_n >= 2 I_{n-1} the omitted levels.
 
 The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
@@ -37,13 +40,15 @@ The closed form's counts are exact integers; one past the double range (a
 block near 10^300 has such counts) enters through its logarithm.
 
 Nothing here uses numpy: the direct zeta's heads are sums of exps over a
-cached log table, and the slope fit is least squares with math.fsum.
+cached log table, and the slope fit takes its window means from exact
+integer prefix sums and its least squares from math.fsum.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import sys
 from typing import NamedTuple
@@ -57,13 +62,14 @@ from .errors import (
 )
 from .sequences import JSequence, _log_block, dimensions
 from .special import _power_tail, complex_gamma, riemann_zeta
-from .spectrum import _family_table, _level_cap, _occupied_families
+from .spectrum import _family_table, _level_cap, _levels
 
 _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
 _EXP_FLOOR = 745.0  # exp(-745) is the smallest normal-ish double
 _POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
 _MIN_TOL = 1e-300  # smallest heat-trace tol; a deep row's share may still underflow to 0
+_TINY_DENOMINATOR = 2**1074  # 1 / the smallest subnormal double
 
 
 class HeatTraceSample(NamedTuple):
@@ -113,13 +119,14 @@ def _gauss_sum(alpha: float, q: float, sign: float, budget: float) -> float:
 def _theta(scale: int, row, t: float, budget: float) -> float:
     """count * sum_k exp(-a (k + offset)^2), a = c t, with the dropped terms at most budget.
 
-    Offset 0 rows run from k = 1, the V's (offset 1/2) from k = 0.  Below a = pi
-    the dual series is summed, and its dropped terms scale by sqrt(pi/a)."""
+    The sum runs over the row's positive keys: from k = 1 at offset 0, from
+    k = 0 at offset 1/2 (the V's).  Below a = pi the dual series is summed,
+    and its dropped terms scale by sqrt(pi/a)."""
     offset = row.phase / row.step
     r = (scale * row.step / 2) * math.sqrt(math.pi * t)  # sqrt(a / pi); c alone may overflow
     budget *= 1 / row.count  # per copy; int division, so a count past the double range gives 0
     if r >= 1.0:
-        value = _gauss_sum(math.pi * r * r, row.kstart + offset, 1.0, budget)
+        value = _gauss_sum(math.pi * r * r, offset or 1.0, 1.0, budget)
     else:  # with sqrt(pi/a) = 1/r the dual value is (1/2 + sum - (1/2 - offset) r) / r
         total = _gauss_sum(math.pi / (r * r), 1.0, -1.0 if offset else 1.0, budget * r)
         value = (0.5 - (0.5 - offset) * r + total) / r
@@ -146,6 +153,11 @@ def _remaining_levels_bound(
     return _times(3 * weight_first, u) / ((1.0 - u) * (1.0 - rho * u**3))
 
 
+def _checked_t(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise ValidationError(f"t {t} must be finite and > 0")
+
+
 def _checked_tol(tol: float) -> float:
     if not tol >= _MIN_TOL:
         raise ValidationError(f"tol {tol} must be >= {_MIN_TOL:g}")
@@ -159,7 +171,7 @@ def heat_trace(
     *,
     level_cap: int | None = None,
 ) -> HeatTraceSample:
-    """Z(t) with a certified truncation bound at most tol, at any t > 0 whose Z(t) fits a double.
+    """Z(t) with a certified truncation bound at most tol, at any finite t > 0 whose Z(t) fits a double.
 
     With no level cap (constant and periodic sequences) the sum runs over
     every level and the omitted-level remainder is dominated geometrically.
@@ -171,31 +183,26 @@ def heat_trace(
     more than tol, since no cap-respecting answer can then speak for the
     limit space at that accuracy.
     """
-    if not t > 0:
-        raise ValidationError(f"t {t} must be > 0")
+    _checked_t(t)
     tol = _checked_tol(tol)
     level_cap = _level_cap(seq, level_cap)
 
-    scale, (line,) = _family_table(seq, 0)  # level 0, the line m = 2k
-    z = 1.0 + _theta(scale, line._replace(kstart=1), t, tol / 4.0)  # its zero mode is the 1.0
-    bound = tol / 4.0  # the budgets handed out, which the dropped terms stay within
-
-    n = 1
-    while level_cap is None or n <= level_cap:
-        scale, rows = _occupied_families(seq, n)
-        if level_cap is None:
-            remaining = _remaining_levels_bound(seq, scale, sum(row.count for row in rows), t)
-            if remaining <= tol / 2.0:
-                bound += remaining
+    z = 1.0  # the zero mode
+    bound = 0.0  # the budgets handed out, which the dropped terms stay within
+    for n, scale, rows in _levels(seq, level_cap):
+        if n:  # the line, level 0, is always summed
+            if level_cap is None:
+                remaining = _remaining_levels_bound(seq, scale, sum(row.count for row in rows), t)
+                if remaining <= tol / 2.0:
+                    bound += remaining
+                    break
+            if _min_exponent(scale, t) > math.log(_EXP_FLOOR):
+                # every remaining capped level is below double-precision zero
                 break
-        if _min_exponent(scale, t) > math.log(_EXP_FLOOR):
-            # every remaining capped level is below double-precision zero
-            break
         level_budget = tol / 2.0 ** (n + 2)
         for row in rows:
             z += _theta(scale, row, t, level_budget / len(rows))
         bound += level_budget
-        n += 1
     if not math.isfinite(z):
         raise ValidationError(f"Z(t) overflows double precision at t = {t}")
 
@@ -242,9 +249,9 @@ _MAX_DIRECT_LEVELS = 20_000  # predicted levels to go; j = 2 at d_s/2 + 2e-3 nee
 
 
 @functools.lru_cache
-def _log_keys(kstart: int, offset: float, cut: int) -> tuple[float, ...]:
-    """log(k + offset) for kstart <= k < cut: one direct zeta head, shared by every level."""
-    return tuple(math.log(k + offset) for k in range(kstart, cut))
+def _log_keys(offset: float, cut: int) -> tuple[float, ...]:
+    """log(k + offset) over a row's mode indices k < cut: one direct zeta head, shared by every level."""
+    return tuple(math.log(k + offset) for k in range(0 if offset else 1, cut))
 
 
 def _family_zeta(scale: int, row, s: complex) -> complex:
@@ -258,7 +265,7 @@ def _family_zeta(scale: int, row, s: complex) -> complex:
     cut = max(_EM_CUT, int(1.5 * abs(w)) + 10)
     log_c, offset = _quadratic(scale, row)
     pre = math.log(row.count) - s * log_c
-    logs = _log_keys(row.kstart, offset, cut)
+    logs = _log_keys(offset, cut)
     if w.imag:
         head = sum(map(cmath.exp, [pre - w * lk for lk in logs]))
     else:  # the same terms, by the cheaper real exp
@@ -302,16 +309,13 @@ def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
         ratio = 2.0**p * seq.block ** (1.0 - 2.0 * sigma)
         period_sum = 0.0
 
-    scale, (line,) = _family_table(seq, 0)  # level 0, the line, without its zero mode
-    total = _family_zeta(scale, line._replace(kstart=1), s)
-    n = 1
-    while level_cap is None or n <= level_cap:
-        scale, rows = _occupied_families(seq, n)
+    total = 0.0 + 0.0j
+    for n, scale, rows in _levels(seq, level_cap):
         level_term = 0.0 + 0.0j
         for row in rows:
             level_term += _family_zeta(scale, row, s)
         total += level_term
-        if level_cap is None:
+        if level_cap is None and n:  # the periods start at level 1
             period_sum += abs(level_term)
             if n % p == 0 and n >= 2 * p:
                 tail = period_sum * ratio / (1.0 - ratio)
@@ -324,7 +328,6 @@ def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
                         f"direct sum, over its limit {_MAX_DIRECT_LEVELS}"
                     )
                 period_sum = 0.0
-        n += 1
     return total
 
 
@@ -565,8 +568,7 @@ def heat_trace_asymptote(seq: JSequence, t: float) -> float:
     actual (period-refined) imaginary spacing, every pole up to
     |Im s| = 8 pi kept and conjugate pairs folded into twice the real part.
     """
-    if not t > 0:
-        raise ValidationError(f"t {t} must be > 0")
+    _checked_t(t)
     log_t = math.log(t)
     total = 1.0 + zeta_at_zero(seq)
     total += sqrt_term_coefficient(seq) / math.sqrt(math.pi * t)
@@ -621,7 +623,11 @@ def estimate_spectral_dimension(
         )
 
     def window_means(v):
-        return [math.fsum(v[i : i + q]) / q for i in range(len(v) - q + 1)]
+        # every double is an integer multiple of 2^-1074, so the prefix sums of
+        # v 2^1074 are exact and each window sum rounds once, as math.fsum's does
+        units = (a * (_TINY_DENOMINATOR // b) for a, b in map(float.as_integer_ratio, v))
+        prefix = [0, *itertools.accumulate(units)]
+        return [(hi - lo) / _TINY_DENOMINATOR / q for lo, hi in zip(prefix, prefix[q:])]
 
     # the least-squares slope of the window means of y against those of tau
     tau_bar, y_bar = window_means(tau), window_means(y)

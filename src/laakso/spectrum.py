@@ -1,11 +1,12 @@
 """Exact Laplacian spectrum of a Laakso space, with multiplicities.
 
 Every eigenvalue of the Laplacian on the limit space is of the form
-lambda = (m/2)^2 * pi^2 for a nonnegative integer key m.  The keys come from
-one table: at each level n, every shape family has a count and a key
-progression m = I_n (step k + phase), and _family_table is the only place
-that lists them.  The exact spectrum here and the heat trace and zeta sums
-in heatzeta all read that table.
+lambda = (m/2)^2 * pi^2 for a nonnegative integer key m.  Key 0, the
+constant mode, has multiplicity 1; the positive keys come from one table: at
+each level n, every shape family has a count and a key progression
+m = I_n (step k + phase), and _family_table is the only place that lists
+them.  The exact spectrum here and the heat trace and zeta sums in heatzeta
+all read that table, level by level through _levels.
 
 Aggregation of coincident eigenvalues across families is exact integer
 comparison on m, so multiplicities merge without floating-point ties.
@@ -14,6 +15,7 @@ comparison on m, so multiplicities merge without floating-point ties.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -78,43 +80,45 @@ class SpectrumTable(NamedTuple):
 
 
 class _FamilyRow(NamedTuple):
-    """One shape family of a level: `count` copies, each carrying the keys
-    m = I_n (step k + phase) for k >= kstart."""
+    """One shape family of a level: `count` copies, each carrying the positive
+    keys m = I_n (step k + phase), k >= 0 when phase > 0 and k >= 1 when phase = 0."""
 
     shape: str
     count: int
     step: int
     phase: int
-    kstart: int
 
 
 @functools.lru_cache(maxsize=1024)  # the deepest trace, 2 at t = 5e-324, has 543 levels
 def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
     """I_n and the row of every family that lives at level n, empty ones included.
 
-    The line (the unit interval) is level 0; V and loop families start at
+    The line (the unit interval) is level 0, its row the keys 2, 4, ...; its
+    constant mode, lambda = 0, is no row's key.  V and loop families start at
     level 1 and both cross families at level 2.  A family can live at a
     level and still have no copies (loops when j_n = 2).
     """
     if n == 0:
-        return 1, (_FamilyRow(LINE, 1, 2, 0, 0),)
+        return 1, (_FamilyRow(LINE, 1, 2, 0),)
     census = shape_census(seq, n)
     rows = (
-        _FamilyRow(V, census.v_count, 2, 1, 0),
-        _FamilyRow(LOOP, census.loop_count, 2, 0, 1),
+        _FamilyRow(V, census.v_count, 2, 1),
+        _FamilyRow(LOOP, census.loop_count, 2, 0),
     )
     if n >= 2:
         rows += (
-            _FamilyRow(CROSS_FULL, 2 * census.cross_count, 2, 0, 1),
-            _FamilyRow(CROSS_QUARTER, census.cross_count, 1, 0, 1),
+            _FamilyRow(CROSS_FULL, 2 * census.cross_count, 2, 0),
+            _FamilyRow(CROSS_QUARTER, census.cross_count, 1, 0),
         )
     return census.scale, rows
 
 
-def _occupied_families(seq: JSequence, n: int) -> tuple[int, list[_FamilyRow]]:
-    """I_n and the rows of the level-n families that have at least one copy."""
-    scale, rows = _family_table(seq, n)
-    return scale, [row for row in rows if row.count]
+def _levels(seq: JSequence, level_cap: int | None):
+    """(n, I_n, rows of the level-n families that have a copy) for n = 0, 1, ...
+    through level_cap, or without end when it is None: the one level walk."""
+    for n in range(level_cap + 1) if level_cap is not None else itertools.count():
+        scale, rows = _family_table(seq, n)
+        yield n, scale, [row for row in rows if row.count]
 
 
 def _family_modes(
@@ -122,7 +126,7 @@ def _family_modes(
 ) -> list[tuple[int, int]]:
     """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max."""
     out = []
-    k = row.kstart
+    k = 0 if row.phase else 1
     while True:
         m = scale * (row.step * k + row.phase)
         if eigenvalue_of_key(m) > lambda_max:
@@ -156,19 +160,15 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
             "keys up to 2^19"
         )
     level_cap = _level_cap(seq, level_cap)
-    collected: dict[int, list[Contribution]] = {}
-    n = 0
-    while level_cap is None or n <= level_cap:
-        # the line's keys start at 0; from level 1 on the smallest key is I_n
-        if n and eigenvalue_of_key(seq.scale(n)) > lambda_max:
+    collected = {0: [Contribution(shape=LINE, level=0, k=0, count=1)]}  # lambda = 0
+    for n, scale, rows in _levels(seq, level_cap):
+        if eigenvalue_of_key(scale) > lambda_max:  # I_n is at most the level's smallest key
             break
-        scale, rows = _occupied_families(seq, n)
         for row in rows:
             for m, k in _family_modes(scale, row, lambda_max):
                 collected.setdefault(m, []).append(
                     Contribution(shape=row.shape, level=n, k=k, count=row.count)
                 )
-        n += 1
 
     entries = tuple(
         SpectrumEntry(

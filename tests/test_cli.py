@@ -465,6 +465,8 @@ def test_config_echoed(tmp_path):
         ["spectrum", "-j", "2", "--count", "1" + "0" * 400],
         ["spectrum", "-j", "2", "--count", "262145"],
         ["compare", "-j", "2,3", "-n", "2", "-m", "8", "-k", "20", "--seed", "-1"],
+        ["heat", "-j", "2", "--t", "inf"],
+        ["heat", "-j", "2", "--t", "1:inf:3log", "--asymptotic"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

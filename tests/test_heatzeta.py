@@ -37,6 +37,7 @@ from laakso import (
     zeta_at_zero,
 )
 from laakso.heatzeta import (
+    HeatTraceSample,
     _DIRECT_ATOL,
     _MODE_SUMS,
     _bracket,
@@ -47,7 +48,7 @@ from laakso.heatzeta import (
     _terms_sum,
     _theta,
 )
-from laakso.spectrum import _family_table, _occupied_families
+from laakso.spectrum import _family_table
 
 J2 = parse_sequence("2")
 J3 = parse_sequence("3")
@@ -107,6 +108,11 @@ def test_trace_validates_inputs():
     for t, tol in ((math.nan, 1e-9), (1.0, math.nan)):
         with pytest.raises(ValidationError):
             heat_trace(J2, t, tol)
+    for t in (math.inf, 0.0, -1.0, math.nan):  # an infinite t has no trace to certify
+        with pytest.raises(ValidationError, match="must be finite and > 0"):
+            heat_trace(J2, t)
+        with pytest.raises(ValidationError, match="must be finite and > 0"):
+            heat_trace_asymptote(J2, t)
     # one level-cap rule for the trace and level_spectrum
     prefix = parse_sequence("seq:2,3")
     for seq, cap in ((J2, -1), (prefix, -1), (prefix, 3)):
@@ -128,14 +134,14 @@ def test_theta_matches_the_term_by_term_sum():
     """Both row kinds, a on both sides of pi (the switch between the dual and
     the direct series): the helper's value is the term-by-term sum, to 40
     digits at the same double a the helper forms, within the budget and
-    8 ulp of rounding.  Rows: the line from k = 1 and every occupied row of
-    levels 1-3 of three spaces."""
+    8 ulp of rounding.  Rows: the line and every occupied row of levels 1-3
+    of three spaces, each summed over k >= 0 at phase > 0 and k >= 1 at phase 0."""
     scale, (line,) = _family_table(J2, 0)
-    rows = [(scale, line._replace(kstart=1))]
+    rows = [(scale, line)]
     for spec in ("2", "2,3", "3,4"):
         for n in (1, 2, 3):
-            scale, occupied = _occupied_families(parse_sequence(spec), n)
-            rows += [(scale, row) for row in occupied]
+            scale, level_rows = _family_table(parse_sequence(spec), n)
+            rows += [(scale, row) for row in level_rows if row.count]
     kinds = set()
     for scale, row in rows:
         offset = Fraction(row.phase, row.step)
@@ -144,7 +150,7 @@ def test_theta_matches_the_term_by_term_sum():
             r = (scale * row.step / 2) * math.sqrt(math.pi * t)
             a = mpmath.mpf(math.pi * r * r)
             kinds.add((offset, r < 1.0))
-            oracle, k = mpmath.mpf(0), row.kstart
+            oracle, k = mpmath.mpf(0), 0 if row.phase else 1
             while k < 5 or oracle * mpmath.mpf(10) ** -45 < mpmath.exp(-a * (k + offset) ** 2):
                 oracle += mpmath.exp(-a * (k + offset) ** 2)
                 k += 1
@@ -174,7 +180,8 @@ def test_gauss_sum_drops_at_most_its_budget_at_small_alpha(budget, q, sign):
 
 @mpmath.workdps(40)
 def _theta_reference(seq, t):
-    """Z(t) to 40 digits: every row by the same dual (a < pi) or direct series,
+    """Z(t) to 40 digits: the zero mode's 1, then every row by the same dual
+    (a < pi) or direct series over k >= 0 at phase > 0 and k >= 1 at phase 0,
     summed until its terms and then whole levels stop counting at 45 digits."""
     t, small = mpmath.mpf(t), mpmath.mpf(10) ** -45
 
@@ -189,15 +196,14 @@ def _theta_reference(seq, t):
         a = mpmath.pi**2 * (mpmath.mpf(scale) * row.step / 2) ** 2 * t
         offset = mpmath.mpf(row.phase) / row.step
         if a >= mpmath.pi:
-            return row.count * series(a, row.kstart + offset, 1)
+            return row.count * series(a, (0 if row.phase else 1) + offset, 1)
         dual = series(mpmath.pi**2 / a, 1, -1 if offset else 1)
         return row.count * (mpmath.sqrt(mpmath.pi / a) * (0.5 + dual) - (0.5 - offset))
 
-    scale, (line,) = _family_table(seq, 0)
-    z, n = 1 + row_sum(scale, line._replace(kstart=1)), 1
+    z, n = mpmath.mpf(1), 0
     while True:
-        scale, rows = _occupied_families(seq, n)
-        level = sum(row_sum(scale, row) for row in rows)
+        scale, rows = _family_table(seq, n)
+        level = sum(row_sum(scale, row) for row in rows if row.count)
         z += level
         if level < small * z and mpmath.pi**2 * scale**2 * t / 4 > 100:
             return z
@@ -413,7 +419,7 @@ def _prefix_zeta(seq, s):
     for n in range(seq.max_level + 1):
         scale, rows = _family_table(seq, n)
         for row in rows:
-            first = max(row.kstart, 0 if row.phase else 1)  # the line's k = 0 is lambda = 0
+            first = 0 if row.phase else 1  # the positive keys; lambda = 0 is excluded
             offset = mpmath.mpf(row.phase) / row.step
             c = mpmath.pi * scale * row.step / 2
             total += row.count * c ** (-2 * s) * mpmath.zeta(2 * s, first + offset)
@@ -824,6 +830,43 @@ def test_fit_matches_a_polyfit_reference(seq, n):
     kernel = np.ones(q) / q
     slope = np.polyfit(np.convolve(tau, kernel, "valid"), np.convolve(y, kernel, "valid"), 1)[0]
     assert estimate_spectral_dimension(samples, log_period) == pytest.approx(-2.0 * slope, rel=1e-12)
+
+
+def _fsum_window_fit(samples, log_period):
+    """The fit with each window mean its own math.fsum: the O(n q) form."""
+    ordered = sorted(samples, key=lambda s: s.t)
+    tau, y = [math.log(s.t) for s in ordered], [math.log(s.z) for s in ordered]
+    q = max(1, round(log_period / ((tau[-1] - tau[0]) / (len(tau) - 1))))
+
+    def window_means(v):
+        return [math.fsum(v[i : i + q]) / q for i in range(len(v) - q + 1)]
+
+    tau_bar, y_bar = window_means(tau), window_means(y)
+    tau_mean, y_mean = math.fsum(tau_bar) / len(tau_bar), math.fsum(y_bar) / len(y_bar)
+    dx = [x - tau_mean for x in tau_bar]
+    slope = math.fsum(d * (v - y_mean) for d, v in zip(dx, y_bar)) / math.fsum(d * d for d in dx)
+    return -2.0 * slope
+
+
+def test_fit_equals_the_per_window_fsum_form():
+    """The window means from exact integer prefix sums round each window sum
+    once, as math.fsum does, so the fit is the same double: on a README grid
+    and on jittered grids of random traces, windows from 1 to most samples."""
+    samples = heat_trace_grid(J23, np.geomspace(1e-9, 1e-5, 81), 1e-9)
+    log_period = oscillation_log_period(J23)
+    assert estimate_spectral_dimension(samples, log_period) == _fsum_window_fit(samples, log_period)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        size = int(rng.integers(10, 400))
+        log_t = np.sort(rng.uniform(-600.0, 600.0, 2)).tolist()
+        ts = np.exp(np.linspace(*log_t, size) + rng.normal(0.0, 1e-3, size))
+        zs = np.exp(rng.uniform(-600.0, 600.0, size))
+        samples = [HeatTraceSample(float(t), float(z), 0.0) for t, z in zip(ts, zs)]
+        log_period = (log_t[1] - log_t[0]) * rng.uniform(0.0, 0.95)
+        if log_t[1] - log_t[0] < 2.0 * math.log(10.0) or log_period <= 0.0:
+            continue
+        fit = estimate_spectral_dimension(samples, log_period)
+        assert fit == _fsum_window_fit(samples, log_period)
 
 
 def test_fit_input_validation():

@@ -18,7 +18,7 @@ from laakso import (
     level_spectrum,
     parse_sequence,
 )
-from laakso.spectrum import _family_table
+from laakso.spectrum import LINE, Contribution, SpectrumEntry, _family_table
 
 TABLE1_MULTIPLICITIES = [1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3]
 
@@ -141,8 +141,15 @@ def test_alternating_high_multiplicities():
 
 
 def test_tiny_lambda_max_keeps_only_zero():
+    """The zero mode is one entry, the line's k = 0, in every table."""
     table = full_spectrum(parse_sequence("2"), 1.0)
     assert [(e.m, e.multiplicity) for e in table.entries] == [(0, 1)]
+    zero = SpectrumEntry(0, 1, (Contribution(LINE, 0, 0, 1),))
+    for spec in ("2", "2,3", "seq:2,3,4"):
+        seq = parse_sequence(spec)
+        assert full_spectrum(seq, 0.0).entries == (zero,)
+        entries = level_spectrum(seq, 0, 1e3).entries
+        assert [e for e in entries if e.m == 0] == [zero]
 
 
 def test_level_spectrum_constant_two_level_one():
@@ -234,15 +241,16 @@ def test_entries_strictly_increasing_and_consistent(spec, lam):
 @given(sequences, st.floats(min_value=50.0, max_value=2e4))
 @settings(max_examples=30, deadline=None)
 def test_aggregation_matches_per_family_recount(spec, lam):
-    """Coincident keys merge across families with nothing lost."""
+    """Coincident keys merge across families with nothing lost: the zero mode,
+    then each row's keys from k = 0 at phase > 0 and from k = 1 at phase 0."""
     seq = parse_sequence(spec)
     table = full_spectrum(seq, lam)
-    recount: dict[int, int] = {}
+    recount = {0: 1}
     n = 0
     while n == 0 or eigenvalue_of_key(seq.scale(n)) <= lam:
         scale, rows = _family_table(seq, n)
         for row in rows:
-            k = row.kstart
+            k = 0 if row.phase else 1
             while eigenvalue_of_key(m := scale * (row.step * k + row.phase)) <= lam:
                 if row.count:
                     recount[m] = recount.get(m, 0) + row.count
