@@ -70,12 +70,6 @@ class SparseSymmetricMatrix(NamedTuple):
             shape=(self.dimension, self.dimension),
         )
 
-    @staticmethod
-    def from_csr(mat: sp.csr_matrix) -> "SparseSymmetricMatrix":
-        mat = mat.tocsr()
-        mat.sum_duplicates()
-        return SparseSymmetricMatrix(mat.shape[0], mat.indptr, mat.indices, mat.data)
-
 
 def _subdivide(ends: np.ndarray, vertex_count: int, pieces: int) -> np.ndarray:
     """Split every edge (u, v) of `ends` into a chain of `pieces` links.
@@ -150,11 +144,11 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     # links of weight -1/h both ways, degree * 1/h on the diagonal
     w = 1.0 / h
     weights = np.concatenate((np.full(2 * len(links), -w), w * deg))
-    return SparseSymmetricMatrix.from_csr(
-        sp.csr_matrix(
-            (weights * (inv_sqrt[rows] * inv_sqrt[cols]), (rows, cols)), shape=(dim, dim)
-        )
+    # scipy's COO -> CSR conversion sums duplicates and sorts the indices
+    mat = sp.csr_matrix(
+        (weights * (inv_sqrt[rows] * inv_sqrt[cols]), (rows, cols)), shape=(dim, dim)
     )
+    return SparseSymmetricMatrix(dim, mat.indptr, mat.indices, mat.data)
 
 
 def _chain_factor(graph: MetricGraph, points_per_edge: int):

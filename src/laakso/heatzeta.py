@@ -145,7 +145,7 @@ def _remaining_levels_bound(
     (scale I, weight = its total multiplicity count) and every level after it."""
     root = (math.pi / 2.0) * scale_first * math.sqrt(t)  # sqrt(lambda_min t); lambda_min may overflow
     u = math.exp(-root * root)
-    rho = 2.0 * max(seq.values)
+    rho = 2.0 * seq.j_max
     if u > 0.5 or rho * u**3 >= 0.5:
         return math.inf
     # weights grow at most like rho per level while the Boltzmann factors
@@ -173,15 +173,16 @@ def heat_trace(
 ) -> HeatTraceSample:
     """Z(t) with a certified truncation bound at most tol, at any finite t > 0 whose Z(t) fits a double.
 
-    With no level cap (constant and periodic sequences) the sum runs over
-    every level and the omitted-level remainder is dominated geometrically.
-    A level cap restricts the target to the level-capped spectrum, the same
-    object level_spectrum describes, under the same rule: a negative cap or
-    one past an explicit prefix raises, and explicit prefixes always carry a
-    cap (defaulting to the prefix length).  They additionally raise when
-    even the mildest continuation (j = 2 at the next level) would contribute
-    more than tol, since no cap-respecting answer can then speak for the
-    limit space at that accuracy.
+    Every sum stops at the first level from which a geometric series bounds
+    all later levels by tol/2, and adds that bound.  A level cap restricts
+    the target to the level-capped spectrum, the same object level_spectrum
+    describes, under the same rule: a negative cap or one past an explicit
+    prefix raises, and explicit prefixes always carry a cap (defaulting to
+    the prefix length).  So a capped bound counts the levels the stop skips,
+    and a cap at or past the stop level gives the uncapped z and tail_bound.
+    Explicit prefixes raise when even the mildest continuation (j = 2 at the
+    next level) would contribute more than tol, since no cap-respecting
+    answer can then speak for the limit space at that accuracy.
     """
     _checked_t(t)
     tol = _checked_tol(tol)
@@ -191,13 +192,9 @@ def heat_trace(
     bound = 0.0  # the budgets handed out, which the dropped terms stay within
     for n, scale, rows in _levels(seq, level_cap):
         if n:  # the line, level 0, is always summed
-            if level_cap is None:
-                remaining = _remaining_levels_bound(seq, scale, sum(row.count for row in rows), t)
-                if remaining <= tol / 2.0:
-                    bound += remaining
-                    break
-            if _min_exponent(scale, t) > math.log(_EXP_FLOOR):
-                # every remaining capped level is below double-precision zero
+            remaining = _remaining_levels_bound(seq, scale, sum(row.count for row in rows), t)
+            if remaining <= tol / 2.0:
+                bound += remaining
                 break
         level_budget = tol / 2.0 ** (n + 2)
         for row in rows:

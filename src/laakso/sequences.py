@@ -94,6 +94,11 @@ class JSequence(_Spec):
         return math.prod(self.values[: self.period])
 
     @property
+    def j_max(self) -> int:
+        """The largest j_n, which bounds every level's growth I_n / I_(n-1)."""
+        return max(self.values)
+
+    @property
     def max_level(self) -> int | None:
         """Largest usable level, or None when every level is defined."""
         return len(self.values) if self.kind == EXPLICIT else None

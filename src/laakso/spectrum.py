@@ -8,8 +8,9 @@ m = I_n (step k + phase), and _family_table is the only place that lists
 them.  The exact spectrum here and the heat trace and zeta sums in heatzeta
 all read that table, level by level through _levels.
 
-Aggregation of coincident eigenvalues across families is exact integer
-comparison on m, so multiplicities merge without floating-point ties.
+A float lambda enters once, as the integer key bound _key_bound: the tables,
+the counts and the merge of coincident eigenvalues across families compare
+keys m exactly, with no floating-point ties.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ _QUARTER_PI_SQ = math.pi * math.pi / 4.0
 def eigenvalue_of_key(m: int) -> float:
     """lambda = (m/2)^2 pi^2 as a float (exact key is the integer m)."""
     return (m * m) * _QUARTER_PI_SQ
+
+
+def _key_bound(lam: float) -> int:
+    """The largest m with eigenvalue_of_key(m) <= lam, or -1 when lam < 0."""
+    if lam < 0:
+        return -1
+    m = math.isqrt(int(lam / _QUARTER_PI_SQ)) + 1  # at most two past it below key 2^26
+    while eigenvalue_of_key(m) > lam:  # the float test is monotone in m
+        m -= 1
+    return m
 
 
 # a table's entries grow like its key bound 2 sqrt(lambda_max) / pi (keys
@@ -91,12 +102,12 @@ class _FamilyRow(NamedTuple):
 
 @functools.lru_cache(maxsize=1024)  # the deepest trace, 2 at t = 5e-324, has 543 levels
 def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
-    """I_n and the row of every family that lives at level n, empty ones included.
+    """I_n and the row of every family that has a copy at level n.
 
     The line (the unit interval) is level 0, its row the keys 2, 4, ...; its
     constant mode, lambda = 0, is no row's key.  V and loop families start at
-    level 1 and both cross families at level 2.  A family can live at a
-    level and still have no copies (loops when j_n = 2).
+    level 1 and both cross families at level 2; a family without copies
+    (loops when j_n = 2) has no row.
     """
     if n == 0:
         return 1, (_FamilyRow(LINE, 1, 2, 0),)
@@ -110,29 +121,15 @@ def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
             _FamilyRow(CROSS_FULL, 2 * census.cross_count, 2, 0),
             _FamilyRow(CROSS_QUARTER, census.cross_count, 1, 0),
         )
-    return census.scale, rows
+    return census.scale, tuple(row for row in rows if row.count)
 
 
 def _levels(seq: JSequence, level_cap: int | None):
-    """(n, I_n, rows of the level-n families that have a copy) for n = 0, 1, ...
-    through level_cap, or without end when it is None: the one level walk."""
+    """(n, I_n, the family table's rows) for n = 0, 1, ... through level_cap, or
+    without end when it is None: the one level walk.  A capped heat trace stops
+    it early by the uncapped rule, its bound counting the levels it skips."""
     for n in range(level_cap + 1) if level_cap is not None else itertools.count():
-        scale, rows = _family_table(seq, n)
-        yield n, scale, [row for row in rows if row.count]
-
-
-def _family_modes(
-    scale: int, row: _FamilyRow, lambda_max: float
-) -> list[tuple[int, int]]:
-    """(key m, mode index k) pairs of one family with eigenvalue <= lambda_max."""
-    out = []
-    k = 0 if row.phase else 1
-    while True:
-        m = scale * (row.step * k + row.phase)
-        if eigenvalue_of_key(m) > lambda_max:
-            return out
-        out.append((m, k))
-        k += 1
+        yield n, *_family_table(seq, n)
 
 
 def _level_cap(seq: JSequence, cap: int | None) -> int | None:
@@ -160,13 +157,14 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
             "keys up to 2^19"
         )
     level_cap = _level_cap(seq, level_cap)
+    key_max = _key_bound(lambda_max)
     collected = {0: [Contribution(shape=LINE, level=0, k=0, count=1)]}  # lambda = 0
     for n, scale, rows in _levels(seq, level_cap):
-        if eigenvalue_of_key(scale) > lambda_max:  # I_n is at most the level's smallest key
+        if scale > key_max:  # I_n is at most the level's smallest key
             break
-        for row in rows:
-            for m, k in _family_modes(scale, row, lambda_max):
-                collected.setdefault(m, []).append(
+        for row in rows:  # the keys I_n (step k + phase) <= key_max
+            for k in range(0 if row.phase else 1, (key_max // scale - row.phase) // row.step + 1):
+                collected.setdefault(scale * (row.step * k + row.phase), []).append(
                     Contribution(shape=row.shape, level=n, k=k, count=row.count)
                 )
 
@@ -205,9 +203,10 @@ def counting_function(table: SpectrumTable, lam: float) -> int:
         raise ValidationError(
             f"lambda {lam} must be at most the table's lambda_max {table.lambda_max}"
         )
+    key_max = _key_bound(lam)
     total = 0
     for e in table.entries:
-        if e.value > lam:
+        if e.m > key_max:
             break
         total += e.multiplicity
     return total

@@ -13,6 +13,7 @@ import pytest
 
 import laakso
 from laakso.cli import _parse_t_grid, main
+from laakso.compare import ComparisonReport, ComparisonRow
 
 
 def run(tmp_path, *argv):
@@ -36,12 +37,15 @@ def test_spectrum_against_reference(tmp_path):
     ]
 
 
-def test_spectrum_reference_mismatch_exits_three(tmp_path):
-    # a different sequence cannot reproduce the reference multiplicities
-    code, _ = run(
-        tmp_path, "spectrum", "-j", "3,2", "--count", "20", "--expect", "table1"
-    )
-    assert code == 3
+def test_spectrum_reference_mismatch_exits_three(tmp_path, capsys):
+    """A different sequence cannot reproduce the reference multiplicities,
+    and a table shorter than the reference lacks its last rows."""
+    for spec, count, missing in (("3,2", "20", 0), ("2,3", "5", 15)):
+        code, text = run(tmp_path, "spectrum", "-j", spec, "--count", count, "--expect", "table1")
+        assert code == 3
+        diffs = json.loads(text)["reference_diffs"]
+        assert diffs and capsys.readouterr().err == "reference mismatch:\n" + "\n".join(diffs) + "\n"
+        assert sum("missing" in diff for diff in diffs) == missing
 
 
 def test_spectrum_tiny_lambda(tmp_path):
@@ -131,6 +135,33 @@ def test_compare_level_one(tmp_path):
     assert clusters[3][1] == 3
     assert clusters[3][0] == pytest.approx(9 * math.pi**2, rel=1e-3)
     assert payload["all_multiplicities_match"] is True
+
+
+@pytest.mark.parametrize(
+    "k_converged, residual, numeric_multiplicity, code, err",
+    [
+        (8, 1e-9, 3, 0, ""),
+        (5, 1e-9, 3, 0, "eigensolver converged 5/8 pairs\n"),
+        (8, 1e-3, 3, 2, ""),
+        (8, 1e-9, 2, 3, "reference mismatch:\nmultiplicity mismatch below the trust cutoff\n"),
+    ],
+)
+def test_compare_exit_follows_the_report(
+    tmp_path, capsys, monkeypatch, k_converged, residual, numeric_multiplicity, code, err
+):
+    """A compared pair over its residual bound is a numerical failure (exit 2),
+    a multiplicity mismatch a reference mismatch (exit 3), and fewer
+    converged pairs than asked for a note on stderr."""
+    row = ComparisonRow(math.pi**2, 3, math.pi**2, numeric_multiplicity, 0.0, residual, math.pi**2)
+
+    def report(seq, level, points_per_edge, k, *, seed):
+        return ComparisonReport(
+            str(seq), level, points_per_edge, k, k_converged, 100, 50.0, 1e-7, ((math.pi**2, 3),), (row,)
+        )
+
+    monkeypatch.setattr("laakso.cli.compare_spectra", report)
+    assert run(tmp_path, "compare", "-j", "2", "-n", "1", "-m", "4", "-k", "8")[0] == code
+    assert capsys.readouterr().err == err
 
 
 def test_compare_level_zero_neumann(tmp_path):
@@ -467,6 +498,8 @@ def test_config_echoed(tmp_path):
         ["compare", "-j", "2,3", "-n", "2", "-m", "8", "-k", "20", "--seed", "-1"],
         ["heat", "-j", "2", "--t", "inf"],
         ["heat", "-j", "2", "--t", "1:inf:3log", "--asymptotic"],
+        ["heat", "-j", "2", "--t", "1:2:3"],
+        ["poles", "-j", "2", "-m", "3"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

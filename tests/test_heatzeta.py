@@ -254,11 +254,37 @@ def test_trace_level_cap_targets_the_level_capped_spectrum(spec, cap):
     assert capped.level_cap == cap
     # independent reference: exponential sum over the truncated exact table
     table = level_spectrum(seq, cap, 80.0 / t)
-    reference = sum(e.multiplicity * math.exp(-e.value * t) for e in table.entries)
-    assert capped.z == pytest.approx(reference, abs=1e-10)
+    reference = math.fsum(e.multiplicity * math.exp(-e.value * t) for e in table.entries)
+    assert abs(capped.z - reference) <= capped.tail_bound + 8 * math.ulp(capped.z)
+    assert capped.tail_bound <= 1e-11
     # deeper levels are awake at this t, so the full trace is larger
     full = heat_trace(seq, t, 1e-11)
     assert full.z > capped.z + 1.0
+
+
+def test_trace_cap_past_the_stop_is_the_uncapped_trace(monkeypatch):
+    """A capped sum stops by the uncapped sum's certified rule, its bound
+    counting the levels it skips: once the cap passes the stop level, z and
+    tail_bound are the uncapped sample's bit for bit, and a cap of 10^5
+    walks no further than no cap does."""
+    deepest = []
+
+    def walk(seq, level_cap):
+        for level in laakso.spectrum._levels(seq, level_cap):
+            deepest.append(level[0])
+            yield level
+
+    monkeypatch.setattr("laakso.heatzeta._levels", walk)
+    for i in range(30):
+        t = 10.0 ** (-6 + 6 * i / 29)
+        deepest.clear()
+        full = heat_trace(J23, t, 1e-10)
+        stop = max(deepest)
+        for cap in (stop, 30, 10**5):
+            deepest.clear()
+            capped = heat_trace(J23, t, 1e-10, level_cap=cap)
+            assert (capped.z, capped.tail_bound, capped.level_cap) == (full.z, full.tail_bound, cap)
+            assert max(deepest) == stop < 30
 
 
 # -- spectral zeta: two routes -------------------------------------------------
@@ -557,6 +583,8 @@ def test_pole_range_is_bounded():
     assert len(poles(J2, (-5000, 5000)).members) == 10_001
     with pytest.raises(ValidationError):
         poles(J2, (-5000, 5001))
+    with pytest.raises(ValidationError, match="empty m range"):
+        poles(J2, (3, -3))
 
 
 def test_pole_lattice_alternating():
@@ -599,6 +627,8 @@ def test_residue_conjugate_symmetry():
         plus = residue_coefficient(J23, complex(re_dom, m * fine), "dominant")
         minus = residue_coefficient(J23, complex(re_dom, -m * fine), "dominant")
         assert minus == plus.conjugate()
+    with pytest.raises(ValidationError, match="unknown pole family 'bogus'"):
+        residue_coefficient(J23, complex(re_dom, fine), "bogus")
 
 
 def test_dominant_residue_value_j2():

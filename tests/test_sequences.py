@@ -91,6 +91,8 @@ def test_replace_validates_and_reduces_like_construction():
         seq._replace(values=(2, 1))
     with pytest.raises(ValidationError, match="unknown sequence kind"):
         seq._replace(kind="cyclic")
+    with pytest.raises(ValidationError, match="needs at least one value"):
+        JSequence("periodic", ())
 
 
 @given(patterns, st.integers(min_value=1, max_value=4))
@@ -119,6 +121,14 @@ def test_level_info_first_level_constant_two():
 
 def test_level_info_alternating_scale():
     assert level_info(parse_sequence("2,3"), 3).scale == 12
+
+
+@pytest.mark.parametrize("spec, j_max", [("2", 2), ("2,5,3", 5), ("3,4", 4), ("seq:7,2", 7)])
+def test_j_max_is_the_largest_level_growth(spec, j_max):
+    """j_max bounds every I_n / I_(n-1) and is reached within the pattern."""
+    seq = parse_sequence(spec)
+    levels = range(1, (seq.max_level or 6) + 1)
+    assert seq.j_max == j_max == max(seq.scale(n) // seq.scale(n - 1) for n in levels)
 
 
 def test_level_info_beyond_prefix_raises():

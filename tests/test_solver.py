@@ -19,9 +19,8 @@ from laakso.solver import _orthonormalize, _project_out, cluster_multiplicities
 
 
 def _diag_matrix(n: int) -> SparseSymmetricMatrix:
-    return SparseSymmetricMatrix.from_csr(
-        sp.diags(np.arange(n, dtype=float)).tocsr()
-    )
+    mat = sp.diags(np.arange(n, dtype=float)).tocsr()
+    return SparseSymmetricMatrix(n, mat.indptr, mat.indices, mat.data)
 
 
 def test_neumann_chain():

@@ -18,7 +18,7 @@ from laakso import (
     level_spectrum,
     parse_sequence,
 )
-from laakso.spectrum import LINE, Contribution, SpectrumEntry, _family_table
+from laakso.spectrum import LINE, Contribution, SpectrumEntry, _family_table, _key_bound
 
 TABLE1_MULTIPLICITIES = [1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3]
 
@@ -238,22 +238,61 @@ def test_entries_strictly_increasing_and_consistent(spec, lam):
         assert e.value <= lam
 
 
-@given(sequences, st.floats(min_value=50.0, max_value=2e4))
-@settings(max_examples=30, deadline=None)
-def test_aggregation_matches_per_family_recount(spec, lam):
-    """Coincident keys merge across families with nothing lost: the zero mode,
-    then each row's keys from k = 0 at phase > 0 and from k = 1 at phase 0."""
-    seq = parse_sequence(spec)
-    table = full_spectrum(seq, lam)
+def _recount(seq, lam, level_cap=None):
+    """key -> multiplicity by the float test eigenvalue_of_key(m) <= lam on
+    every mode: the zero mode, then each row's keys from k = 0 at phase > 0
+    and from k = 1 at phase 0, level by level through the cap."""
+    if level_cap is None:
+        level_cap = seq.max_level
     recount = {0: 1}
     n = 0
-    while n == 0 or eigenvalue_of_key(seq.scale(n)) <= lam:
+    while (level_cap is None or n <= level_cap) and (n == 0 or eigenvalue_of_key(seq.scale(n)) <= lam):
         scale, rows = _family_table(seq, n)
         for row in rows:
             k = 0 if row.phase else 1
             while eigenvalue_of_key(m := scale * (row.step * k + row.phase)) <= lam:
-                if row.count:
-                    recount[m] = recount.get(m, 0) + row.count
+                recount[m] = recount.get(m, 0) + row.count
                 k += 1
         n += 1
-    assert {e.m: e.multiplicity for e in table.entries} == recount
+    return recount
+
+
+@given(sequences, st.floats(min_value=50.0, max_value=2e4))
+@settings(max_examples=30, deadline=None)
+def test_aggregation_matches_per_family_recount(spec, lam):
+    """Coincident keys merge across families with nothing lost."""
+    seq = parse_sequence(spec)
+    table = full_spectrum(seq, lam)
+    assert {e.m: e.multiplicity for e in table.entries} == _recount(seq, lam)
+
+
+def test_key_bound_is_the_float_test():
+    """The largest key whose eigenvalue is <= lam: an eigenvalue is its own
+    key's bound and one ulp below it the key before, every key below 2^12
+    and every 13th key from there to 2^19; -1 below 0."""
+    for m in [*range(2**12), *range(2**12, 2**19, 13), 2**19]:
+        lam = eigenvalue_of_key(m)
+        assert _key_bound(lam) == m
+        assert _key_bound(math.nextafter(lam, -math.inf)) == m - 1
+    assert _key_bound(-0.0) == 0
+    assert _key_bound(-1e300) == -1
+
+
+@pytest.mark.parametrize("spec", ["2", "2,3", "3,4", "2,5", "2,3,4", "7", "seq:2,3,2"])
+def test_tables_and_counts_on_and_just_below_eigenvalues(spec):
+    """A lambda exactly on an eigenvalue keeps its key, one ulp below drops
+    it: full and level-capped tables hold the keys of the float test, and
+    the counting function counts the entries the float test admits."""
+    seq = parse_sequence(spec)
+    for m in (1, 2, 3, 4, 6, 12, 18, 35, 36, 48, 70, 72, 140, 144):
+        for lam in (eigenvalue_of_key(m), math.nextafter(eigenvalue_of_key(m), -math.inf)):
+            table = full_spectrum(seq, lam)
+            assert {e.m: e.multiplicity for e in table.entries} == _recount(seq, lam)
+            for cap in (0, 1, 2):
+                capped = level_spectrum(seq, cap, lam)
+                assert {e.m: e.multiplicity for e in capped.entries} == _recount(seq, lam, cap)
+            for key in range(m + 1):
+                for x in (eigenvalue_of_key(key), math.nextafter(eigenvalue_of_key(key), -math.inf)):
+                    if x <= lam:
+                        expected = sum(e.multiplicity for e in table.entries if e.value <= x)
+                        assert counting_function(table, x) == expected
