@@ -227,6 +227,11 @@ def cmd_dims(args) -> int:
 
 
 def cmd_heat(args) -> int:
+    if args.asymptotic and args.level_cap is not None:
+        raise ValidationError(
+            "--asymptotic is the limit space's expansion and has no level-capped "
+            "form; drop --level-cap"
+        )
     seq = parse_sequence(args.sequence)
     ts = _parse_t_grid(args.t)
     samples = heat_trace_grid(seq, ts, args.tol, level_cap=args.level_cap)

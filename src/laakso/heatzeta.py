@@ -22,8 +22,10 @@ The spectral zeta function zeta_L(s) = sum g_k E_k^{-s} (zero mode excluded)
 has two independent evaluations, sharing only the Euler-Maclaurin tail
 special._power_tail that riemann_zeta also finishes with:
 
-  * direct: family-by-family partial power sums, levels summed a period at
-    a time until the per-period ratio |w| dominates the rest, or refused
+  * direct: every level summed row by row, each row count (pi I_n / 2)^(-2s)
+    times the power sum of its progression j = step k + phase (at most three
+    sums, each formed once per s from its own head), levels summed a period
+    at a time until the per-period ratio |w| dominates the rest, or refused
     past a level limit;
   * closed: the family table resummed per period (_closed_terms): zeta_R(2s)
     pi^(-2s) times finitely many terms and two geometric series in
@@ -39,8 +41,7 @@ and s = 0 terms give the small-t expansion of Z(t), heat_trace_asymptote.
 The closed form's counts are exact integers; one past the double range (a
 block near 10^300 has such counts) enters through its logarithm.
 
-Nothing here uses numpy: the direct zeta's heads are sums of exps over a
-cached log table, and the slope fit takes its window means from exact
+Nothing here uses numpy: the slope fit takes its window means from exact
 integer prefix sums and its least squares from math.fsum.
 """
 
@@ -66,7 +67,7 @@ from .spectrum import _family_table, _level_cap, _levels
 
 _PI_SQ = math.pi * math.pi
 _LOG_PI_SQ = math.log(_PI_SQ)
-_EXP_FLOOR = 745.0  # exp(-745) is the smallest normal-ish double
+_EXP_FLOOR = 745.0  # exp(-745) is the smallest subnormal double, 5e-324
 _POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
 _MIN_TOL = 1e-300  # smallest heat-trace tol; a deep row's share may still underflow to 0
 _TINY_DENOMINATOR = 2**1074  # 1 / the smallest subnormal double
@@ -85,11 +86,6 @@ class PoleLattice(NamedTuple):
     real_part: float  # d_s / 2 from dimensions(), where |w| = 2^p P^(1-2 Re s) = 1
     spacing: float  # p pi / log P = 2 pi / log r^2: every p-th pole of the family
     members: tuple[complex, ...]
-
-
-def _quadratic(scale: int, row) -> tuple[float, float]:
-    """(log c, offset): the row's eigenvalues are c (k + offset)^2, c = pi^2 (I_n step / 2)^2."""
-    return _LOG_PI_SQ + 2.0 * math.log(scale) + 2.0 * math.log(row.step / 2), row.phase / row.step
 
 
 # ---------------------------------------------------------------------------
@@ -243,32 +239,20 @@ _EM_CUT = 64  # smallest head; the head grows with |s| past |2s| ~ 36
 _MAX_ABS_S = 5e3  # riemann_zeta's |2s| <= 1e4, which bounds the closed form too
 _DIRECT_ATOL = 1e-13  # bound on the omitted levels of the direct sum
 _MAX_DIRECT_LEVELS = 20_000  # predicted levels to go; j = 2 at d_s/2 + 2e-3 needs ~1e4
+_LOG_HALF_PI = math.log(math.pi / 2.0)  # a level-n row's eigenvalues are (pi I_n / 2)^2 j^2
 
 
-@functools.lru_cache
-def _log_keys(offset: float, cut: int) -> tuple[float, ...]:
-    """log(k + offset) over a row's mode indices k < cut: one direct zeta head, shared by every level."""
-    return tuple(math.log(k + offset) for k in range(0 if offset else 1, cut))
+def _progression_sum(step: int, phase: int, s: complex) -> complex:
+    """sum_j j^(-2s) over the positive j = step k + phase, Euler-Maclaurin finish.
 
-
-def _family_zeta(scale: int, row, s: complex) -> complex:
-    """count * sum_k (c (k+offset)^2)^(-s), Euler-Maclaurin finish.
-
-    The explicit head grows with |s| by the rule riemann_zeta uses.  The
-    prefactor count * c^(-s) sits in the exponent of every head term, so a
-    (k+offset)^(-2s) past the double range never meets it as inf * 0.
+    The explicit head grows with |s| by the rule riemann_zeta uses.  Every
+    head term is at most 1 in modulus at Re s > 0, so none overflows: the V's
+    odd j are not written as 2 (k + 1/2), whose 2^(2s) overflows at s = 600.
     """
     w = 2.0 * s
     cut = max(_EM_CUT, int(1.5 * abs(w)) + 10)
-    log_c, offset = _quadratic(scale, row)
-    pre = math.log(row.count) - s * log_c
-    logs = _log_keys(offset, cut)
-    if w.imag:
-        head = sum(map(cmath.exp, [pre - w * lk for lk in logs]))
-    else:  # the same terms, by the cheaper real exp
-        re_pre, re_w = pre.real, w.real
-        head = sum(map(math.exp, [re_pre - re_w * lk for lk in logs]))
-    return head + cmath.exp(pre) * _power_tail(w, cut + offset)
+    head = sum(cmath.exp(-w * math.log(step * k + phase)) for k in range(0 if phase else 1, cut))
+    return head + cmath.exp(-w * math.log(step)) * _power_tail(w, cut + phase / step)
 
 
 def _finite_s(s: complex) -> complex:
@@ -279,11 +263,13 @@ def _finite_s(s: complex) -> complex:
 
 
 def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
-    """Brute-force zeta_L(s): term-by-term family sums, no closed forms.
+    """Brute-force zeta_L(s): every level summed family by family, no closed forms.
 
-    Serves as the independent oracle for spectral_zeta_closed on the
-    convergence half-plane, up to the closed form's |s| <= 5e3.  An explicit
-    prefix sums its levels only.
+    A level-n row's eigenvalues are (pi I_n j / 2)^2 over its progression's
+    j, so it adds count (pi I_n / 2)^(-2s) times that progression's power
+    sum, formed once per call.  Serves as the independent oracle for
+    spectral_zeta_closed on the convergence half-plane, up to the closed
+    form's |s| <= 5e3.  An explicit prefix sums its levels only.
     """
     s = _finite_s(s)
     if abs(s) > _MAX_ABS_S:
@@ -306,11 +292,17 @@ def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
         ratio = 2.0**p * seq.block ** (1.0 - 2.0 * sigma)
         period_sum = 0.0
 
+    sums = {}  # (step, phase) -> the progression's power sum
     total = 0.0 + 0.0j
     for n, scale, rows in _levels(seq, level_cap):
+        # log(pi I_n / 2) from log I_n: pi I_n is past the double range from level 1023 of 2
+        exponent = -2.0 * s * (math.log(scale) + _LOG_HALF_PI)
         level_term = 0.0 + 0.0j
         for row in rows:
-            level_term += _family_zeta(scale, row, s)
+            progression = row.step, row.phase
+            if progression not in sums:
+                sums[progression] = _progression_sum(*progression, s)
+            level_term += cmath.exp(math.log(row.count) + exponent) * sums[progression]
         total += level_term
         if level_cap is None and n:  # the periods start at level 1
             period_sum += abs(level_term)

@@ -1,47 +1,12 @@
-"""Embedded reference eigenvalue tables for the CLI's --expect checks.
+"""Embedded reference eigenvalue table for the CLI's --expect checks.
 
 TABLE1 holds the twenty lowest distinct eigenvalues of the alternating
 2,3 space with their exact multiplicities; eigenvalues are (k pi)^2 to two
-decimals.  TABLE2 holds low-spectrum reference rows for four alternating
-constructions; rows whose recorded multiplicity disagrees with the exact
-shape-count formulas are marked excluded and are never asserted against
-(they are retained so the dataset is complete).
+decimals.
 """
 
 import math
 
-# multiplicities of lambda_k = (k pi)^2, k = 0..19, for {2,3,2,3,...}:
-# TABLE1 pairs them with lambda_k, TABLE2["2,3"] with x = k
+# multiplicities of lambda_k = (k pi)^2, k = 0..19, for {2,3,2,3,...}
 _MULTIPLICITIES_2_3 = (1, 3, 1, 8, 1, 3, 26, 3, 1, 8, 1, 3, 38, 3, 1, 8, 1, 3, 86, 3)
 TABLE1 = tuple((round((k * math.pi) ** 2, 2), m) for k, m in enumerate(_MULTIPLICITIES_2_3))
-
-# Low-spectrum reference rows per sequence: (x, multiplicity, excluded) with
-# lambda = (x pi)^2.  Excluded rows carry recorded multiplicities that the
-# exact shape counts contradict (B at 9^2: 36 vs 26; B at 13^2: 4 vs 1;
-# C at 12^2: 2 vs 20); two recorded eigenvalues in the source dataset are
-# also garbled ("199.85.3" in B, "3139.2" for 3193.2 in D) but their
-# multiplicity entries are fine.
-TABLE2 = {
-    "2,3": tuple((float(k), m, False) for k, m in enumerate(_MULTIPLICITIES_2_3)),
-    "3,2": (
-        (0.0, 1, False), (1.0, 1, False), (1.5, 2, False), (2.0, 1, False),
-        (3.0, 8, False), (4.0, 1, False), (4.5, 2, False), (5.0, 1, False),
-        (6.0, 8, False), (7.0, 1, False), (7.5, 2, False), (8.0, 1, False),
-        (9.0, 36, True), (10.0, 1, False), (10.5, 2, False), (11.0, 1, False),
-        (12.0, 8, False), (13.0, 4, True), (13.5, 2, False), (14.0, 1, False),
-    ),
-    "3,4": (
-        (0.0, 1, False), (1.0, 1, False), (1.5, 2, False), (2.0, 1, False),
-        (3.0, 2, False), (4.0, 1, False), (4.5, 2, False), (5.0, 1, False),
-        (6.0, 8, False), (7.0, 1, False), (7.5, 2, False), (8.0, 1, False),
-        (9.0, 2, False), (10.0, 1, False), (10.5, 2, False), (11.0, 1, False),
-        (12.0, 2, True), (13.0, 1, False), (13.5, 2, False), (14.0, 1, False),
-    ),
-    "4,3": (
-        (0.0, 1, False), (1.0, 1, False), (2.0, 3, False), (3.0, 1, False),
-        (4.0, 3, False), (5.0, 1, False), (6.0, 10, False), (7.0, 1, False),
-        (8.0, 3, False), (9.0, 1, False), (10.0, 3, False), (11.0, 1, False),
-        (12.0, 20, False), (13.0, 1, False), (14.0, 3, False), (15.0, 1, False),
-        (16.0, 3, False), (17.0, 1, False), (18.0, 10, False), (19.0, 1, False),
-    ),
-}

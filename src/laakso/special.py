@@ -4,9 +4,9 @@ Power sums: _power_tail(s, a) = sum_{k >= 0} (a + k)^(-s) by Euler-Maclaurin
 with the Bernoulli numbers B_2 ... B_16, accurate once a is well past
 |s| / (2 pi).  It is the package's only power-sum tail: riemann_zeta adds
 the explicit terms k < n to _power_tail(s, n) with n = max(30, 1.5 |s| + 10),
-and heatzeta finishes every family of the direct spectral zeta with it.
-The term count grows with |s|, so riemann_zeta refuses a non-finite s and
-|s| > 1e4 (at most 15,010 terms); below Re s = -1/2, where that head
+and heatzeta finishes each progression sum of the direct spectral zeta with
+it.  The term count grows with |s|, so riemann_zeta refuses a non-finite s
+and |s| > 1e4 (at most 15,010 terms); below Re s = -1/2, where that head
 cancels catastrophically, it reflects through the functional equation.
 
 gamma: classic fixed-coefficient Lanczos rational approximation (g = 7,

@@ -44,6 +44,7 @@ from laakso.heatzeta import (
     _closed_terms,
     _gauss_sum,
     _level_terms,
+    _progression_sum,
     _residue_terms,
     _terms_sum,
     _theta,
@@ -299,17 +300,35 @@ def test_closed_equals_direct(seq, s):
 
 
 def test_direct_matches_closed_far_up_the_strip():
-    """The direct route's explicit head grows with |s| like riemann_zeta's."""
-    s = 1.5 + 400j
-    closed = spectral_zeta_closed(J2, s)
-    direct = spectral_zeta_direct(J2, s)
-    assert abs(direct - closed) <= 1e-10 * abs(closed)
+    """The direct route's explicit head grows with |s| like riemann_zeta's.
+    Near the abscissa at 4000i, `2,3` sums some 1,700 levels, each reusing
+    the same three power sums of 12,010 head terms."""
+    half_ds = dimensions(J23).spectral / 2.0
+    for seq, s in ((J2, 1.5 + 400j), (J23, complex(half_ds + 1e-2, 4000.0))):
+        closed = spectral_zeta_closed(seq, s)
+        direct = spectral_zeta_direct(seq, s)
+        assert abs(direct - closed) <= 1e-10 * abs(closed)
+
+
+def test_direct_forms_each_progression_sum_once(monkeypatch):
+    """A level's rows reuse their progression's power sum: d_s/2 + 3e-3 walks
+    some 8,000 levels of `2`, yet at most three sums are formed, one per (step, phase)."""
+    formed = []
+
+    def counted(step, phase, s):
+        formed.append((step, phase))
+        return _progression_sum(step, phase, s)
+
+    monkeypatch.setattr("laakso.heatzeta._progression_sum", counted)
+    s = dimensions(J2).spectral / 2.0 + 3e-3
+    assert spectral_zeta_direct(J2, s) == pytest.approx(spectral_zeta_closed(J2, s), rel=1e-12)
+    assert len(formed) == len(set(formed)) <= 3
 
 
 def test_direct_vanishes_at_large_real_s():
-    """At s = 600 the V family's (k + 1/2)^(-2s) is past the double range
-    while its prefactor count * c^(-s) underflows: the sum is 0, not a level
-    loop on NaN.  A child process turns a hang into a failure."""
+    """At s = 600 every term is below the double range, while the 2^(2s)
+    that the V's odd j carry as 2 (k + 1/2) is above it: the sum is 0, not a
+    level loop on NaN.  A child process turns a hang into a failure."""
     code = (
         "from laakso import parse_sequence, spectral_zeta_direct\n"
         "print(spectral_zeta_direct(parse_sequence('2'), 600) == 0)"

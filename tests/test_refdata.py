@@ -1,4 +1,11 @@
-"""Embedded reference tables stay consistent with the exact generator."""
+"""Reference tables stay consistent with the exact generator.
+
+TABLE1 is the CLI's embedded --expect table.  TABLE2 holds low-spectrum
+reference rows for four alternating constructions; rows whose recorded
+multiplicity disagrees with the exact shape-count formulas are marked
+excluded and are never asserted against (they are retained so the dataset
+is complete).
+"""
 
 import math
 
@@ -6,6 +13,38 @@ import pytest
 
 from laakso import eigenvalue_of_key, full_spectrum, parse_sequence
 from laakso import refdata
+
+# Low-spectrum reference rows per sequence: (x, multiplicity, excluded) with
+# lambda = (x pi)^2.  Excluded rows carry recorded multiplicities that the
+# exact shape counts contradict (B at 9^2: 36 vs 26; B at 13^2: 4 vs 1;
+# C at 12^2: 2 vs 20); two recorded eigenvalues in the source dataset are
+# also garbled ("199.85.3" in B, "3139.2" for 3193.2 in D) but their
+# multiplicity entries are fine.  The 2,3 rows are TABLE1's multiplicities
+# with x = k.
+TABLE2 = {
+    "2,3": tuple((float(k), m, False) for k, (_, m) in enumerate(refdata.TABLE1)),
+    "3,2": (
+        (0.0, 1, False), (1.0, 1, False), (1.5, 2, False), (2.0, 1, False),
+        (3.0, 8, False), (4.0, 1, False), (4.5, 2, False), (5.0, 1, False),
+        (6.0, 8, False), (7.0, 1, False), (7.5, 2, False), (8.0, 1, False),
+        (9.0, 36, True), (10.0, 1, False), (10.5, 2, False), (11.0, 1, False),
+        (12.0, 8, False), (13.0, 4, True), (13.5, 2, False), (14.0, 1, False),
+    ),
+    "3,4": (
+        (0.0, 1, False), (1.0, 1, False), (1.5, 2, False), (2.0, 1, False),
+        (3.0, 2, False), (4.0, 1, False), (4.5, 2, False), (5.0, 1, False),
+        (6.0, 8, False), (7.0, 1, False), (7.5, 2, False), (8.0, 1, False),
+        (9.0, 2, False), (10.0, 1, False), (10.5, 2, False), (11.0, 1, False),
+        (12.0, 2, True), (13.0, 1, False), (13.5, 2, False), (14.0, 1, False),
+    ),
+    "4,3": (
+        (0.0, 1, False), (1.0, 1, False), (2.0, 3, False), (3.0, 1, False),
+        (4.0, 3, False), (5.0, 1, False), (6.0, 10, False), (7.0, 1, False),
+        (8.0, 3, False), (9.0, 1, False), (10.0, 3, False), (11.0, 1, False),
+        (12.0, 20, False), (13.0, 1, False), (14.0, 3, False), (15.0, 1, False),
+        (16.0, 3, False), (17.0, 1, False), (18.0, 10, False), (19.0, 1, False),
+    ),
+}
 
 
 def test_table1_shape():
@@ -20,7 +59,7 @@ def test_table1_matches_generator():
     assert [e.multiplicity for e in table.entries] == [m for _, m in refdata.TABLE1]
 
 
-@pytest.mark.parametrize("spec", sorted(refdata.TABLE2))
+@pytest.mark.parametrize("spec", sorted(TABLE2))
 def test_table2_spot_checks(spec):
     """Non-excluded rows agree with the exact spectra; excluded rows do not.
 
@@ -28,7 +67,7 @@ def test_table2_spot_checks(spec):
     multiplicities the shape-count formulas contradict, so asserting the
     disagreement keeps the annotation honest.
     """
-    rows = refdata.TABLE2[spec]
+    rows = TABLE2[spec]
     lam_max = eigenvalue_of_key(int(2 * max(x for x, _, _ in rows)) + 1)
     table = full_spectrum(parse_sequence(spec), lam_max)
     by_key = {e.m: e.multiplicity for e in table.entries}
@@ -44,7 +83,7 @@ def test_table2_spot_checks(spec):
 def test_table2_known_exclusions():
     excluded = {
         (spec, x): mult
-        for spec, rows in refdata.TABLE2.items()
+        for spec, rows in TABLE2.items()
         for x, mult, flag in rows
         if flag
     }
