@@ -20,6 +20,7 @@ import sys
 from . import refdata
 from .compare import compare_spectra
 from .errors import (
+    DimensionUndefinedError,
     DivergenceError,
     PoleError,
     TailToleranceError,
@@ -233,6 +234,12 @@ def cmd_heat(args) -> int:
             "form; drop --level-cap"
         )
     seq = parse_sequence(args.sequence)
+    if (args.asymptotic or args.fit_ds) and seq.max_level is not None:
+        # refused before any trace is summed, so the exit is 1 at every t
+        raise DimensionUndefinedError(
+            "--asymptotic and --fit-ds need the limit space's period; an explicit "
+            "prefix has none: write the pattern without 'seq:' to repeat it"
+        )
     ts = _parse_t_grid(args.t)
     samples = heat_trace_grid(seq, ts, args.tol, level_cap=args.level_cap)
     payload = {

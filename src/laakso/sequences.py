@@ -190,11 +190,17 @@ def shape_census(seq: JSequence, n: int) -> ShapeCensus:
     n = 1 and F_0 (a single interval) has no shapes at all.
     """
     n = integer("level", n, 1)  # no shapes exist on the unit interval
-    scale_prev = seq.scale(n - 1)
+    return _census(seq, n, seq.scale(n - 1))
+
+
+def _census(seq: JSequence, n: int, scale_prev: int) -> ShapeCensus:
+    """shape_census from I_(n-1), which a level walk carries along: each
+    level then costs shifts and small products, not the power that forms
+    I_(n-1) afresh."""
     jn = seq.j(n)
     v_count = 1 << n
-    loop_count = (1 << (n - 1)) * (jn - 2) * scale_prev
-    cross_count = 0 if n == 1 else (1 << (n - 2)) * (scale_prev - 1)
+    loop_count = ((jn - 2) * scale_prev) << (n - 1)
+    cross_count = 0 if n == 1 else (scale_prev - 1) << (n - 2)
     return ShapeCensus(n, scale_prev * jn, v_count, loop_count, cross_count)
 
 

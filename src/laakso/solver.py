@@ -3,12 +3,12 @@
 One path serves every dimension, a block shift-invert Krylov iteration:
 the matrix is shifted just below zero, sigma = -1e-4 scale (it is PSD, so
 A - sigma I is definite), factorized once, and a block Krylov basis of
-S = (A - sigma I)^-1 is grown with full reorthogonalization until the
-residuals of purified Ritz vectors certify the requested pairs.  The
-factorization is SuperLU on the assembled matrix unless the caller passes
-a `factor`: the mesh callers pass graphs._chain_factor, which solves the
-identical edge chains of the mesh together and factors only a Schur
-complement on the graph's vertices.  Blocks are essential here: the mesh
+S = (A - sigma I)^-1 is grown with full reorthogonalization, restarted
+when it would outgrow k + 4 block widths, until the residuals of purified
+Ritz vectors certify the requested pairs.  The factorization is SuperLU on
+the assembled matrix unless the caller passes a `factor`: the mesh callers
+pass graphs._chain_factor, which solves the identical edge chains of the
+mesh together and factors only a Schur complement on the graph's vertices.  Blocks are essential here: the mesh
 Laplacians have exactly degenerate eigenvalues (one copy per congruent
 shape), and a single-vector Krylov space contains only one direction per
 eigenspace, so multiplicities would come out short.  The starting block is
@@ -17,13 +17,26 @@ reproduce bit for bit.
 
 The loop is spectral-transformation block Lanczos (Ericsson and Ruhe,
 Math. Comp. 35, 1980).  The basis lives in one preallocated Fortran-order
-dim x max_basis buffer.  Each step solves z = S q for the newest block q
-and projects the basis out of z in two passes: the coefficients on q are
-the diagonal block q'Sq of H = basis' S basis, and the orthonormalization
+buffer of dim x held columns.  Each step solves z = S q for the newest
+block q and projects the basis out of z in two passes, a local one against
+the newest two blocks and a full one: the coefficients on q are the
+diagonal block q'Sq of H = basis' S basis, and the orthonormalization
 z = q_new r of what remains gives the next block and, in r, the
 subdiagonal block.  Coefficients on older blocks are rounding-level and
 dropped, so H is block tridiagonal, read off numbers the loop computes
-anyway; the loop never multiplies by A.  An eigenpair (theta, y) of H,
+anyway; the loop never multiplies by A.
+
+When q_new would not fit, the loop restarts thick (Wu and Simon, SIAM J.
+Matrix Anal. Appl. 22, 2000; Stathopoulos, Saad and Wu, SIAM J. Sci.
+Comput. 19, 1998): the basis is rotated onto its top k + width Ritz
+vectors Y_p, 512 rows at a time, and H becomes diag(theta_p) with the
+coupling r Y_p[newest block's rows] to q_new, whose local pass then takes
+every column held.  H is an arrow over the kept vectors followed by a
+block tridiagonal tail, and the Lanczos relation below keeps its form.
+held is k + 4 width when that is at most half of dim, and the whole
+column budget otherwise: a restart near full rank leaves z spanning fewer
+directions than a block, and the rest of the next block is rounding
+noise.  An eigenpair (theta, y) of H,
 with y_L its rows on the newest block, satisfies
 S basis y = theta basis y + z y_L, so the purified Ritz vector
 x = basis y + z y_L / theta (Nour-Omid, Parlett, Ericsson and Jensen,
@@ -31,12 +44,13 @@ Math. Comp. 48, 1987) has A x - (sigma + 1/theta) x = -z y_L / theta^2
 exactly, and ||x||^2 = 1 + ||z y_L||^2 / theta^2.  Its residual is thus
 known from y_L and z's Gram matrix, the first product of Cholesky-QR2, with
 no rounding floor near the tolerance.  Only when every estimate meets the
-tolerance (or the basis is full) are the k purified vectors formed, one
-block width of them at a time, and their Rayleigh quotients (the returned
-values) and explicit residuals, the certificate, computed.  A step whose
-explicit residuals fail goes on growing the basis.  New blocks are
-orthonormalized by Cholesky-QR2, with Householder QR as the error path.
-Memory is therefore about one dim x max_basis buffer plus the factors.
+tolerance (or the column budget is spent) are the k purified vectors
+formed, one block width of them at a time, and their Rayleigh quotients
+(the returned values) and explicit residuals, the certificate, computed.
+A step whose explicit residuals fail goes on growing the basis.  New
+blocks are orthonormalized by Cholesky-QR2, with Householder QR as the
+error path.  Memory is therefore about one dim x (k + 4 width) buffer
+plus the factors.
 
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
@@ -59,7 +73,7 @@ if TYPE_CHECKING:
     import numpy as np
     import scipy.sparse as sp
 
-_MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x max_basis buffer: 1 GiB
+_MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x held basis buffer: 1 GiB
 # sigma / scale.  Nearer 0 the wanted eigenvalues separate better under
 # (A - sigma I)^-1: up to four Krylov steps fewer than at -1e-3 on the
 # benchmark meshes and at levels 6 and 7 (seed 31: 300 columns against 360
@@ -77,7 +91,10 @@ class EigenResult(NamedTuple):
     k_requested: int
     k_converged: int
     iterations: int  # Krylov steps taken after the starting block
-    basis_width: int  # basis columns used, at most max(5k, k + 15 block_size)
+    # basis columns generated, restarts included, at most max(5k, k + 15
+    # block_size); at most k + 4 block_size of them are held at once when
+    # that is at most half the dimension
+    basis_width: int
     # largest residual estimate of the k purified Ritz pairs (relative, like
     # residual_norms) per Krylov step, iterations + 1 of them; read off the
     # Lanczos relation, it has no rounding floor near the tolerance and at
@@ -114,19 +131,24 @@ def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
     return q
 
 
-def _project_out(z: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _project_out(z: np.ndarray, v: np.ndarray, local: int = 0) -> np.ndarray:
     """z -= v v'z in place, in two passes (full reorthogonalization); returns
     v'z, the two passes' coefficients summed, one row per column of v.
 
-    The product is formed transposed so that it lands in column order like
-    z and the basis: 1.6x faster than v @ (v.T @ z) on a 19,632 x 360 basis.
+    The first pass takes v's columns from `local` on, the second all of
+    them: a Lanczos step's z = S q is orthogonal to all but the newest two
+    blocks up to rounding, so the first pass there is a cheap local one and
+    the second is the full reorthogonalization.  The products are formed
+    transposed so that they land in column order like z and the basis: 1.6x
+    faster than v @ (v.T @ z) on a 19,632 x 360 basis.
     """
-    coef = z.T @ v
-    z -= (coef @ v.T).T
+    near = v[:, local:]
+    coef = z.T @ near
+    z -= (coef @ near.T).T
     again = z.T @ v
     z -= (again @ v.T).T
-    coef += again
-    return coef.T
+    again[:, local:] += coef
+    return again.T
 
 
 def _orthonormalize(
@@ -197,7 +219,16 @@ def _certify(
         x *= rho[cols]
         ax -= x
         res[cols] = np.sqrt(np.einsum("ij,ij->j", ax, ax)) / scale
+        del x, ax  # freed before the next chunk is formed
     return rho, res
+
+
+def _rotate(basis: np.ndarray, n: int, y: np.ndarray) -> None:
+    """basis[:, :p] = basis[:, :n] y in place, p = y's width, 512 rows at a
+    time: one product over every row would hold a dim x p temporary."""
+    for i in range(0, len(basis), 512):
+        rows = basis[i : i + 512]
+        rows[:, : y.shape[1]] = (y.T @ rows[:, :n].T).T
 
 
 def lowest_eigenvalues(
@@ -212,12 +243,14 @@ def lowest_eigenvalues(
     """The k algebraically smallest eigenvalues with residual certificates.
 
     block_size should be at least the largest expected eigenvalue
-    multiplicity, or degenerate copies cannot all be captured.  The basis
-    is capped at max(5k, k + 15 block_size) columns; on exhaustion the
-    converged part is returned with k_converged < k rather than raising.
-    A basis of more than 2^27 doubles (1 GiB) is refused before the
-    factorization.  `factor(sigma)` returns solve(B) = (matrix - sigma I)^-1 B
-    for a sigma < 0; None factors the assembled matrix with SuperLU.
+    multiplicity, or degenerate copies cannot all be captured.  At most
+    max(5k, k + 15 block_size) basis columns are generated; on exhaustion
+    the converged part is returned with k_converged < k rather than
+    raising.  At most k + 4 block_size are held at once, by thick restarts,
+    when that is at most half the dimension.  A held basis of more than
+    2^27 doubles (1 GiB) is refused before the factorization.
+    `factor(sigma)` returns solve(B) = (matrix - sigma I)^-1 B for a
+    sigma < 0; None factors the assembled matrix with SuperLU.
     """
     import numpy as np
 
@@ -231,10 +264,12 @@ def lowest_eigenvalues(
     if not 0 < tol < np.inf:
         raise ValidationError(f"tol {tol} must be finite and > 0")
     width = min(block_size, dim - 1)
-    max_basis = min(dim, max(5 * k, k + 15 * width))
-    if dim * max_basis > _MAX_BASIS_ENTRIES:
+    budget = min(dim, max(5 * k, k + 15 * width))  # columns generated
+    # columns held: k + 4 width, unless that is over half the dimension
+    held = k + 4 * width if 2 * (k + 4 * width) <= dim else budget
+    if dim * held > _MAX_BASIS_ENTRIES:
         raise ValidationError(
-            f"a {dim} x {max_basis} basis exceeds {_MAX_BASIS_ENTRIES} doubles; "
+            f"a {dim} x {held} basis exceeds {_MAX_BASIS_ENTRIES} doubles; "
             "lower k or the dimension"
         )
     a = matrix.to_csr()
@@ -242,12 +277,14 @@ def lowest_eigenvalues(
     solve = (factor or _superlu_factor(a))(_SHIFT * scale)
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
-    basis = np.empty((dim, max_basis), order="F")
-    # lower triangle of basis.T S basis, S = (A - sigma I)^-1: block tridiagonal
-    h = np.zeros((max_basis, max_basis))
+    basis = np.empty((dim, held), order="F")
+    # lower triangle of basis.T S basis, S = (A - sigma I)^-1: block tridiagonal,
+    # with an arrow of couplings to the kept Ritz vectors after a restart
+    h = np.zeros((held, held))
     history = []
     q = _starting_block(dim, width, seed)
-    n = steps = 0
+    n = generated = steps = 0
+    start = 0  # first column of the newest two blocks, or 0 after a restart
     while True:
         # the newest block q joins the basis; z = S q projected off it is the
         # Lanczos residual, and the last coefficients are q'Sq, h's diagonal block
@@ -255,25 +292,38 @@ def lowest_eigenvalues(
         basis[:, n : n + w] = q
         q, v = basis[:, n : n + w], basis[:, : n + w]
         z = solve(q)
-        h[n : n + w, n : n + w] = _project_out(z, v)[n:]
+        h[n : n + w, n : n + w] = _project_out(z, v, start)[n:]
         gram = z.T @ z
-        n += w
+        start, n = n, n + w
+        generated += w
         theta, y = np.linalg.eigh(h[:n, :n], UPLO="L")
-        theta, y = theta[: -k - 1 : -1], y[:, : -k - 1 : -1]  # largest of S
+        theta, y = theta[::-1], y[:, ::-1]  # largest of S first
         # the purified x = v y + z y_L / theta has residual ||z y_L|| / theta^2
         # and ||x||^2 = 1 + ||z y_L||^2 / theta^2.  ||z y_L||^2 comes from the
         # Gram matrix, where rounding can leave it below 0 once z is at
         # rounding level, as when the basis spans everything
-        tail = np.maximum(np.einsum("ij,ij->j", y[n - w :], gram @ y[n - w :]), 0.0)
-        estimate = np.sqrt(tail / (theta**2 * (theta**2 + tail))) / scale
+        y_last = y[start:, :k]
+        tail = np.maximum(np.einsum("ij,ij->j", y_last, gram @ y_last), 0.0)
+        estimate = np.sqrt(tail / (theta[:k] ** 2 * (theta[:k] ** 2 + tail))) / scale
         history.append(estimate.max())
-        if n >= max_basis or (n >= k and estimate.max() <= tol):
-            rho, res = _certify(a, v, z, y, theta, scale, width)
-            if n >= max_basis or np.all(res <= tol):
+        if generated >= budget or (n >= k and estimate.max() <= tol):
+            rho, res = _certify(a, v, z, y[:, :k], theta[:k], scale, width)
+            if generated >= budget or np.all(res <= tol):
                 break
         q, r = _orthonormalize(z, gram, v, rng)
-        q = q[:, : max_basis - n]
-        h[n : n + q.shape[1], n - w : n] = r[: q.shape[1]]  # q' S (last block)
+        q = q[:, : budget - generated]
+        c = q.shape[1]
+        if n + c <= held:
+            h[n : n + c, start:n] = r[:c]  # q' S (last block)
+        else:
+            # thick restart: the basis becomes its top k + width Ritz
+            # vectors, on which S acts as diag(theta) plus q times r y_L
+            p = k + width
+            _rotate(basis, n, np.ascontiguousarray(y[:, :p]))
+            h[:] = 0.0
+            h[:p, :p] = np.diag(theta[:p])
+            h[p : p + c, :p] = r[:c] @ y[start:n, :p]
+            n, start = p, 0
         steps += 1
 
     order = np.argsort(rho, kind="stable")  # theta's order, up to rounding
@@ -283,7 +333,7 @@ def lowest_eigenvalues(
         k_requested=k,
         k_converged=int(np.sum(res <= tol)),
         iterations=steps,
-        basis_width=n,
+        basis_width=generated,
         residual_history=np.array(history),
     )
 

@@ -21,7 +21,7 @@ import math
 from typing import NamedTuple
 
 from .errors import LevelRangeError, ValidationError, integer
-from .sequences import JSequence, shape_census
+from .sequences import JSequence, _census, shape_census
 
 LINE = "line"
 V = "V"
@@ -101,8 +101,11 @@ class _FamilyRow(NamedTuple):
 
 
 @functools.lru_cache(maxsize=1024)  # the deepest trace, 2 at t = 5e-324, has 543 levels
-def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
-    """I_n and the row of every family that has a copy at level n.
+def _family_table(
+    seq: JSequence, n: int, scale_prev: int | None = None
+) -> tuple[int, tuple[_FamilyRow, ...]]:
+    """I_n and the row of every family that has a copy at level n; the level
+    walk passes scale_prev = I_(n-1), so no level forms I_n afresh.
 
     The line (the unit interval) is level 0, its row the keys 2, 4, ...; its
     constant mode, lambda = 0, is no row's key.  V and loop families start at
@@ -111,7 +114,7 @@ def _family_table(seq: JSequence, n: int) -> tuple[int, tuple[_FamilyRow, ...]]:
     """
     if n == 0:
         return 1, (_FamilyRow(LINE, 1, 2, 0),)
-    census = shape_census(seq, n)
+    census = shape_census(seq, n) if scale_prev is None else _census(seq, n, scale_prev)
     rows = (
         _FamilyRow(V, census.v_count, 2, 1),
         _FamilyRow(LOOP, census.loop_count, 2, 0),
@@ -128,8 +131,10 @@ def _levels(seq: JSequence, level_cap: int | None):
     """(n, I_n, the family table's rows) for n = 0, 1, ... through level_cap, or
     without end when it is None: the one level walk.  A capped heat trace stops
     it early by the uncapped rule, its bound counting the levels it skips."""
+    scale = 1
     for n in range(level_cap + 1) if level_cap is not None else itertools.count():
-        yield n, *_family_table(seq, n)
+        scale, rows = _family_table(seq, n, scale)
+        yield n, scale, rows
 
 
 def _level_cap(seq: JSequence, cap: int | None) -> int | None:

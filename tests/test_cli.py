@@ -501,6 +501,10 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "2", "--t", "1:2:3"],
         ["poles", "-j", "2", "-m", "3"],
         ["heat", "-j", "2,3", "--t", "1e-6:1e-4:3log", "--level-cap", "3", "--asymptotic"],
+        ["heat", "-j", "seq:2,3", "--t", "1e-3", "--asymptotic"],
+        ["heat", "-j", "seq:2,3", "--t", "5", "--asymptotic"],
+        ["heat", "-j", "seq:2,3", "--t", "1e-3", "--fit-ds"],
+        ["heat", "-j", "seq:2,3", "--t", "5", "--fit-ds"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):

@@ -23,6 +23,16 @@ def _diag_matrix(n: int) -> SparseSymmetricMatrix:
     return SparseSymmetricMatrix(n, mat.indptr, mat.indices, mat.data)
 
 
+def _copies_per_key(graph, m, values):
+    """Copies per continuum key of mesh eigenvalues, the top (possibly cut)
+    key left out."""
+    mapped = continuum_eigenvalues(graph, m, values)
+    keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
+    counts = {key: len(idx) for key, idx in cluster_multiplicities(keys).items()}
+    del counts[max(counts)]
+    return counts
+
+
 def test_neumann_chain():
     g = build_graph(parse_sequence("2"), 0)
     mat = discretize(g, 99)
@@ -98,16 +108,58 @@ def test_small_dimension_multiplicities_match_eigvalsh(spec, level, m):
     res = lowest_eigenvalues(mat, k)
     assert res.k_converged == k
     dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
-
-    def copies_per_key(values):
-        mapped = continuum_eigenvalues(graph, m, values)
-        keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
-        counts = {key: len(idx) for key, idx in cluster_multiplicities(keys).items()}
-        del counts[max(counts)]
-        return counts
-
     assert res.values == pytest.approx(dense, abs=1e-9)
-    assert copies_per_key(res.values) == copies_per_key(dense)
+    assert _copies_per_key(graph, m, res.values) == _copies_per_key(graph, m, dense)
+
+
+def test_thick_restart_holds_at_most_k_plus_four_blocks(monkeypatch):
+    """On dimension 1,788, k + 4 width = 180 columns is under half the
+    dimension, so the solve restarts: its basis buffer is 180 columns wide,
+    it generates more columns than that, and it still agrees with eigvalsh
+    value for value and copy for copy."""
+    graph = build_graph(parse_sequence("2,3"), 3)
+    m, k, width, tol = 18, 60, 30, 1e-8
+    mat = discretize(graph, m)
+    held = []
+    empty = np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        if isinstance(shape, tuple) and len(shape) == 2 and shape[0] == mat.dimension:
+            held.append(shape[1])
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width)
+    monkeypatch.undo()
+    assert held and max(held) <= k + 4 * width < res.basis_width
+    assert res.k_converged == k
+    dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
+    scale = float(np.abs(mat.to_csr().diagonal()).max())
+    assert np.max(np.abs(res.values - dense)) <= 10 * tol * scale
+    assert _copies_per_key(graph, m, res.values) == _copies_per_key(graph, m, dense)
+
+
+def test_basis_refusal_counts_the_columns_held():
+    """The 2^27-double refusal reads the columns the basis holds, k + 4
+    width once restarts apply, and comes before any factor is built."""
+    mat = _diag_matrix(2**15)
+    built = []
+
+    class FactorBuilt(Exception):
+        pass
+
+    def factor(sigma):
+        built.append(sigma)
+        raise FactorBuilt
+
+    # 32,768 x (4,000 + 4 x 32) doubles is over 2^27
+    with pytest.raises(ValidationError, match="basis exceeds"):
+        lowest_eigenvalues(mat, 4000, block_size=32, factor=factor)
+    assert not built
+    # 3,000 + 128 held columns fit, though the budget of 15,000 generated would not
+    with pytest.raises(FactorBuilt):
+        lowest_eigenvalues(mat, 3000, block_size=32, factor=factor)
+    assert len(built) == 1
 
 
 def test_reproducible_bit_for_bit():
@@ -148,8 +200,9 @@ def test_diagnostics_fields():
 
 
 def test_clipped_last_block():
-    """The cap max(5k, k + 15 width) = 125 is not a multiple of the block
-    width 7, so the last block is cut to 6 columns before the basis is full."""
+    """The budget max(5k, k + 15 width) = 125 of generated columns is not a
+    multiple of the block width 7, so the last block is cut to 6 columns
+    before the budget is spent."""
     mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
     k, width, tol = 20, 7, 1e-12
     max_basis = max(5 * k, k + 15 * width)
