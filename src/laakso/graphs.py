@@ -160,13 +160,18 @@ def _chain_factor(graph: MetricGraph, points_per_edge: int):
     block C = (2/h^2 - sigma) I - (1/h^2) (off-diagonals), tied to its end
     vertices u, v only through its first and last point, with weights
     c = -(1/h^2) sqrt(2/deg).  Eliminating the E chains leaves a V x V
-    Schur complement on the vertices of F_n: (2/h^2 - sigma) I less, per
-    edge, c_u^2 C^-1_00 at (u, u), c_v^2 C^-1_(m-1,m-1) at (v, v) and
+    Schur complement on the vertices of F_n, (2/h^2 - sigma) I - gather pull:
+    pull (E m x V) holds each chain end's weight c on its vertex, and
+    gather = pull' (I kron C^-1) needs only C^-1's end rows.  Per edge that
+    is c_u^2 C^-1_00 at (u, u), c_v^2 C^-1_(m-1,m-1) at (v, v) and
     c_u c_v C^-1_(0,m-1) at (u, v) and (v, u).  C is factored once by
     LAPACK's tridiagonal Cholesky (pttrf) and serves every chain, at a few
     flops per point for any m; the Schur complement is factored once by
-    SuperLU.  A solve is the chains' end values, one vertex solve, and one
-    sweep of C over the chains, one right-hand side column at a time.
+    SuperLU.  A solve takes one right-hand side column at a time, the
+    vertex solve aside: b_V - gather b_chains, the vertex solve, then
+    b_chains - pull x_V and one sweep of C.  So it forms no array of every
+    chain's two end values per column; at m = 1 one would be larger than
+    the solution block.
     """
     import numpy as np
     import scipy.sparse as sp
@@ -183,29 +188,27 @@ def _chain_factor(graph: MetricGraph, points_per_edge: int):
     couple = sp.csr_matrix(
         (np.concatenate((c[u], c[v])), (np.concatenate((u, v)), ends_of)), shape=(nv, 2 * ne)
     )
+    unit = np.zeros((m, 2), order="F")
+    unit[0, 0] = unit[-1, 1] = 1.0
+    # pull[e m + i, w]: vertex w's weight on point i of chain e, nonzero at its ends only
+    pull = (couple @ sp.kron(sp.identity(ne), unit.T)).T.tocsr()
 
     def factor(sigma: float):
         diagonal = 2.0 * inv_h2 - sigma
         # the wrapper wants at least one off-diagonal entry; m = 1 never reads it
         d, e, _ = lapack.dpttrf(np.full(m, diagonal), np.full(max(m - 1, 1), -inv_h2))
-        unit = np.zeros((m, 2), order="F")
-        unit[0, 0] = unit[-1, 1] = 1.0
         ends, _ = lapack.dpttrs(d, e, unit)  # C^-1 columns 0 and m - 1
-        per_edge = sp.kron(sp.identity(ne), ends[[0, -1]])  # C^-1 at (first, last)^2
-        schur = diagonal * sp.identity(nv) - couple @ per_edge @ couple.T
-        lu = spla.splu(schur.tocsc())
+        # gather[w, e m + i]: vertex w's weight on point i of chain e under C^-1
+        gather = (couple @ sp.kron(sp.identity(ne), ends.T)).tocsr()
+        lu = spla.splu((diagonal * sp.identity(nv) - gather @ pull).tocsc())
 
         def solve(b: np.ndarray) -> np.ndarray:
-            w = b.shape[1]
-            # C^-1 b at each chain's two ends, as (2E, w) in couple's column order
-            chain_ends = (b[nv:].T.reshape(w, ne, m) @ ends).reshape(w, 2 * ne).T
             x = np.array(b, order="F")
-            x[:nv] = lu.solve(b[:nv] - couple @ chain_ends)
-            pull = couple.T @ x[:nv]
-            chains = x[nv:].T.reshape(w, ne, m)
-            chains[:, :, 0] -= pull[0::2].T
-            chains[:, :, -1] -= pull[1::2].T
-            for j in range(w):
+            for j in range(b.shape[1]):
+                x[:nv, j] -= gather @ b[nv:, j]
+            x[:nv] = lu.solve(x[:nv])
+            for j in range(b.shape[1]):
+                x[nv:, j] -= pull @ x[:nv, j]
                 lapack.dpttrs(d, e, x[nv:, j].reshape(m, ne, order="F"), overwrite_b=True)
             return x
 

@@ -1,7 +1,7 @@
 """Lowest eigenvalues of sparse symmetric PSD matrices, and their multiplicities.
 
 One path serves every dimension, a block shift-invert Krylov iteration:
-the matrix is shifted just below zero, sigma = -1e-4 scale (it is PSD, so
+the matrix is shifted just below zero, sigma = -1e-5 scale (it is PSD, so
 A - sigma I is definite), factorized once, and a block Krylov basis of
 S = (A - sigma I)^-1 is grown with full reorthogonalization, restarted
 when it would outgrow k + 4 block widths, until the residuals of purified
@@ -17,8 +17,11 @@ reproduce bit for bit.
 
 The loop is spectral-transformation block Lanczos (Ericsson and Ruhe,
 Math. Comp. 35, 1980).  The basis lives in one preallocated Fortran-order
-buffer of dim x held columns.  Each step solves z = S q for the newest
-block q and projects the basis out of z in two passes, a local one against
+buffer of dim x held columns, an anonymous memory map that every solve
+hands back to the OS: a heap block of its size, under glibc's mmap cap,
+would stay with the process once freed, and each later solve would peak
+higher.  Each step solves z = S q for the newest block q and projects
+the basis out of z in two passes, a local one against
 the newest two blocks and a full one: the coefficients on q are the
 diagonal block q'Sq of H = basis' S basis, and the orthonormalization
 z = q_new r of what remains gives the next block and, in r, the
@@ -45,12 +48,14 @@ exactly, and ||x||^2 = 1 + ||z y_L||^2 / theta^2.  Its residual is thus
 known from y_L and z's Gram matrix, the first product of Cholesky-QR2, with
 no rounding floor near the tolerance.  Only when every estimate meets the
 tolerance (or the column budget is spent) are the k purified vectors
-formed, one block width of them at a time, and their Rayleigh quotients
+formed, a third of a block width at a time, and their Rayleigh quotients
 (the returned values) and explicit residuals, the certificate, computed.
 A step whose explicit residuals fail goes on growing the basis.  New
 blocks are orthonormalized by Cholesky-QR2, with Householder QR as the
-error path.  Memory is therefore about one dim x (k + 4 width) buffer
-plus the factors.
+error path.  No step keeps a block past its last use: z is dropped
+before the next solve, and Cholesky-QR2's second product is formed in
+place.  Memory is therefore one dim x (k + 4 width) map, about four blocks
+beside it and the factors.
 
 Residual norms are reported relative to the matrix scale (largest diagonal
 magnitude): res = ||A x - lambda x|| / (||x|| * scale).  Multiplicities
@@ -58,8 +63,8 @@ are counted, not guessed from gaps: once each computed value carries an
 exact integer label (compare maps mesh eigenvalues onto their continuum
 keys), cluster_multiplicities groups equal labels.
 
-numpy is imported on first use and scipy on the first call of
-`lowest_eigenvalues`, so importing this module loads neither.
+numpy is imported on first use and scipy and mmap on the first call of
+`lowest_eigenvalues`, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -75,14 +80,14 @@ if TYPE_CHECKING:
 
 _MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x held basis buffer: 1 GiB
 # sigma / scale.  Nearer 0 the wanted eigenvalues separate better under
-# (A - sigma I)^-1: up to four Krylov steps fewer than at -1e-3 on the
-# benchmark meshes and at levels 6 and 7 (seed 31: 300 columns against 360
-# at level 5, 300 against 420 at level 6).  Deeper shifts save one more
-# step at level 7 and none on the others.  The purified Rayleigh quotients
-# do not feel the solve's conditioning: the largest error against eigvalsh
-# on 3,4 at level 2 (m = 1, all 77 pairs) is 3.6e-12 here and 3.2e-12 at
-# -1e-3, -1e-5 and -1e-6.
-_SHIFT = -1e-4
+# (A - sigma I)^-1.  With thick restarts, -1e-5 saves a Krylov step against
+# -1e-4 at level 5 (330 columns against 360, on 4 of the seeds 31-40) and at
+# level 7 (seed 31), and takes the same columns at level 6 and on the other
+# benchmark meshes.  The purified Rayleigh quotients do not feel the solve's
+# conditioning: the largest error against eigvalsh on 3,4 at level 2 (m = 1,
+# all 77 pairs) is 2.7e-12 here, and 3.0e-12 to 3.6e-12 at -1e-3, -1e-4 and
+# -1e-6.
+_SHIFT = -1e-5
 
 
 class EigenResult(NamedTuple):
@@ -179,11 +184,12 @@ def _orthonormalize(
     except np.linalg.LinAlgError:
         r = None
     if r is not None and np.diag(r).min() >= 1e-10:
-        q = z @ np.linalg.inv(r)
+        q = z @ np.linalg.inv(r)  # a fresh block: overwriting z costs accuracy
         gram = q.T @ q
         if np.linalg.norm(gram - np.eye(len(gram))) <= 0.5:
             again = np.linalg.cholesky(gram, upper=True)
-            return q @ np.linalg.inv(again), again @ r
+            _rotate(q, len(again), np.linalg.inv(again))
+            return q, again @ r
     q, r = np.linalg.qr(z)
     u, s, _ = np.linalg.svd(r)
     q = q @ u
@@ -204,13 +210,16 @@ def _certify(
     width: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rayleigh quotients and explicit relative residuals of the purified
-    Ritz vectors x = v y + z y_L / theta, formed width columns at a time."""
+    Ritz vectors x = v y + z y_L / theta, formed a third of width at a
+    time: x, its z correction and A x (or the C-order copy of x that the
+    sparse product makes) then take one block between them."""
     import numpy as np
 
     n, k = y.shape
     rho, res = np.empty(k), np.empty(k)
-    for j in range(0, k, width):
-        cols = slice(j, j + width)
+    chunk = max(1, width // 3)
+    for j in range(0, k, chunk):
+        cols = slice(j, j + chunk)
         x = (y[:, cols].T @ v.T).T  # transposed, like _project_out: no BLAS scratch
         x += z @ (y[n - z.shape[1] :, cols] / theta[cols])
         x /= np.sqrt(np.einsum("ij,ij->j", x, x))
@@ -247,11 +256,15 @@ def lowest_eigenvalues(
     max(5k, k + 15 block_size) basis columns are generated; on exhaustion
     the converged part is returned with k_converged < k rather than
     raising.  At most k + 4 block_size are held at once, by thick restarts,
-    when that is at most half the dimension.  A held basis of more than
-    2^27 doubles (1 GiB) is refused before the factorization.
+    when that is at most half the dimension, in an anonymous memory map
+    that goes back to the OS on return; a held basis of more than 2^27
+    doubles (1 GiB) is refused before the factorization.  Beside it the
+    solve holds about four dim x block_size blocks at most.
     `factor(sigma)` returns solve(B) = (matrix - sigma I)^-1 B for a
     sigma < 0; None factors the assembled matrix with SuperLU.
     """
+    import mmap
+
     import numpy as np
 
     k = integer("k", k, 1)
@@ -277,7 +290,8 @@ def lowest_eigenvalues(
     solve = (factor or _superlu_factor(a))(_SHIFT * scale)
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
-    basis = np.empty((dim, held), order="F")
+    # mapped, not from the heap, so that it goes back to the OS on return
+    basis = np.ndarray((dim, held), order="F", buffer=mmap.mmap(-1, 8 * dim * held))
     # lower triangle of basis.T S basis, S = (A - sigma I)^-1: block tridiagonal,
     # with an arrow of couplings to the kept Ritz vectors after a restart
     h = np.zeros((held, held))
@@ -311,6 +325,7 @@ def lowest_eigenvalues(
             if generated >= budget or np.all(res <= tol):
                 break
         q, r = _orthonormalize(z, gram, v, rng)
+        del z  # freed before the next solve forms its successor
         q = q[:, : budget - generated]
         c = q.shape[1]
         if n + c <= held:

@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
     "argv",
     [
         ["mesh_convergence.py", "-j", "2,3", "-n", "1", "--meshes", "4,8", "-k", "6"],
+        ["mesh_oneoff.py", "-j", "2,3", "-n", "1", "-m", "4", "-k", "6"],
         ["oscillation_profile.py"],
         ["spectral_dimension_scan.py"],
     ],
