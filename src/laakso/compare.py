@@ -18,7 +18,7 @@ from .errors import ValidationError, integer
 from .graphs import _chain_factor, build_graph, continuum_eigenvalues, discretize, trust_cutoff
 from .sequences import JSequence, level_info
 from .solver import cluster_multiplicities, lowest_eigenvalues
-from .spectrum import eigenvalue_of_key, level_spectrum
+from .spectrum import _first_key_bound, eigenvalue_of_key, level_spectrum
 
 _TOL = 1e-7  # residual bound each compared eigenpair must meet
 _MAX_DIMENSION = 2**17  # mesh points; level 7 of 2,3 at m = 1 has 83,136
@@ -76,7 +76,11 @@ def compare_spectra(
     *,
     seed: int | None = None,
 ) -> ComparisonReport:
-    """The k lowest mesh eigenpairs of F_level, diffed per integer key against level_spectrum."""
+    """The k lowest mesh eigenpairs of F_level, diffed per integer key against level_spectrum.
+
+    Below the trust cutoff, the table reaches first_distinct's key bound for the
+    first k copies, or the top returned key when missed copies put it further.
+    """
     import numpy as np
 
     level = integer("level", level, 0)
@@ -95,7 +99,8 @@ def compare_spectra(
     matrix = discretize(graph, points_per_edge)
     k = min(k, matrix.dimension - 1)
     cutoff = trust_cutoff(graph, points_per_edge)
-    analytic = level_spectrum(seq, level, cutoff).entries
+    reach = _first_key_bound(k)  # the block walk reads no key past it
+    analytic = level_spectrum(seq, level, min(cutoff, eigenvalue_of_key(reach))).entries
     # degenerate clusters are only fully captured with a block at least as
     # wide as the copies a cluster must supply to the k lowest
     widest, running = 8, 0
@@ -111,6 +116,8 @@ def compare_spectra(
     mapped = continuum_eigenvalues(graph, points_per_edge, result.values)
     keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
     members = cluster_multiplicities(keys)
+    if keys[-1] > reach:  # copies were missed, so the rows run to the top returned key
+        analytic = level_spectrum(seq, level, min(cutoff, eigenvalue_of_key(int(keys[-1])))).entries
     exact = {e.m: e.multiplicity for e in analytic}
     rows = []
     for key in sorted(exact.keys() | members.keys()):

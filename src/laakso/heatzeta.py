@@ -62,7 +62,7 @@ from .errors import (
     integer,
 )
 from .sequences import JSequence, _log_block, dimensions
-from .special import _power_tail, complex_gamma, riemann_zeta
+from .special import _MAX_ABS_S as _MAX_ABS_2S, _power_tail, complex_gamma, riemann_zeta
 from .spectrum import _family_table, _level_cap, _levels
 
 _PI_SQ = math.pi * math.pi
@@ -236,7 +236,7 @@ def heat_trace_grid(
 # ---------------------------------------------------------------------------
 
 _EM_CUT = 64  # smallest head; the head grows with |s| past |2s| ~ 36
-_MAX_ABS_S = 5e3  # riemann_zeta's |2s| <= 1e4, which bounds the closed form too
+_MAX_ABS_S = _MAX_ABS_2S / 2  # riemann_zeta's bound on |2s|, which bounds the closed form too
 _DIRECT_ATOL = 1e-13  # bound on the omitted levels of the direct sum
 _MAX_DIRECT_LEVELS = 20_000  # predicted levels to go; j = 2 at d_s/2 + 2e-3 needs ~1e4
 _LOG_HALF_PI = math.log(math.pi / 2.0)  # a level-n row's eigenvalues are (pi I_n / 2)^2 j^2

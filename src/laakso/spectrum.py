@@ -217,11 +217,16 @@ def counting_function(table: SpectrumTable, lam: float) -> int:
     return total
 
 
+def _first_key_bound(count: int) -> int:
+    """The first count eigenvalues have keys at most 2 (count - 1): every even key is present."""
+    return 2 * (count - 1)
+
+
 def first_distinct(seq: JSequence, count: int) -> SpectrumTable:
     """Table holding exactly the first `count` distinct eigenvalues."""
-    # the line family alone has count distinct keys up to 2 (count - 1), so an
-    # integer bound on count keeps that key in range before any float is formed
+    # the key bound compare_spectra reads too; an integer bound on count keeps
+    # it in range before any float is formed
     count = integer("count", count, 1, _MAX_KEY // 2)
-    table = full_spectrum(seq, eigenvalue_of_key(2 * (count - 1)) + 1.0)
+    table = full_spectrum(seq, eigenvalue_of_key(_first_key_bound(count)) + 1.0)
     entries = table.entries[:count]
     return table._replace(entries=entries, lambda_max=entries[-1].value)

@@ -137,6 +137,20 @@ def test_compare_level_one(tmp_path):
     assert payload["all_multiplicities_match"] is True
 
 
+def _mock_compare(monkeypatch, k_requested, k_converged, residual, numeric_multiplicity):
+    """compare_spectra replaced by one fixed report of a single key, pi^2."""
+    row = ComparisonRow(math.pi**2, 3, math.pi**2, numeric_multiplicity, 0.0, residual, math.pi**2)
+
+    def report(seq, level, points_per_edge, k, *, seed):
+        requested = k_requested or k  # compare clamps k to the dimension less one
+        return ComparisonReport(
+            str(seq), level, points_per_edge, requested, k_converged, requested + 1, 50.0, 1e-7,
+            ((math.pi**2, 3),), (row,),
+        )
+
+    monkeypatch.setattr("laakso.cli.compare_spectra", report)
+
+
 @pytest.mark.parametrize(
     "k_converged, residual, numeric_multiplicity, code, err",
     [
@@ -152,15 +166,17 @@ def test_compare_exit_follows_the_report(
     """A compared pair over its residual bound is a numerical failure (exit 2),
     a multiplicity mismatch a reference mismatch (exit 3), and fewer
     converged pairs than asked for a note on stderr."""
-    row = ComparisonRow(math.pi**2, 3, math.pi**2, numeric_multiplicity, 0.0, residual, math.pi**2)
-
-    def report(seq, level, points_per_edge, k, *, seed):
-        return ComparisonReport(
-            str(seq), level, points_per_edge, k, k_converged, 100, 50.0, 1e-7, ((math.pi**2, 3),), (row,)
-        )
-
-    monkeypatch.setattr("laakso.cli.compare_spectra", report)
+    _mock_compare(monkeypatch, None, k_converged, residual, numeric_multiplicity)
     assert run(tmp_path, "compare", "-j", "2", "-n", "1", "-m", "4", "-k", "8")[0] == code
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("k_converged, err", [(2, "eigensolver converged 2/3 pairs\n"), (3, "")])
+def test_compare_note_counts_the_clamped_k(tmp_path, capsys, monkeypatch, k_converged, err):
+    """-k 8 on a mesh that admits 3 pairs: the note reads the report's
+    clamped k_requested, not -k."""
+    _mock_compare(monkeypatch, 3, k_converged, 1e-9, 3)
+    assert run(tmp_path, "compare", "-j", "2", "-n", "1", "-m", "4", "-k", "8")[0] == 0
     assert capsys.readouterr().err == err
 
 
@@ -265,6 +281,24 @@ def test_repeated_pattern_fits_the_constants_dimension(tmp_path):
     assert code == 0
     assert _results(repeated)["fit"] == _results(constant)["fit"]
     assert _results(repeated) == _results(constant)
+
+
+@pytest.mark.parametrize("flag", ["--asymptotic", "--fit-ds"])
+@pytest.mark.parametrize("t", ["1e-3", "5"])
+def test_prefix_period_refused_before_any_trace(tmp_path, capsys, monkeypatch, flag, t):
+    """The asymptote and the fit need the limit space's period, and they are
+    formed before the trace is summed, so JSequence.period refuses an
+    explicit prefix (exit 1) at every t, small or large."""
+
+    def no_trace(*args, **kwargs):
+        raise AssertionError("heat_trace_grid was called")
+
+    monkeypatch.setattr("laakso.cli.heat_trace_grid", no_trace)
+    assert run(tmp_path, "heat", "-j", "seq:2,3", "--t", t, flag)[0] == 1
+    assert capsys.readouterr().err == (
+        "invalid input: an explicit prefix has no period; write the pattern "
+        "without 'seq:' to repeat it\n"
+    )
 
 
 def test_heat_explicit_cap_failure_is_exit_two(tmp_path):
@@ -427,6 +461,24 @@ def test_exact_commands_load_neither_numpy_nor_scipy(tmp_path, command):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+README_STDOUT = json.loads((Path(__file__).parent / "readme_stdout.json").read_text())
+EXACT_README_COMMANDS = [c for c in README_COMMANDS if not c.startswith("laakso compare")]
+
+
+def test_readme_goldens_are_the_exact_commands():
+    assert sorted(README_STDOUT) == sorted(EXACT_README_COMMANDS)
+
+
+@pytest.mark.parametrize("command", EXACT_README_COMMANDS)
+def test_readme_stdout_is_pinned(capsys, command):
+    """Each exact README command prints the bytes stored in readme_stdout.json,
+    keyed by its README line.  compare is left out: its last digits follow
+    the BLAS build.  Rewrite an entry only for a change meant to alter that
+    command's output."""
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == README_STDOUT[command]
 
 
 def test_byte_identical_reruns(tmp_path):

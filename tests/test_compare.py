@@ -14,6 +14,7 @@ from laakso import (
     level_spectrum,
     mesh_spacing,
     parse_sequence,
+    trust_cutoff,
 )
 
 
@@ -117,6 +118,63 @@ def test_block_covers_the_copies_the_k_lowest_need():
     assert keys == list(range(0, 20, 2))
     assert report.all_multiplicities_match
     assert report.k_converged == 60
+
+
+@pytest.mark.parametrize(
+    "spec, level, m, k, seed, tables",
+    [
+        ("2,3", 5, 8, 60, 31, 1),  # the mesh benchmark's three cases
+        ("2,3", 3, 36, 60, 31, 1),
+        ("3,4", 3, 12, 60, 31, 1),
+        ("2,3", 3, 36, 40, None, 1),  # the README compare
+        ("2", 0, 100_000, 4, 1, 2),  # copies missed: the top returned key is past 2 (k - 1)
+    ],
+)
+def test_first_k_table_reports_as_the_cutoff_table(monkeypatch, spec, level, m, k, seed, tables):
+    """The analytic table stops at the key bound of the first k copies, and
+    goes on to the top returned key only when the solve missed copies; the
+    report is the one a table out to the trust cutoff gives.  Both reports
+    read one solve per block width."""
+    solve, solves, built = laakso.compare.lowest_eigenvalues, {}, []
+
+    def solve_once(matrix, k, **kwargs):
+        width = kwargs["block_size"]
+        if width not in solves:
+            solves[width] = solve(matrix, k, **kwargs)
+        return solves[width]
+
+    def spy(seq, n, lambda_max):
+        built.append(lambda_max)
+        return level_spectrum(seq, n, lambda_max)
+
+    monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", solve_once)
+    monkeypatch.setattr(laakso.compare, "level_spectrum", spy)
+    seq = parse_sequence(spec)
+    report = compare_spectra(seq, level, m, k, seed=seed)
+    assert len(built) == tables
+    cutoff = trust_cutoff(build_graph(seq, level), m)
+    monkeypatch.setattr(
+        laakso.compare, "level_spectrum", lambda seq, n, lambda_max: level_spectrum(seq, n, cutoff)
+    )
+    assert compare_spectra(seq, level, m, k, seed=seed) == report
+
+
+def test_fine_level_zero_mesh_builds_at_most_k_entries(monkeypatch):
+    """At m = 20,000 the trust cutoff admits thousands of level-0 keys, but
+    the table holds only the k that the block walk and the rows read."""
+    built = []
+
+    def spy(seq, n, lambda_max):
+        table = level_spectrum(seq, n, lambda_max)
+        built.append(len(table.entries))
+        return table
+
+    monkeypatch.setattr(laakso.compare, "level_spectrum", spy)
+    seq = parse_sequence("2")
+    report = compare_spectra(seq, 0, 20_000, 4)
+    assert built == [4]
+    assert report.all_multiplicities_match
+    assert len(level_spectrum(seq, 0, report.trust_cutoff).entries) > 1000
 
 
 def test_mesh_error_ratio_second_order():
