@@ -16,13 +16,14 @@ import argparse
 import numpy as np
 
 from laakso import (
+    build_graph,
+    chain_factor,
     continuum_eigenvalues,
     discretize,
     level_spectrum,
     lowest_eigenvalues,
     parse_sequence,
 )
-from laakso.graphs import _chain_factor, build_graph
 
 
 def main() -> None:
@@ -54,7 +55,7 @@ def main() -> None:
     for m in meshes:
         matrix = discretize(graph, m)
         k = min(args.k, matrix.dimension - 1)
-        raw = lowest_eigenvalues(matrix, k, factor=_chain_factor(graph, m)).values
+        raw = lowest_eigenvalues(matrix, k, factor=chain_factor(graph, m)).values
         mapped = continuum_eigenvalues(graph, m, raw)
         errors[m] = [
             (np.abs(raw - lam).min() / lam, np.abs(mapped - lam).min() / lam)

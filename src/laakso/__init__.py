@@ -19,6 +19,7 @@ from .graphs import (
     MetricGraph,
     SparseSymmetricMatrix,
     build_graph,
+    chain_factor,
     continuum_eigenvalues,
     discretize,
     mesh_spacing,
@@ -87,6 +88,7 @@ __all__ = [
     "TailToleranceError",
     "ValidationError",
     "build_graph",
+    "chain_factor",
     "compare_spectra",
     "complex_gamma",
     "continuum_eigenvalues",

@@ -15,7 +15,7 @@ import math
 from typing import NamedTuple
 
 from .errors import ValidationError, integer
-from .graphs import _chain_factor, build_graph, continuum_eigenvalues, discretize, trust_cutoff
+from .graphs import build_graph, chain_factor, continuum_eigenvalues, discretize, trust_cutoff
 from .sequences import JSequence, level_info
 from .solver import cluster_multiplicities, lowest_eigenvalues
 from .spectrum import _first_key_bound, eigenvalue_of_key, level_spectrum
@@ -110,7 +110,7 @@ def compare_spectra(
         widest = max(widest, min(e.multiplicity, k - running))
         running += e.multiplicity
     block = min(widest + 4, k + 8)
-    factor = _chain_factor(graph, points_per_edge)
+    factor = chain_factor(graph, points_per_edge)
     result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block, factor=factor)
 
     mapped = continuum_eigenvalues(graph, points_per_edge, result.values)

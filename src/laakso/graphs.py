@@ -16,7 +16,7 @@ Below 1985; Berkolaiko-Kuchment 2013): each continuum eigenvalue k^2 with
 k h < pi is the mesh eigenvalue (4/h^2) sin^2(k h / 2), with its
 multiplicity.  continuum_eigenvalues maps back, and trust_cutoff stops at
 k h = 0.8 pi, short of the Nyquist point.  Every edge carries the same
-m-point chain, so _chain_factor solves the shifted operator by eliminating
+m-point chain, so chain_factor solves the shifted operator by eliminating
 the chains onto the vertices of F_n.
 
 numpy is imported on first use (the graph and mesh arrays) and scipy on
@@ -47,7 +47,6 @@ class MetricGraph(NamedTuple):
     vertex_count: int
     edges: np.ndarray
     edge_length: float
-    level: int
 
     @property
     def edge_count(self) -> int:
@@ -108,7 +107,6 @@ def build_graph(seq: JSequence, n: int) -> MetricGraph:
         vertex_count=vertex_count,
         edges=edges,
         edge_length=1.0 / seq.scale(n),
-        level=n,
     )
 
 
@@ -151,7 +149,7 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     return SparseSymmetricMatrix(dim, mat.indptr, mat.indices, mat.data)
 
 
-def _chain_factor(graph: MetricGraph, points_per_edge: int):
+def chain_factor(graph: MetricGraph, points_per_edge: int):
     """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
     A = discretize(graph, points_per_edge) and any sigma < 0; mesh_spacing
     validates points_per_edge.

@@ -255,10 +255,12 @@ def _progression_sum(step: int, phase: int, s: complex) -> complex:
     return head + cmath.exp(-w * math.log(step)) * _power_tail(w, cut + phase / step)
 
 
-def _finite_s(s: complex) -> complex:
+def _checked_s(s: complex) -> complex:
+    """s as a complex, refused unless finite with |s| <= 5e3: both routes
+    keep to the range where the closed form's riemann_zeta(2s) is defined."""
     s = complex(s)
-    if not cmath.isfinite(s):
-        raise ValidationError(f"s {s} is not finite")
+    if not (cmath.isfinite(s) and abs(s) <= _MAX_ABS_S):
+        raise ValidationError(f"zeta_L needs a finite s with |s| <= {_MAX_ABS_S:g}, got {s}")
     return s
 
 
@@ -271,9 +273,7 @@ def spectral_zeta_direct(seq: JSequence, s: complex) -> complex:
     spectral_zeta_closed on the convergence half-plane, up to the closed
     form's |s| <= 5e3.  An explicit prefix sums its levels only.
     """
-    s = _finite_s(s)
-    if abs(s) > _MAX_ABS_S:
-        raise ValidationError(f"the direct zeta needs |s| <= {_MAX_ABS_S:g}, got {s}")
+    s = _checked_s(s)
     sigma = s.real
     level_cap = seq.max_level
     # a prefix has finitely many families, each converging past Re s = 1/2;
@@ -435,7 +435,7 @@ def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
     Riemann factor has its pole; in particular s = 0 gives the constant
     term of the small-t trace expansion.
     """
-    s = _finite_s(s)
+    s = _checked_s(s)
     if abs(2.0 * s - 1.0) < 1e-9:
         raise PoleError(
             "s = 1/2 is the pole of the zeta_R(2s) factor",

@@ -1,19 +1,18 @@
 """Lowest eigenvalues of sparse symmetric PSD matrices, and their multiplicities.
 
 One path serves every dimension, a block shift-invert Krylov iteration:
-the matrix is shifted just below zero, sigma = -1e-5 scale (it is PSD, so
-A - sigma I is definite), factorized once, and a block Krylov basis of
-S = (A - sigma I)^-1 is grown with full reorthogonalization, restarted
-when it would outgrow k + 4 block widths, until the residuals of purified
-Ritz vectors certify the requested pairs.  The factorization is SuperLU on
-the assembled matrix unless the caller passes a `factor`: the mesh callers
-pass graphs._chain_factor, which solves the identical edge chains of the
-mesh together and factors only a Schur complement on the graph's vertices.  Blocks are essential here: the mesh
-Laplacians have exactly degenerate eigenvalues (one copy per congruent
-shape), and a single-vector Krylov space contains only one direction per
-eigenspace, so multiplicities would come out short.  The starting block is
-deterministic (all-ones first column, seeded Gaussian fill) so runs
-reproduce bit for bit.
+the matrix is shifted below zero, sigma = -1 (it is PSD, so A - sigma I is
+definite), factorized once by the caller's `factor`, and a block Krylov
+basis of S = (A - sigma I)^-1 is grown with full reorthogonalization,
+restarted when it would outgrow k + 4 block widths, until the residuals of
+purified Ritz vectors certify the requested pairs.  The mesh callers pass
+graphs.chain_factor, which solves the identical edge chains of the mesh
+together and factors only a Schur complement on the graph's vertices.
+Blocks are essential here: the mesh Laplacians have exactly degenerate
+eigenvalues (one copy per congruent shape), and a single-vector Krylov
+space contains only one direction per eigenspace, so multiplicities would
+come out short.  The starting block is deterministic (all-ones first
+column, seeded Gaussian fill) so runs reproduce bit for bit.
 
 The loop is spectral-transformation block Lanczos (Ericsson and Ruhe,
 Math. Comp. 35, 1980).  The basis lives in one preallocated Fortran-order
@@ -63,8 +62,9 @@ are counted, not guessed from gaps: once each computed value carries an
 exact integer label (compare maps mesh eigenvalues onto their continuum
 keys), cluster_multiplicities groups equal labels.
 
-numpy is imported on first use and scipy and mmap on the first call of
-`lowest_eigenvalues`, so importing this module loads none of them.
+numpy is imported on first use and mmap on the first call of
+`lowest_eigenvalues`, and scipy only by the matrix's to_csr and the
+caller's factor, so importing this module loads none of them.
 """
 
 from __future__ import annotations
@@ -79,15 +79,17 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 _MAX_BASIS_ENTRIES = 2**27  # doubles in the dim x held basis buffer: 1 GiB
-# sigma / scale.  Nearer 0 the wanted eigenvalues separate better under
-# (A - sigma I)^-1.  With thick restarts, -1e-5 saves a Krylov step against
-# -1e-4 at level 5 (330 columns against 360, on 4 of the seeds 31-40) and at
-# level 7 (seed 31), and takes the same columns at level 6 and on the other
-# benchmark meshes.  The purified Rayleigh quotients do not feel the solve's
-# conditioning: the largest error against eigvalsh on 3,4 at level 2 (m = 1,
-# all 77 pairs) is 2.7e-12 here, and 3.0e-12 to 3.6e-12 at -1e-3, -1e-4 and
-# -1e-6.
-_SHIFT = -1e-5
+# sigma, in the units of A.  Every F_n has pi^2 as its first nonzero
+# eigenvalue, so -1 lies as close below the wanted values on every mesh.  A
+# shift relative to the matrix scale 2/h^2 drifts away on fine meshes: at
+# -1e-5 scale, compare -j 2 -n 0 -m 30000 -k 4 certified 11.0099 for pi^2,
+# as (A - sigma I)^-1 barely separated the wanted values.  On the benchmark
+# meshes (2/h^2 from 3.9e5 to 2.3e6) -1 takes the Krylov columns that -1e-5
+# scale took at seeds 31-40, as on the README compare.  The purified Rayleigh
+# quotients do not feel the solve's conditioning: the largest error against
+# eigvalsh on 3,4 at level 2 (m = 1, all 77 pairs) is 3.2e-12 here, and
+# 3.0e-12 and 3.6e-12 at -10 and -0.1.
+_SHIFT = -1.0
 
 
 class EigenResult(NamedTuple):
@@ -112,18 +114,6 @@ def _matrix_scale(a: sp.csr_matrix) -> float:
 
     scale = float(np.abs(a.diagonal()).max())
     return scale if scale > 0 else 1.0
-
-
-def _superlu_factor(a: sp.csr_matrix):
-    """factor(sigma) -> solve(B) = (a - sigma I)^-1 B by SuperLU on the assembled matrix."""
-
-    def factor(sigma: float):
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        return spla.splu((a - sigma * sp.identity(a.shape[0], format="csr")).tocsc()).solve
-
-    return factor
 
 
 def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
@@ -247,7 +237,7 @@ def lowest_eigenvalues(
     *,
     seed: int | None = None,
     block_size: int = 32,
-    factor: Callable[[float], Callable[[np.ndarray], np.ndarray]] | None = None,
+    factor: Callable[[float], Callable[[np.ndarray], np.ndarray]],
 ) -> EigenResult:
     """The k algebraically smallest eigenvalues with residual certificates.
 
@@ -261,7 +251,7 @@ def lowest_eigenvalues(
     doubles (1 GiB) is refused before the factorization.  Beside it the
     solve holds about four dim x block_size blocks at most.
     `factor(sigma)` returns solve(B) = (matrix - sigma I)^-1 B for a
-    sigma < 0; None factors the assembled matrix with SuperLU.
+    sigma < 0, such as graphs.chain_factor for a discretize matrix.
     """
     import mmap
 
@@ -287,7 +277,7 @@ def lowest_eigenvalues(
         )
     a = matrix.to_csr()
     scale = _matrix_scale(a)
-    solve = (factor or _superlu_factor(a))(_SHIFT * scale)
+    solve = factor(_SHIFT)
     rng = np.random.default_rng(1 if seed is None else seed + 1)
 
     # mapped, not from the heap, so that it goes back to the OS on return

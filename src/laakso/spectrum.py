@@ -227,6 +227,6 @@ def first_distinct(seq: JSequence, count: int) -> SpectrumTable:
     # the key bound compare_spectra reads too; an integer bound on count keeps
     # it in range before any float is formed
     count = integer("count", count, 1, _MAX_KEY // 2)
-    table = full_spectrum(seq, eigenvalue_of_key(_first_key_bound(count)) + 1.0)
+    table = full_spectrum(seq, eigenvalue_of_key(_first_key_bound(count)))
     entries = table.entries[:count]
     return table._replace(entries=entries, lambda_max=entries[-1].value)

@@ -1,9 +1,25 @@
-"""Shared test helpers: independent brute-force oracles over built graphs."""
+"""Shared test helpers: independent brute-force oracles over built graphs,
+and SuperLU on the assembled matrix as the reference factor."""
 
 from collections import Counter, defaultdict
 
-from laakso import MetricGraph, build_graph
+from laakso import MetricGraph, SparseSymmetricMatrix, build_graph
 from laakso.sequences import JSequence
+
+
+def superlu_factor(matrix: SparseSymmetricMatrix):
+    """factor(sigma) -> solve(B) = (matrix - sigma I)^-1 B by SuperLU on the
+    assembled matrix: the reference that chain_factor is checked against,
+    and a factor for any matrix, one no graph describes included."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    a = matrix.to_csr()
+
+    def factor(sigma: float):
+        return spla.splu((a - sigma * sp.identity(a.shape[0], format="csr")).tocsc()).solve
+
+    return factor
 
 
 def _adjacency(graph: MetricGraph) -> dict[int, Counter]:

@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 import laakso
+from conftest import superlu_factor
 
 ROOT = Path(__file__).resolve().parents[1]
 _STATS = ("s", "calls", "self_s")
@@ -100,7 +101,9 @@ def test_tracer_reads_exist_on_results():
     matrix = laakso.discretize(laakso.build_graph(seq, 2), 4)
     results = {
         "graphs.discretize": matrix,
-        "solver.lowest_eigenvalues": laakso.lowest_eigenvalues(matrix, 4, seed=1),
+        "solver.lowest_eigenvalues": laakso.lowest_eigenvalues(
+            matrix, 4, seed=1, factor=superlu_factor(matrix)
+        ),
         "compare.compare_spectra": laakso.compare_spectra(seq, 2, 4, 10, seed=1),
         "spectrum.full_spectrum": laakso.full_spectrum(seq, 100.0),
         "spectrum.level_spectrum": laakso.level_spectrum(seq, 2, 100.0),

@@ -189,6 +189,21 @@ def test_compare_level_zero_neumann(tmp_path):
         assert v == pytest.approx((k * math.pi) ** 2, rel=2e-3, abs=1e-8)
 
 
+@pytest.mark.parametrize("m, k", [(30_000, 4), (100_000, 4), (50_000, 6)])
+def test_fine_level_zero_meshes_match_their_tables(tmp_path, m, k):
+    """The matrix scale 2/h^2 is 1.8e9 to 2e10 on these meshes, so a shift
+    of -1e-5 scale lies 1,800 to 20,000 times further below 0 than pi^2
+    lies above it.  With that shift the first call certified 11.0099 for
+    pi^2 (exit 0), the second exited 3 and the third converged 1 of 6
+    pairs.  The solver's shift is -1, in the units of the matrix."""
+    argv = ["compare", "-j", "2", "-n", "0", "-m", str(m), "-k", str(k), "--seed", "1"]
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["all_multiplicities_match"] is True
+    assert payload["max_relative_error"] <= 1e-2
+
+
 def test_compare_small_alternating(tmp_path):
     code, text = run(tmp_path, "compare", "-j", "2,3", "-n", "2", "-m", "24", "-k", "16")
     assert code == 0

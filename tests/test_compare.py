@@ -16,6 +16,7 @@ from laakso import (
     parse_sequence,
     trust_cutoff,
 )
+from conftest import superlu_factor
 
 
 @pytest.mark.parametrize("spec", ["2", "3", "2,3", "3,2"])
@@ -53,7 +54,9 @@ def test_loop_heavy_constructions(spec, monkeypatch):
     assert report.all_multiplicities_match
     assert report.max_relative_error <= 0.005
     assert len(report.rows) >= 6
-    monkeypatch.setattr(laakso.compare, "_chain_factor", lambda graph, m: None)
+    monkeypatch.setattr(
+        laakso.compare, "chain_factor", lambda graph, m: superlu_factor(discretize(graph, m))
+    )
     superlu = compare_spectra(seq, 2, mesh, k)
 
     def keys(report):
@@ -120,22 +123,11 @@ def test_block_covers_the_copies_the_k_lowest_need():
     assert report.k_converged == 60
 
 
-@pytest.mark.parametrize(
-    "spec, level, m, k, seed, tables",
-    [
-        ("2,3", 5, 8, 60, 31, 1),  # the mesh benchmark's three cases
-        ("2,3", 3, 36, 60, 31, 1),
-        ("3,4", 3, 12, 60, 31, 1),
-        ("2,3", 3, 36, 40, None, 1),  # the README compare
-        ("2", 0, 100_000, 4, 1, 2),  # copies missed: the top returned key is past 2 (k - 1)
-    ],
-)
-def test_first_k_table_reports_as_the_cutoff_table(monkeypatch, spec, level, m, k, seed, tables):
-    """The analytic table stops at the key bound of the first k copies, and
-    goes on to the top returned key only when the solve missed copies; the
-    report is the one a table out to the trust cutoff gives.  Both reports
-    read one solve per block width."""
-    solve, solves, built = laakso.compare.lowest_eigenvalues, {}, []
+def _reported_as_the_cutoff_table(monkeypatch, seq, level, m, k, seed, solve):
+    """compare_spectra's report, checked against the one a table out to the
+    trust cutoff gives, and the number of tables it built.  Both reports read
+    one call of `solve` per block width."""
+    solves, built = {}, []
 
     def solve_once(matrix, k, **kwargs):
         width = kwargs["block_size"]
@@ -149,14 +141,59 @@ def test_first_k_table_reports_as_the_cutoff_table(monkeypatch, spec, level, m, 
 
     monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", solve_once)
     monkeypatch.setattr(laakso.compare, "level_spectrum", spy)
-    seq = parse_sequence(spec)
     report = compare_spectra(seq, level, m, k, seed=seed)
-    assert len(built) == tables
     cutoff = trust_cutoff(build_graph(seq, level), m)
     monkeypatch.setattr(
         laakso.compare, "level_spectrum", lambda seq, n, lambda_max: level_spectrum(seq, n, cutoff)
     )
     assert compare_spectra(seq, level, m, k, seed=seed) == report
+    return report, len(built)
+
+
+@pytest.mark.parametrize(
+    "spec, level, m, k, seed, tables",
+    [
+        ("2,3", 5, 8, 60, 31, 1),  # the mesh benchmark's three cases
+        ("2,3", 3, 36, 60, 31, 1),
+        ("3,4", 3, 12, 60, 31, 1),
+        ("2,3", 3, 36, 40, None, 1),  # the README compare
+    ],
+)
+def test_first_k_table_reports_as_the_cutoff_table(monkeypatch, spec, level, m, k, seed, tables):
+    """The analytic table stops at the key bound of the first k copies, and
+    the report is the one a table out to the trust cutoff gives."""
+    seq, solve = parse_sequence(spec), laakso.compare.lowest_eigenvalues
+    _, built = _reported_as_the_cutoff_table(monkeypatch, seq, level, m, k, seed, solve)
+    assert built == tables
+
+
+def test_missed_copies_extend_the_table_to_the_top_returned_key(monkeypatch):
+    """A solve that misses the copy of pi^2 on the interval returns keys 0,
+    4, 6 and 8 for k = 4, past the first-k key bound 6: compare builds a
+    second table out to key 8, reports key 2 as a mismatched row, and the
+    report is still the one a table out to the trust cutoff gives."""
+    solve = laakso.compare.lowest_eigenvalues
+
+    def drop_second(matrix, k, **kwargs):
+        result = solve(matrix, k + 1, **kwargs)
+        kept = np.arange(k + 1) != 1
+        return result._replace(
+            values=result.values[kept],
+            residual_norms=result.residual_norms[kept],
+            k_requested=k,
+            k_converged=k,
+        )
+
+    report, built = _reported_as_the_cutoff_table(
+        monkeypatch, parse_sequence("2"), 0, 100, 4, 1, drop_second
+    )
+    assert built == 2
+    assert [(row.analytic_multiplicity, row.numeric_multiplicity) for row in report.rows] == [
+        (1, 1),
+        (1, 0),
+        (1, 1),
+        (1, 1),
+    ]
 
 
 def test_fine_level_zero_mesh_builds_at_most_k_entries(monkeypatch):

@@ -12,6 +12,7 @@ import laakso.compare
 from laakso import (
     ValidationError,
     build_graph,
+    chain_factor,
     compare_spectra,
     continuum_eigenvalues,
     discretize,
@@ -27,10 +28,10 @@ from laakso import (
     shape_census,
     trust_cutoff,
 )
-from laakso.graphs import _chain_factor, _subdivide
+from laakso.graphs import _subdivide
 from laakso.sequences import PERIODIC, JSequence
-from laakso.solver import _SHIFT, _superlu_factor
-from conftest import brute_force_census
+from laakso.solver import _SHIFT
+from conftest import brute_force_census, superlu_factor
 
 SEQS = ["2", "3", "2,3", "3,2"]
 
@@ -101,8 +102,9 @@ def test_edges_are_read_only():
         g.edges[0, 0] = 1
 
 
-def _mesh(seq):
-    return discretize(build_graph(seq, 2), 2)
+def _eigen(seq, k, **kwargs):
+    graph = build_graph(seq, 2)
+    return lowest_eigenvalues(discretize(graph, 2), k, factor=chain_factor(graph, 2), **kwargs)
 
 
 # every entry point that takes an integer: (label, call(seq, value), the
@@ -124,15 +126,9 @@ INTEGER_INPUTS = [
         1,
         2,
     ),
-    ("eigen k", lambda seq, v: lowest_eigenvalues(_mesh(seq), v), "k", 1, 4),
-    (
-        "eigen block_size",
-        lambda seq, v: lowest_eigenvalues(_mesh(seq), 4, block_size=v),
-        "block_size",
-        1,
-        4,
-    ),
-    ("eigen seed", lambda seq, v: lowest_eigenvalues(_mesh(seq), 4, seed=v), "seed", 0, 1),
+    ("eigen k", _eigen, "k", 1, 4),
+    ("eigen block_size", lambda seq, v: _eigen(seq, 4, block_size=v), "block_size", 1, 4),
+    ("eigen seed", lambda seq, v: _eigen(seq, 4, seed=v), "seed", 0, 1),
     ("level_spectrum n_max", lambda seq, v: level_spectrum(seq, v, 100.0), "level_cap", 0, 2),
     ("heat_trace level_cap", lambda seq, v: heat_trace(seq, 1e-2, level_cap=v), "level_cap", 0, 2),
     ("empty heat_trace_grid level_cap", lambda seq, v: heat_trace_grid(seq, [], level_cap=v), "level_cap", 0, 2),
@@ -325,7 +321,8 @@ def test_mesh_convergence_second_order():
         assert good.mean() >= 0.8  # bulk of modes contract at second order
 
 
-@pytest.mark.parametrize("shift", [-1.0, -1e-4, _SHIFT])
+# sigma / scale, or None for the solver's sigma, an absolute _SHIFT
+@pytest.mark.parametrize("shift", [-1.0, -1e-4, -1e-5, pytest.param(None, id="solver")])
 @pytest.mark.parametrize(
     "spec, level, m",
     [
@@ -338,16 +335,17 @@ def test_mesh_convergence_second_order():
 def test_chain_factor_solves_like_superlu(spec, level, m, shift):
     """The chain-condensed solve equals SuperLU's on the assembled matrix.
     Both carry rounding of about eps times the condition number
-    kappa = 1 + 2 / |shift| of A - shift scale I: 3 at shift -1 (where they
-    agree to 4e-16), 2e4 at shift -1e-4 (1.4e-12), 2e5 at the solver's
-    shift."""
+    kappa = 1 + 2 scale / |sigma| of A - sigma I: 3 at shift -1 (where they
+    agree to 4e-16), 2e4 at shift -1e-4 (1.4e-12), 2e5 at -1e-5, and from
+    65 to 4.7e4 at the solver's sigma = -1 on these meshes."""
     graph = build_graph(parse_sequence(spec), level)
-    a = discretize(graph, m).to_csr()
-    sigma = shift * np.abs(a.diagonal()).max()
-    b = np.asfortranarray(np.random.default_rng(3).standard_normal((a.shape[0], 7)))
-    chain = _chain_factor(graph, m)(sigma)(b)
-    superlu = _superlu_factor(a)(sigma)(b)
-    kappa = 1.0 + 2.0 / abs(shift)
+    matrix = discretize(graph, m)
+    scale = np.abs(matrix.to_csr().diagonal()).max()
+    sigma = _SHIFT if shift is None else shift * scale
+    b = np.asfortranarray(np.random.default_rng(3).standard_normal((matrix.dimension, 7)))
+    chain = chain_factor(graph, m)(sigma)(b)
+    superlu = superlu_factor(matrix)(sigma)(b)
+    kappa = 1.0 + 2.0 * scale / abs(sigma)
     tol = 4 * np.finfo(float).eps * kappa
     assert np.linalg.norm(chain - superlu) <= tol * np.linalg.norm(superlu)
 

@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import re
 from fractions import Fraction
 import subprocess
 import sys
@@ -381,8 +382,12 @@ def test_direct_diverges_at_the_closed_forms_nearest_pole():
 
 
 def test_direct_refuses_huge_s():
-    with pytest.raises(ValidationError):
-        spectral_zeta_direct(J2, 2.0 + 6e3j)
+    """Both routes refuse |s| > 5e3 by one rule that names the s given, not
+    the 2s that the closed form's riemann_zeta would see."""
+    for route in (spectral_zeta_direct, spectral_zeta_closed):
+        for s in (2.0 + 6e3j, 1e4):
+            with pytest.raises(ValidationError, match=re.escape(f"|s| <= 5000, got {complex(s)}")):
+                route(J2, s)
 
 
 @pytest.mark.parametrize("s", [-200.25, -600.0])

@@ -1,5 +1,6 @@
 """The block shift-invert eigensolver and per-key multiplicity counts."""
 
+import functools
 import math
 import mmap
 import tracemalloc
@@ -12,17 +13,25 @@ from laakso import (
     SparseSymmetricMatrix,
     ValidationError,
     build_graph,
+    chain_factor,
     continuum_eigenvalues,
     discretize,
     lowest_eigenvalues,
     parse_sequence,
 )
 from laakso.solver import _orthonormalize, _project_out, cluster_multiplicities
+from conftest import superlu_factor
 
 
 def _diag_matrix(n: int) -> SparseSymmetricMatrix:
     mat = sp.diags(np.arange(n, dtype=float)).tocsr()
     return SparseSymmetricMatrix(n, mat.indptr, mat.indices, mat.data)
+
+
+def _mesh(spec, level, m):
+    """discretize(F_level, m) and its chain factor."""
+    graph = build_graph(parse_sequence(spec), level)
+    return discretize(graph, m), chain_factor(graph, m)
 
 
 def _copies_per_key(graph, m, values):
@@ -36,9 +45,8 @@ def _copies_per_key(graph, m, values):
 
 
 def test_neumann_chain():
-    g = build_graph(parse_sequence("2"), 0)
-    mat = discretize(g, 99)
-    res = lowest_eigenvalues(mat, 4, tol=1e-8)
+    mat, factor = _mesh("2", 0, 99)
+    res = lowest_eigenvalues(mat, 4, tol=1e-8, factor=factor)
     assert res.k_converged == 4
     assert abs(res.values[0]) < 1e-9
     for k in (1, 2, 3):
@@ -46,43 +54,46 @@ def test_neumann_chain():
 
 
 def test_diagonal_matrix():
-    res = lowest_eigenvalues(_diag_matrix(50), 3)
+    mat = _diag_matrix(50)
+    res = lowest_eigenvalues(mat, 3, factor=superlu_factor(mat))
     assert np.allclose(res.values, [0.0, 1.0, 2.0], atol=1e-9)
     assert res.k_converged == 3
 
 
 def test_validation():
     mat = _diag_matrix(10)
+    with pytest.raises(TypeError):  # the factor has no default
+        lowest_eigenvalues(mat, 2)
+    solve = functools.partial(lowest_eigenvalues, factor=superlu_factor(mat))
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 10)
+        solve(mat, 10)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 0)
+        solve(mat, 0)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 2, tol=-1.0)
+        solve(mat, 2, tol=-1.0)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 2, tol=math.nan)
+        solve(mat, 2, tol=math.nan)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 2, tol=math.inf)
+        solve(mat, 2, tol=math.inf)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 2, block_size=0)
+        solve(mat, 2, block_size=0)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 2, block_size=-3)
+        solve(mat, 2, block_size=-3)
     for bad in (dict(block_size=2.5), dict(seed=-1), dict(seed=1.5), dict(seed="1")):
         with pytest.raises(ValidationError):
-            lowest_eigenvalues(mat, 2, **bad)
+            solve(mat, 2, **bad)
     with pytest.raises(ValidationError):
-        lowest_eigenvalues(mat, 5.0)
+        solve(mat, 5.0)
 
 
 def test_oracle_equivalence_dense_vs_iterative():
     """The solver agrees with dense eigvalsh on a mesh operator with
     degenerate clusters."""
-    g = build_graph(parse_sequence("2,3"), 2)
-    mat = discretize(g, 8)  # dimension 210
+    mat, factor = _mesh("2,3", 2, 8)  # dimension 210
     tol = 1e-9
     k = 16
     dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
-    iterative = lowest_eigenvalues(mat, k, tol=tol, block_size=12)
+    iterative = lowest_eigenvalues(mat, k, tol=tol, block_size=12, factor=factor)
     assert iterative.k_converged == k
     scale = float(np.abs(mat.to_csr().diagonal()).max())
     assert np.max(np.abs(dense - iterative.values)) <= 10 * tol * scale
@@ -107,7 +118,7 @@ def test_small_dimension_multiplicities_match_eigvalsh(spec, level, m):
     graph = build_graph(parse_sequence(spec), level)
     mat = discretize(graph, m)
     k = mat.dimension - 1
-    res = lowest_eigenvalues(mat, k)
+    res = lowest_eigenvalues(mat, k, factor=chain_factor(graph, m))
     assert res.k_converged == k
     dense = np.linalg.eigvalsh(mat.to_csr().toarray())[:k]
     assert res.values == pytest.approx(dense, abs=1e-9)
@@ -130,7 +141,7 @@ def test_thick_restart_holds_at_most_k_plus_four_blocks(monkeypatch):
         return anonymous_map(fileno, length, *args, **kwargs)
 
     monkeypatch.setattr(mmap, "mmap", recording_map)
-    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width)
+    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width, factor=chain_factor(graph, m))
     monkeypatch.undo()
     assert held == [k + 4 * width] and k + 4 * width < res.basis_width
     assert res.k_converged == k
@@ -164,38 +175,35 @@ def test_basis_refusal_counts_the_columns_held():
 
 
 def test_reproducible_bit_for_bit():
-    g = build_graph(parse_sequence("3"), 2)
-    mat = discretize(g, 6)
-    a = lowest_eigenvalues(mat, 10, seed=7)
-    b = lowest_eigenvalues(mat, 10, seed=7)
+    mat, factor = _mesh("3", 2, 6)
+    a = lowest_eigenvalues(mat, 10, seed=7, factor=factor)
+    b = lowest_eigenvalues(mat, 10, seed=7, factor=factor)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.residual_norms, b.residual_norms)
-    c = lowest_eigenvalues(mat, 10)
-    d = lowest_eigenvalues(mat, 10)
+    c = lowest_eigenvalues(mat, 10, factor=factor)
+    d = lowest_eigenvalues(mat, 10, factor=factor)
     assert np.array_equal(c.values, d.values)
 
 
 def test_residuals_reported_and_small():
-    g = build_graph(parse_sequence("2"), 2)
-    mat = discretize(g, 4)
-    res = lowest_eigenvalues(mat, 6, tol=1e-8)
+    mat, factor = _mesh("2", 2, 4)
+    res = lowest_eigenvalues(mat, 6, tol=1e-8, factor=factor)
     assert res.residual_norms.shape == (6,)
     assert np.all(res.residual_norms <= 1e-8)
 
 
 def test_partial_result_on_tiny_budget():
-    g = build_graph(parse_sequence("2"), 3)
-    mat = discretize(g, 40)  # dimension 2,604
+    mat, factor = _mesh("2", 3, 40)  # dimension 2,604
     # block 4 caps the basis at 5k = 150 columns, too few for 30 pairs at 1e-12
-    res = lowest_eigenvalues(mat, 30, tol=1e-12, block_size=4)
+    res = lowest_eigenvalues(mat, 30, tol=1e-12, block_size=4, factor=factor)
     assert res.k_converged < res.k_requested
     assert np.all(np.diff(res.values) >= -1e-9)
 
 
 def test_diagnostics_fields():
-    mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
+    mat, factor = _mesh("2,3", 2, 8)  # dimension 210
     k, width = 16, 12
-    res = lowest_eigenvalues(mat, k, tol=1e-9, block_size=width)
+    res = lowest_eigenvalues(mat, k, tol=1e-9, block_size=width, factor=factor)
     assert res.iterations >= 1
     assert width < res.basis_width <= min(mat.dimension, max(5 * k, k + 15 * width))
 
@@ -204,11 +212,11 @@ def test_clipped_last_block():
     """The budget max(5k, k + 15 width) = 125 of generated columns is not a
     multiple of the block width 7, so the last block is cut to 6 columns
     before the budget is spent."""
-    mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
+    mat, factor = _mesh("2,3", 2, 8)  # dimension 210
     k, width, tol = 20, 7, 1e-12
     max_basis = max(5 * k, k + 15 * width)
     assert max_basis % width != 0
-    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width)
+    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width, factor=factor)
     assert res.basis_width == max_basis
     assert res.k_converged < k
     assert np.all(np.diff(res.values) >= 0)
@@ -232,17 +240,18 @@ def _split(z, v, rng):
 def test_restarted_solve_holds_few_blocks_beside_its_basis():
     """Beside the mapped basis, which tracemalloc does not see, a restarted
     solve on dimension 1,788 (k = 60, width 30) peaks at no more than four
-    dim x width blocks (3.6 measured): z, a product temporary, h and the
+    dim x width blocks (3.7 measured): z, a product temporary, h and the
     certificate's chunks.  Keeping the old z through the next solve, forming
     Cholesky-QR2's second product out of place or certifying a full block
     at a time each takes it past four; the heap-allocated basis and all
     three read 11.3."""
-    mat = discretize(build_graph(parse_sequence("2,3"), 3), 18)
+    mat, factor = _mesh("2,3", 3, 18)
     k, width = 60, 30
-    lowest_eigenvalues(mat, k, block_size=width)  # first-call allocations are not the solve's
+    # first-call allocations are not the solve's
+    lowest_eigenvalues(mat, k, block_size=width, factor=factor)
     tracemalloc.start()
     try:
-        res = lowest_eigenvalues(mat, k, block_size=width)
+        res = lowest_eigenvalues(mat, k, block_size=width, factor=factor)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -295,9 +304,9 @@ def test_full_rank_block_takes_cholesky_qr2(monkeypatch):
 def test_residual_estimate_agrees_with_the_certificate():
     """The purified Ritz vectors' residual, read off the Lanczos relation,
     matches the explicit residuals it hands over to."""
-    mat = discretize(build_graph(parse_sequence("2,3"), 3), 18)  # dimension 1,788
+    mat, factor = _mesh("2,3", 3, 18)  # dimension 1,788
     k, tol = 60, 1e-7
-    res = lowest_eigenvalues(mat, k, tol=tol, block_size=30)
+    res = lowest_eigenvalues(mat, k, tol=tol, block_size=30, factor=factor)
     assert res.k_converged == k
     assert len(res.residual_history) == res.iterations + 1
     cert = res.residual_norms.max()
@@ -311,9 +320,9 @@ def test_estimate_meets_a_tolerance_of_1e_10():
     """The estimate has no rounding floor near 1e-8: at tol = 1e-10 it
     reaches tol, equals the certificate and ends the solve before the basis
     is full."""
-    mat = discretize(build_graph(parse_sequence("2,3"), 2), 8)  # dimension 210
+    mat, factor = _mesh("2,3", 2, 8)  # dimension 210
     k, width, tol = 16, 12, 1e-10
-    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width)
+    res = lowest_eigenvalues(mat, k, tol=tol, block_size=width, factor=factor)
     assert res.residual_history[-1] <= tol
     cert = res.residual_norms.max()
     assert abs(res.residual_history[-1] - cert) <= 1e-4 * cert
