@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Mesh-refinement study: numerical eigenvalues against the exact spectrum.
 
-Builds the level-n graph, discretizes it at a run of mesh densities, and
-prints, for each low exact eigenvalue and each mesh, two relative errors of
-the nearest computed eigenvalue: the raw mesh eigenvalue, which converges
-at second order in h, and the same eigenvalue mapped back through
+Runs compare_spectra on the level-n graph at a run of mesh densities and
+prints, for each positive exact eigenvalue that every mesh returned copies
+of, two relative errors of the copies' mean: the raw mesh eigenvalue, which
+converges at second order in h, and the same eigenvalue mapped back through
 continuum_eigenvalues, which is exact up to the solver's accuracy.
 
 Usage:
@@ -13,17 +13,7 @@ Usage:
 
 import argparse
 
-import numpy as np
-
-from laakso import (
-    build_graph,
-    chain_factor,
-    continuum_eigenvalues,
-    discretize,
-    level_spectrum,
-    lowest_eigenvalues,
-    parse_sequence,
-)
+from laakso import compare_spectra, level_info, parse_sequence
 
 
 def main() -> None:
@@ -35,34 +25,22 @@ def main() -> None:
     args = parser.parse_args()
 
     seq = parse_sequence(args.sequence)
-    graph = build_graph(seq, args.n)
     meshes = [int(m) for m in args.meshes.split(",")]
-    # keep only exact eigenvalues the k-truncated solve can actually reach
-    exact = []
-    cumulative = 0
-    for entry in level_spectrum(seq, args.n, 1e9).entries:
-        cumulative += entry.multiplicity
-        if cumulative > args.k - 2:
-            break
-        if entry.value > 0:
-            exact.append(entry.value)
-    exact = exact[:8]
+    errors = {}  # per mesh: exact value -> (raw error, mapped error)
+    for m in meshes:
+        errors[m] = {}
+        for r in compare_spectra(seq, args.n, m, args.k).rows:
+            lam = r.analytic_value
+            if r.numeric_multiplicity and lam > 0:
+                errors[m][lam] = (abs(r.mesh_value - lam) / lam, r.relative_error)
+    exact = sorted(set(errors[meshes[0]]).intersection(*errors.values()))
 
-    print(f"graph: {graph.vertex_count} vertices, {graph.edge_count} edges")
+    info = level_info(seq, args.n)
+    print(f"graph: {info.nodes} vertices, {info.cells} edges")
     header = "".join(f"  {f'm={m} raw':>10} {'mapped':>8}" for m in meshes)
     print(f"{'exact':>12}{header}   (relative errors)")
-    errors = {}
-    for m in meshes:
-        matrix = discretize(graph, m)
-        k = min(args.k, matrix.dimension - 1)
-        raw = lowest_eigenvalues(matrix, k, factor=chain_factor(graph, m)).values
-        mapped = continuum_eigenvalues(graph, m, raw)
-        errors[m] = [
-            (np.abs(raw - lam).min() / lam, np.abs(mapped - lam).min() / lam)
-            for lam in exact
-        ]
-    for i, lam in enumerate(exact):
-        row = "".join(f"  {errors[m][i][0]:>10.1e} {errors[m][i][1]:>8.1e}" for m in meshes)
+    for lam in exact:
+        row = "".join(f"  {errors[m][lam][0]:>10.1e} {errors[m][lam][1]:>8.1e}" for m in meshes)
         print(f"{lam:>12.3f}{row}")
 
 

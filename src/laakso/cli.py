@@ -217,10 +217,10 @@ def cmd_dims(args) -> int:
 
 
 def cmd_heat(args) -> int:
-    if args.asymptotic and args.level_cap is not None:
+    if (args.asymptotic or args.fit_ds) and args.level_cap is not None:
         raise ValidationError(
-            "--asymptotic is the limit space's expansion and has no level-capped "
-            "form; drop --level-cap"
+            "--asymptotic and --fit-ds read the limit space, which a level-capped "
+            "trace is not; drop --level-cap"
         )
     seq = parse_sequence(args.sequence)
     ts = _parse_t_grid(args.t)

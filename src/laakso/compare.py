@@ -41,9 +41,6 @@ class ComparisonRow(NamedTuple):
 
 
 class ComparisonReport(NamedTuple):
-    sequence: str
-    level: int
-    points_per_edge: int
     k_requested: int
     k_converged: int
     matrix_dimension: int
@@ -143,9 +140,6 @@ def compare_spectra(
             )
         )
     return ComparisonReport(
-        sequence=seq.spec_string(),
-        level=level,
-        points_per_edge=points_per_edge,
         k_requested=k,
         k_converged=result.k_converged,
         matrix_dimension=matrix.dimension,

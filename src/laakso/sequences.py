@@ -117,7 +117,6 @@ class JSequence(_Spec):
 class LevelInfo(NamedTuple):
     """Exact counts for the level-n graph F_n."""
 
-    n: int
     scale: int  # I_n; cells have diameter 1/I_n
     cells: int  # N_n = 2^n * I_n edges
     nodes: int  # 2^(n-1) * (I_n + 3), which is 2 at n = 0
@@ -126,7 +125,6 @@ class LevelInfo(NamedTuple):
 class ShapeCensus(NamedTuple):
     """How many of each spectral motif the level-n graph contains."""
 
-    n: int
     scale: int  # I_n
     v_count: int
     loop_count: int
@@ -179,7 +177,7 @@ def level_info(seq: JSequence, n: int) -> LevelInfo:
         nodes = 2
     else:
         nodes = (1 << (n - 1)) * (scale + 3)
-    return LevelInfo(n=n, scale=scale, cells=cells, nodes=nodes)
+    return LevelInfo(scale=scale, cells=cells, nodes=nodes)
 
 
 def shape_census(seq: JSequence, n: int) -> ShapeCensus:
@@ -201,7 +199,7 @@ def _census(seq: JSequence, n: int, scale_prev: int) -> ShapeCensus:
     v_count = 1 << n
     loop_count = ((jn - 2) * scale_prev) << (n - 1)
     cross_count = 0 if n == 1 else (scale_prev - 1) << (n - 2)
-    return ShapeCensus(n, scale_prev * jn, v_count, loop_count, cross_count)
+    return ShapeCensus(scale_prev * jn, v_count, loop_count, cross_count)
 
 
 def _log_block(seq: JSequence) -> float:

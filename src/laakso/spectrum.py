@@ -84,7 +84,6 @@ class SpectrumEntry(NamedTuple):
 class SpectrumTable(NamedTuple):
     """Sorted distinct eigenvalues with exact aggregated multiplicities."""
 
-    sequence: JSequence
     entries: tuple[SpectrumEntry, ...]
     lambda_max: float
     level_cap: int | None  # None means every level below lambda_max is present
@@ -181,7 +180,7 @@ def _generate(seq: JSequence, lambda_max: float, level_cap: int | None) -> Spect
         )
         for m, contribs in sorted(collected.items())
     )
-    return SpectrumTable(seq, entries, lambda_max, level_cap)
+    return SpectrumTable(entries, lambda_max, level_cap)
 
 
 def full_spectrum(seq: JSequence, lambda_max: float) -> SpectrumTable:

@@ -144,8 +144,7 @@ def _mock_compare(monkeypatch, k_requested, k_converged, residual, numeric_multi
     def report(seq, level, points_per_edge, k, *, seed):
         requested = k_requested or k  # compare clamps k to the dimension less one
         return ComparisonReport(
-            str(seq), level, points_per_edge, requested, k_converged, requested + 1, 50.0, 1e-7,
-            ((math.pi**2, 3),), (row,),
+            requested, k_converged, requested + 1, 50.0, 1e-7, ((math.pi**2, 3),), (row,)
         )
 
     monkeypatch.setattr("laakso.cli.compare_spectra", report)
@@ -572,6 +571,7 @@ def test_config_echoed(tmp_path):
         ["heat", "-j", "seq:2,3", "--t", "5", "--asymptotic"],
         ["heat", "-j", "seq:2,3", "--t", "1e-3", "--fit-ds"],
         ["heat", "-j", "seq:2,3", "--t", "5", "--fit-ds"],
+        ["heat", "-j", "2", "--t", "1e-9:1e-5:40log", "--level-cap", "3", "--fit-ds"],
     ],
 )
 def test_malformed_input_is_exit_one(tmp_path, capsys, argv):
