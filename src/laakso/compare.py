@@ -1,12 +1,21 @@
 """End-to-end comparison of the mesh eigensolver against the exact spectrum.
 
-Builds F_n, discretizes it, computes the lowest eigenvalues and maps each
-exactly onto its continuum value (graphs.continuum_eigenvalues), hence onto
-the integer key m of lambda = (m pi / 2)^2.  Copies are counted per key, the
-exact-integer merge of the analytic tables, and diffed against the level-n
-table: one row per key either side has below the top returned key (which k
-may cut) and the trust cutoff, with multiplicity 0 on a side that lacks it,
-so a split, merged or missing cluster is one mismatched row.
+Builds F_n and solves the k lowest eigenvalues of its mesh where they live:
+the functions even under the copy swaps of levels r + 1 .. n are the mesh of
+F_r at the same spacing h, and below key I_(r+1) the F_n mesh has no other
+eigenvalue (graphs' docstring).  So compare solves F_r for the largest r
+with I_r at most the key of the k-th copy, which the table walk that sizes
+the block reads, and certifies it on F_n: a Sylvester count of the F_n mesh
+(graphs.mesh_count) below the top returned key must equal the values
+returned below it.  A count that differs or cannot be formed sends compare
+to the F_n mesh itself, so the rows are those of an F_n solve either way.
+Each value is mapped exactly onto its continuum value
+(graphs.continuum_eigenvalues), hence onto the integer key m of
+lambda = (m pi / 2)^2.  Copies are counted per key, the exact-integer merge
+of the analytic tables, and diffed against the level-n table: one row per
+key either side has below the top returned key (which k may cut) and the
+trust cutoff, with multiplicity 0 on a side that lacks it, so a split,
+merged or missing cluster is one mismatched row.
 """
 
 from __future__ import annotations
@@ -14,8 +23,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError, integer
-from .graphs import build_graph, chain_factor, continuum_eigenvalues, discretize, trust_cutoff
+from .errors import FactorizationError, ValidationError, integer
+from .graphs import (
+    build_graph,
+    chain_factor,
+    continuum_eigenvalues,
+    discretize,
+    mesh_count,
+    trust_cutoff,
+)
 from .sequences import JSequence, level_info
 from .solver import cluster_multiplicities, lowest_eigenvalues
 from .spectrum import _first_key_bound, eigenvalue_of_key, level_spectrum
@@ -43,11 +59,15 @@ class ComparisonRow(NamedTuple):
 class ComparisonReport(NamedTuple):
     k_requested: int
     k_converged: int
-    matrix_dimension: int
+    matrix_dimension: int  # of the F_n mesh, whichever level was solved
     trust_cutoff: float
     tolerance: float
     clusters: tuple[tuple[float, int], ...]  # per key: (mean continuum value, copies)
     rows: tuple[ComparisonRow, ...]
+    solved_level: int  # r: the solve ran on the sector discretize(F_r, m_r)
+    # for r < n, the F_n mesh's eigenvalues below the top returned key, by
+    # mesh_count; it equals the returned values below that key.  None for r = n
+    certificate: int | None
 
     @property
     def all_multiplicities_match(self) -> bool:
@@ -65,6 +85,24 @@ class ComparisonReport(NamedTuple):
         return all(r.residual <= self.tolerance for r in self.rows if r.numeric_multiplicity)
 
 
+def _sector(seq: JSequence, level: int, points_per_edge: int, k: int, kth_key: int | None):
+    """(r, m_r): the coarsest level whose sector of the F_level mesh holds its
+    k lowest eigenvalues, and that sector's points per edge.
+
+    r is the largest level with I_r <= kth_key, the key of the k-th copy,
+    and m_r = (m + 1) I_level / I_r - 1 keeps h.  r = level when kth_key is
+    unknown (None) or the sector's mesh has at most k points.
+    """
+    if kth_key is None:
+        return level, points_per_edge
+    r = max(s for s in range(level + 1) if seq.scale(s) <= kth_key)  # I_0 = 1
+    m_r = (points_per_edge + 1) * seq.scale(level) // seq.scale(r) - 1
+    info = level_info(seq, r)
+    if info.nodes + info.cells * m_r <= k:
+        return level, points_per_edge
+    return r, m_r
+
+
 def compare_spectra(
     seq: JSequence,
     level: int,
@@ -77,6 +115,8 @@ def compare_spectra(
 
     Below the trust cutoff, the table reaches first_distinct's key bound for the
     first k copies, or the top returned key when missed copies put it further.
+    The solve runs on the sector _sector picks; below level, mesh_count on
+    F_level must certify it, or F_level is solved after all.
     """
     import numpy as np
 
@@ -93,25 +133,43 @@ def compare_spectra(
             f"points, over {_MAX_DIMENSION}"
         )
     graph = build_graph(seq, level)
-    matrix = discretize(graph, points_per_edge)
-    k = min(k, matrix.dimension - 1)
+    k = min(k, points - 1)
     cutoff = trust_cutoff(graph, points_per_edge)
     reach = _first_key_bound(k)  # the block walk reads no key past it
     analytic = level_spectrum(seq, level, min(cutoff, eigenvalue_of_key(reach))).entries
     # degenerate clusters are only fully captured with a block at least as
     # wide as the copies a cluster must supply to the k lowest
-    widest, running = 8, 0
+    widest, running, kth_key = 8, 0, None
     for e in analytic:
         if running >= k:
             break
         widest = max(widest, min(e.multiplicity, k - running))
         running += e.multiplicity
+        kth_key = e.m if running >= k else None
     block = min(widest + 4, k + 8)
-    factor = chain_factor(graph, points_per_edge)
-    result = lowest_eigenvalues(matrix, k, tol=_TOL, seed=seed, block_size=block, factor=factor)
 
-    mapped = continuum_eigenvalues(graph, points_per_edge, result.values)
-    keys = np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
+    def solve(graph, m):
+        """The k lowest pairs of graph's mesh, and their integer keys."""
+        matrix = discretize(graph, m)
+        result = lowest_eigenvalues(
+            matrix, k, tol=_TOL, seed=seed, block_size=block, factor=chain_factor(graph, m)
+        )
+        mapped = continuum_eigenvalues(graph, m, result.values)
+        return result, mapped, np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
+
+    solved, solved_m = _sector(seq, level, points_per_edge, k, kth_key)
+    count = None
+    if solved < level:
+        result, mapped, keys = solve(build_graph(seq, solved), solved_m)
+        rng = np.random.default_rng(0 if seed is None else seed)
+        try:
+            count = mesh_count(graph, points_per_edge, int(keys[-1]) - 1, rng)
+        except FactorizationError:
+            pass
+        if count != np.count_nonzero(keys < keys[-1]):  # not certified: solve F_level
+            solved, count = level, None
+    if solved == level:
+        result, mapped, keys = solve(graph, points_per_edge)
     members = cluster_multiplicities(keys)
     if keys[-1] > reach:  # copies were missed, so the rows run to the top returned key
         analytic = level_spectrum(seq, level, min(cutoff, eigenvalue_of_key(int(keys[-1])))).entries
@@ -142,9 +200,11 @@ def compare_spectra(
     return ComparisonReport(
         k_requested=k,
         k_converged=result.k_converged,
-        matrix_dimension=matrix.dimension,
+        matrix_dimension=points,
         trust_cutoff=cutoff,
         tolerance=_TOL,
         clusters=tuple((float(mapped[idx].mean()), len(idx)) for idx in members.values()),
         rows=tuple(rows),
+        solved_level=solved,
+        certificate=count,
     )

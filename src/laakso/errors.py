@@ -28,6 +28,11 @@ class DimensionUndefinedError(ValidationError):
     """The contraction-limit value r does not exist for this sequence."""
 
 
+class FactorizationError(ArithmeticError):
+    """A factor could not be formed or read: an edge chain that is not
+    positive definite at the shift, or a pivot too small to give its sign."""
+
+
 class DivergenceError(ValueError):
     """A series was evaluated outside its half-plane of convergence."""
 

@@ -17,7 +17,22 @@ k h < pi is the mesh eigenvalue (4/h^2) sin^2(k h / 2), with its
 multiplicity.  continuum_eigenvalues maps back, and trust_cutoff stops at
 k h = 0.8 pi, short of the Nyquist point.  Every edge carries the same
 m-point chain, so chain_factor solves the shifted operator by eliminating
-the chains onto the vertices of F_n.
+the chains onto the vertices of F_n, and mesh_count counts its eigenvalues
+below a point by Sylvester's law of inertia on the same Schur complement
+(spectrum slicing: Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15,
+1994).
+
+Swapping the two copies glued at step n is a symmetry of the F_n mesh.  A
+function even under it takes equal values on both copies, and these are the
+mesh of F_(n-1) with j_n (m + 1) - 1 points per edge, at the same h: a
+glued vertex, of degree 4 and mass 2h, gives the row of an interior point
+of one copy, and an old vertex keeps its degree and mass.  By induction the
+functions even under the swaps of levels r + 1 .. n are discretize(F_r,
+m_r), m_r = (m + 1) I_n / I_r - 1, the mesh form of a quotient graph
+(Band, Parzanchevski and Ben-Shach, J. Phys. A 42, 2009): its eigenvalues
+are the F_n mesh's, with their copies.  A function odd under the swap of
+level s vanishes at that level's glued vertices, so its key is at least
+I_s, and below key I_(r+1) the two meshes have the same eigenvalues.
 
 numpy is imported on first use (the graph and mesh arrays) and scipy on
 first use of the mesh route (CSR assembly and conversion), so importing this
@@ -29,7 +44,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import integer
+from .errors import FactorizationError, integer
 from .sequences import JSequence
 
 if TYPE_CHECKING:
@@ -149,10 +164,10 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     return SparseSymmetricMatrix(dim, mat.indptr, mat.indices, mat.data)
 
 
-def chain_factor(graph: MetricGraph, points_per_edge: int):
-    """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
-    A = discretize(graph, points_per_edge) and any sigma < 0; mesh_spacing
-    validates points_per_edge.
+def _schur_assembly(graph: MetricGraph, points_per_edge: int):
+    """assemble(sigma) -> (chain, gather, pull, schur) for A - sigma I, A =
+    discretize(graph, points_per_edge): the one place the chains are
+    eliminated.  mesh_spacing validates points_per_edge.
 
     The m interior points of every edge form the same m x m tridiagonal
     block C = (2/h^2 - sigma) I - (1/h^2) (off-diagonals), tied to its end
@@ -163,17 +178,14 @@ def chain_factor(graph: MetricGraph, points_per_edge: int):
     gather = pull' (I kron C^-1) needs only C^-1's end rows.  Per edge that
     is c_u^2 C^-1_00 at (u, u), c_v^2 C^-1_(m-1,m-1) at (v, v) and
     c_u c_v C^-1_(0,m-1) at (u, v) and (v, u).  C is factored once by
-    LAPACK's tridiagonal Cholesky (pttrf) and serves every chain, at a few
-    flops per point for any m; the Schur complement is factored once by
-    SuperLU.  A solve takes one right-hand side column at a time, the
-    vertex solve aside: b_V - gather b_chains, the vertex solve, then
-    b_chains - pull x_V and one sweep of C.  So it forms no array of every
-    chain's two end values per column; at m = 1 one would be larger than
-    the solution block.
+    LAPACK's tridiagonal Cholesky (pttrf), `chain` = (d, e), and serves every
+    chain at a few flops per point for any m.  C's eigenvalues are the
+    chain's Dirichlet values (4/h^2) sin^2(i pi / 2(m + 1)) - sigma, so the
+    factor exists for sigma below the first of them, and pttrf's nonzero
+    info raises FactorizationError above it.
     """
     import numpy as np
     import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
     from scipy.linalg import lapack
 
     m = points_per_edge
@@ -191,14 +203,42 @@ def chain_factor(graph: MetricGraph, points_per_edge: int):
     # pull[e m + i, w]: vertex w's weight on point i of chain e, nonzero at its ends only
     pull = (couple @ sp.kron(sp.identity(ne), unit.T)).T.tocsr()
 
-    def factor(sigma: float):
+    def assemble(sigma: float):
         diagonal = 2.0 * inv_h2 - sigma
         # the wrapper wants at least one off-diagonal entry; m = 1 never reads it
-        d, e, _ = lapack.dpttrf(np.full(m, diagonal), np.full(max(m - 1, 1), -inv_h2))
+        d, e, info = lapack.dpttrf(np.full(m, diagonal), np.full(max(m - 1, 1), -inv_h2))
+        if info:
+            raise FactorizationError(f"the edge chains are not positive definite at {sigma}")
         ends, _ = lapack.dpttrs(d, e, unit)  # C^-1 columns 0 and m - 1
         # gather[w, e m + i]: vertex w's weight on point i of chain e under C^-1
         gather = (couple @ sp.kron(sp.identity(ne), ends.T)).tocsr()
-        lu = spla.splu((diagonal * sp.identity(nv) - gather @ pull).tocsc())
+        return (d, e), gather, pull, diagonal * sp.identity(nv) - gather @ pull
+
+    return assemble
+
+
+def chain_factor(graph: MetricGraph, points_per_edge: int):
+    """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
+    A = discretize(graph, points_per_edge) and any sigma below the chains'
+    first Dirichlet value (4/h^2) sin^2(pi / 2(m + 1)), above which it
+    raises FactorizationError.  _schur_assembly eliminates the chains, and
+    SuperLU factors the Schur complement once.
+
+    A solve takes one right-hand side column at a time, the vertex solve
+    aside: b_V - gather b_chains, the vertex solve, then b_chains - pull x_V
+    and one sweep of C.  So it forms no array of every chain's two end
+    values per column; at m = 1 one would be larger than the solution block.
+    """
+    import numpy as np
+    import scipy.sparse.linalg as spla
+    from scipy.linalg import lapack
+
+    m, nv, ne = points_per_edge, graph.vertex_count, graph.edge_count
+    assemble = _schur_assembly(graph, m)
+
+    def factor(sigma: float):
+        (d, e), gather, pull, schur = assemble(sigma)
+        lu = spla.splu(schur.tocsc())
 
         def solve(b: np.ndarray) -> np.ndarray:
             x = np.array(b, order="F")
@@ -213,6 +253,59 @@ def chain_factor(graph: MetricGraph, points_per_edge: int):
         return solve
 
     return factor
+
+
+def _negative_count(matrix: sp.spmatrix) -> int:
+    """The number of negative eigenvalues of a symmetric sparse matrix, by
+    Sylvester's law of inertia: the signs of the pivots of an unpivoted
+    LDL'-like factor.  SuperLU runs in symmetric mode with minimum degree on
+    A' + A and no partial pivoting, so P A P' = L U with U's diagonal that
+    of D.  A factor that reordered rows apart from columns, or a pivot below
+    1e-10 of the largest entry (whose sign rounding may have set), raises
+    FactorizationError.
+    """
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
+    a = matrix.tocsc()
+    try:
+        lu = spla.splu(
+            a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+        )
+    except RuntimeError as err:  # an exactly zero pivot
+        raise FactorizationError(str(err)) from None
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise FactorizationError("the factor pivoted off the diagonal")
+    pivots = lu.U.diagonal()
+    if np.abs(pivots).min() < 1e-10 * np.abs(a.data).max():
+        raise FactorizationError("a pivot is too small to sign")
+    return int(np.count_nonzero(pivots < 0))
+
+
+def mesh_count(graph: MetricGraph, points_per_edge: int, key: int, rng) -> int:
+    """How many eigenvalues of discretize(graph, points_per_edge) stand for
+    continuum keys at most `key`, for key + 1 at most 2 I_n, the key of the
+    chains' first Dirichlet value (I_n = 1 / graph.edge_length).
+
+    The count is taken at a point kappa = key + 1/2 + U(-1/4, 1/4) of the
+    gap (key, key + 1), which holds no eigenvalue, at the mesh value
+    sigma = (4/h^2) sin^2(kappa pi h / 4) of lambda = (kappa pi / 2)^2.  As
+    _schur_assembly's chains are positive definite there, Haynsworth's
+    inertia additivity puts every negative eigenvalue of A - sigma I in the
+    Schur complement: the count is its _negative_count.  A pivot too small
+    to sign draws the point again from `rng`, four draws in all; then, or
+    when a chain is not positive definite, FactorizationError.
+    """
+    h = mesh_spacing(graph, points_per_edge)
+    assemble = _schur_assembly(graph, points_per_edge)
+    for _ in range(4):
+        kappa = key + 0.5 + rng.uniform(-0.25, 0.25)
+        schur = assemble((2.0 / h * math.sin(kappa * math.pi * h / 4.0)) ** 2)[-1]
+        try:
+            return _negative_count(schur)
+        except FactorizationError:
+            pass
+    raise FactorizationError(f"no point of the gap above key {key} gave a signed factor")
 
 
 def mesh_spacing(graph: MetricGraph, points_per_edge: int) -> float:

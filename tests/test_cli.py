@@ -144,7 +144,8 @@ def _mock_compare(monkeypatch, k_requested, k_converged, residual, numeric_multi
     def report(seq, level, points_per_edge, k, *, seed):
         requested = k_requested or k  # compare clamps k to the dimension less one
         return ComparisonReport(
-            requested, k_converged, requested + 1, 50.0, 1e-7, ((math.pi**2, 3),), (row,)
+            requested, k_converged, requested + 1, 50.0, 1e-7, ((math.pi**2, 3),), (row,),
+            level, None,
         )
 
     monkeypatch.setattr("laakso.cli.compare_spectra", report)

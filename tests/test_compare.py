@@ -16,6 +16,7 @@ from laakso import (
     parse_sequence,
     trust_cutoff,
 )
+from laakso.errors import FactorizationError
 from conftest import superlu_factor
 
 
@@ -69,7 +70,8 @@ def test_loop_heavy_constructions(spec, monkeypatch):
 def test_one_solver_call_on_the_discretized_matrix(monkeypatch):
     """compare_spectra reaches the solver once, by its module-level name and
     with the discretize matrix, so a wrapper bound to that name (as a
-    profiler's span would be) sees every mesh solve."""
+    profiler's span would be) sees every mesh solve.  On the level-5
+    benchmark mesh that matrix is the sector's, F_3 at m = 53."""
     calls = []
     solve = laakso.compare.lowest_eigenvalues
 
@@ -79,11 +81,73 @@ def test_one_solver_call_on_the_discretized_matrix(monkeypatch):
 
     monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", spy)
     seq = parse_sequence("2,3")
-    compare_spectra(seq, 2, 4, 20)
-    assert len(calls) == 1
-    expected = discretize(build_graph(seq, 2), 4)
-    for field in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(calls[0], field), getattr(expected, field))
+    for (level, m, k, seed), (solved, solved_m) in [
+        ((2, 4, 20, None), (2, 4)),
+        ((5, 8, 60, 31), (3, 53)),
+    ]:
+        calls.clear()
+        report = compare_spectra(seq, level, m, k, seed=seed)
+        assert len(calls) == 1
+        expected = discretize(build_graph(seq, solved), solved_m)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(calls[0], field), getattr(expected, field))
+        assert report.solved_level == solved
+    assert report.certificate == 59  # the copies below key 24, the top returned one
+    assert report.matrix_dimension == 19_632
+
+
+def _solved_dimensions(monkeypatch):
+    """The dimension of each matrix compare hands the solver, in order."""
+    dims, solve = [], laakso.compare.lowest_eigenvalues
+
+    def spy(matrix, *args, **kwargs):
+        dims.append(matrix.dimension)
+        return solve(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", spy)
+    return dims
+
+
+def _unreduced(monkeypatch, seq, level, m, k, seed):
+    """compare_spectra's report when it solves F_level itself."""
+    with monkeypatch.context() as patch:
+        patch.setattr(laakso.compare, "_sector", lambda seq, level, m, k, kth_key: (level, m))
+        return compare_spectra(seq, level, m, k, seed=seed)
+
+
+def _one_too_high(count):
+    return lambda *args: count(*args) + 1
+
+
+def _not_formed(count):
+    def refuse(*args):
+        raise FactorizationError("a pivot is too small to sign")
+
+    return refuse
+
+
+@pytest.mark.parametrize(
+    "stub, spec, level, m, k, seed, dims",
+    [
+        pytest.param(_one_too_high, "2,3", 5, 8, 60, 31, [5_148, 19_632], id="one-too-high"),
+        pytest.param(_not_formed, "2", 3, 2, 6, 1, [94, 172], id="not-formed"),
+    ],
+)
+def test_uncertified_sector_solve_falls_back_to_the_full_mesh(
+    monkeypatch, stub, spec, level, m, k, seed, dims
+):
+    """A count that differs from the sector's values below the top key, or
+    that cannot be formed, certifies nothing: compare solves F_level after
+    all, and reports as an unreduced solve."""
+    seq = parse_sequence(spec)
+    monkeypatch.setattr(laakso.compare, "mesh_count", stub(laakso.compare.mesh_count))
+    solved = _solved_dimensions(monkeypatch)
+    report = compare_spectra(seq, level, m, k, seed=seed)
+    assert solved == dims
+    assert report == _unreduced(monkeypatch, seq, level, m, k, seed)
+    assert (report.solved_level, report.certificate) == (level, None)
+    assert report.matrix_dimension == dims[-1]
+    assert report.all_multiplicities_match and report.k_converged == k
 
 
 def test_deeper_level_at_scale():

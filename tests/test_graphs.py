@@ -9,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import laakso.compare
+import laakso.graphs
 from laakso import (
     ValidationError,
     build_graph,
     chain_factor,
     compare_spectra,
     continuum_eigenvalues,
+    counting_function,
     discretize,
+    eigenvalue_of_key,
     first_distinct,
     heat_trace,
     heat_trace_grid,
@@ -28,7 +31,8 @@ from laakso import (
     shape_census,
     trust_cutoff,
 )
-from laakso.graphs import _subdivide
+from laakso.errors import FactorizationError
+from laakso.graphs import _subdivide, mesh_count
 from laakso.sequences import PERIODIC, JSequence
 from laakso.solver import _SHIFT
 from conftest import brute_force_census, superlu_factor
@@ -355,3 +359,114 @@ def test_chain_factor_solves_like_superlu(spec, level, m, shift):
 def test_mesh_spacing_definition(spec, m):
     g = build_graph(parse_sequence(spec), 2)
     assert mesh_spacing(g, m) == pytest.approx(g.edge_length / (m + 1))
+
+
+# -- the sectors of the copy swaps, and the Sylvester count --------------------
+
+# (sequence, level n, m, level r, m_r = (m + 1) I_n / I_r - 1)
+SECTORS = [
+    ("2,3", 3, 2, 2, 5),
+    ("2,3", 3, 2, 1, 17),
+    ("3,4", 2, 4, 1, 19),
+    ("2,5", 2, 4, 1, 24),
+    ("2", 3, 2, 2, 5),
+]
+
+
+def _mesh_value(graph, m, key):
+    """The mesh eigenvalue (4/h^2) sin^2(kappa h / 2) of continuum key
+    `key`, kappa = key pi / 2."""
+    h = mesh_spacing(graph, m)
+    return (2.0 / h * math.sin(key * math.pi * h / 4.0)) ** 2
+
+
+@pytest.mark.parametrize("spec, n, m, r, m_r", SECTORS)
+def test_even_sector_is_the_coarser_mesh(spec, n, m, r, m_r):
+    """The functions even under the copy swaps of levels r + 1 .. n are the
+    mesh of F_r with m_r points per edge at the same h: its spectrum is a
+    sub-multiset of the F_n mesh's, and the F_n mesh has no other
+    eigenvalue below key I_(r+1), where the first odd function starts."""
+    seq = parse_sequence(spec)
+    full_graph, sector_graph = build_graph(seq, n), build_graph(seq, r)
+    assert mesh_spacing(sector_graph, m_r) == pytest.approx(mesh_spacing(full_graph, m), rel=1e-15)
+    full = np.linalg.eigvalsh(discretize(full_graph, m).to_csr().toarray())
+    sector = np.linalg.eigvalsh(discretize(sector_graph, m_r).to_csr().toarray())
+    tol = 1e-10 * full[-1]
+    j = 0
+    for value in sector:  # both ascending: skip the full mesh's other values
+        while full[j] < value - tol:
+            j += 1
+        assert abs(full[j] - value) <= tol
+        j += 1
+    edge = _mesh_value(full_graph, m, seq.scale(r + 1)) - tol
+    assert np.count_nonzero(full < edge) == np.count_nonzero(sector < edge)
+
+
+COUNTED = [("2,3", 3, 2), ("3,4", 2, 4), ("2,5", 2, 4), ("2", 3, 2), ("2,3", 6, 4)]
+
+
+@pytest.mark.parametrize("spec, n, m", COUNTED)
+def test_mesh_count_is_the_cumulative_count(spec, n, m):
+    """At seeded points of the gaps below min(60, 2 I_n), the Sylvester count
+    of the mesh equals the exact table's count of keys at most the gap's
+    lower key."""
+    seq = parse_sequence(spec)
+    graph = build_graph(seq, n)
+    top = min(60, 2 * seq.scale(n))
+    table = level_spectrum(seq, n, eigenvalue_of_key(top))
+    rng = np.random.default_rng(7)
+    gaps = range(top) if n < 6 else range(0, top, 6)
+    for key in gaps:
+        assert mesh_count(graph, m, key, rng) == counting_function(
+            table, eigenvalue_of_key(key)
+        ), key
+
+
+class _ExactFirst:
+    """An rng whose first uniform draw is the midpoint of its range."""
+
+    def __init__(self):
+        self.draws = 0
+        self.rng = np.random.default_rng(7)
+
+    def uniform(self, low, high):
+        self.draws += 1
+        return 0.5 * (low + high) if self.draws == 1 else self.rng.uniform(low, high)
+
+
+def test_singular_minor_redraws_the_point(monkeypatch):
+    """At the exact half-key 1.5 a leading minor of the level-5 benchmark
+    mesh's Schur complement is singular to rounding: the pivot floor
+    refuses it, the point is drawn again, and the count is still that of
+    keys 0 and 1."""
+    seq = parse_sequence("2,3")
+    outcomes, count = [], laakso.graphs._negative_count
+
+    def spy(matrix):
+        try:
+            outcomes.append(count(matrix))
+        except FactorizationError:
+            outcomes.append(None)
+            raise
+        return outcomes[-1]
+
+    monkeypatch.setattr(laakso.graphs, "_negative_count", spy)
+    rng = _ExactFirst()
+    assert mesh_count(build_graph(seq, 5), 8, 1, rng) == 1
+    assert outcomes == [None, 1]
+    assert rng.draws == 2
+
+
+def test_chain_above_its_dirichlet_value_raises():
+    """Past the chains' first Dirichlet value (key 2 I_n) the tridiagonal
+    Cholesky factor does not exist: the solve's factor and the count raise
+    FactorizationError instead of reading a wrong factor."""
+    graph = build_graph(parse_sequence("2,3"), 2)  # I_2 = 6
+    m = 4
+    with pytest.raises(FactorizationError):
+        chain_factor(graph, m)(_mesh_value(graph, m, 12.5))
+    assert mesh_count(graph, m, 10, np.random.default_rng(1)) == counting_function(
+        level_spectrum(parse_sequence("2,3"), 2, 500.0), eigenvalue_of_key(10)
+    )
+    with pytest.raises(FactorizationError):
+        mesh_count(graph, m, 12, np.random.default_rng(1))

@@ -17,6 +17,10 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
     [
         ["mesh_convergence.py", "-j", "2,3", "-n", "1", "--meshes", "4,8", "-k", "6"],
         ["mesh_oneoff.py", "-j", "2,3", "-n", "1", "-m", "4", "-k", "6"],
+        # solves the level-2 sector, so the child forms the level-3 count
+        pytest.param(
+            ["mesh_oneoff.py", "-j", "2", "-n", "3", "-m", "2", "-k", "6"], id="mesh_oneoff.py-sector"
+        ),
         ["oscillation_profile.py"],
         ["spectral_dimension_scan.py"],
     ],
