@@ -171,7 +171,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_compare(args) -> int:
     seq = parse_sequence(args.sequence)
-    report = compare_spectra(seq, args.level, args.mesh, args.k, seed=args.seed)
+    report = compare_spectra(seq, args.level, args.mesh, args.k, seed=args.seed or 0)
     rows = [
         {
             "analytic": r.analytic_value,

@@ -4,10 +4,10 @@ Builds F_n and solves the k lowest eigenvalues of its mesh where they live:
 the functions even under the copy swaps of levels r + 1 .. n are the mesh of
 F_r at the same spacing h, and below key I_(r+1) the F_n mesh has no other
 eigenvalue (graphs' docstring).  So compare solves F_r for the largest r
-with I_r at most the key of the k-th copy, which the table walk that sizes
-the block reads, and certifies it on F_n: a Sylvester count of the F_n mesh
-(graphs.mesh_count) below the top returned key must equal the values
-returned below it.  A count that differs or cannot be formed sends compare
+with I_r at most the key of the k-th copy, the top level the table walk
+that sizes the block meets, and certifies it on F_n: a Sylvester count of
+the F_n mesh (graphs.mesh_count) below the top returned key must equal the
+values returned below it.  A count that differs or cannot be formed sends compare
 to the F_n mesh itself, so the rows are those of an F_n solve either way.
 Each value is mapped exactly onto its continuum value
 (graphs.continuum_eigenvalues), hence onto the integer key m of
@@ -85,46 +85,27 @@ class ComparisonReport(NamedTuple):
         return all(r.residual <= self.tolerance for r in self.rows if r.numeric_multiplicity)
 
 
-def _sector(seq: JSequence, level: int, points_per_edge: int, k: int, kth_key: int | None):
-    """(r, m_r): the coarsest level whose sector of the F_level mesh holds its
-    k lowest eigenvalues, and that sector's points per edge.
-
-    r is the largest level with I_r <= kth_key, the key of the k-th copy,
-    and m_r = (m + 1) I_level / I_r - 1 keeps h.  r = level when kth_key is
-    unknown (None) or the sector's mesh has at most k points.
-    """
-    if kth_key is None:
-        return level, points_per_edge
-    r = max(s for s in range(level + 1) if seq.scale(s) <= kth_key)  # I_0 = 1
-    m_r = (points_per_edge + 1) * seq.scale(level) // seq.scale(r) - 1
-    info = level_info(seq, r)
-    if info.nodes + info.cells * m_r <= k:
-        return level, points_per_edge
-    return r, m_r
-
-
 def compare_spectra(
     seq: JSequence,
     level: int,
     points_per_edge: int,
     k: int,
     *,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> ComparisonReport:
     """The k lowest mesh eigenpairs of F_level, diffed per integer key against level_spectrum.
 
     Below the trust cutoff, the table reaches first_distinct's key bound for the
     first k copies, or the top returned key when missed copies put it further.
-    The solve runs on the sector _sector picks; below level, mesh_count on
-    F_level must certify it, or F_level is solved after all.
+    The solve runs on F_r, r the top level the block walk meets; below level,
+    mesh_count on F_level must certify it, or F_level is solved after all.
     """
     import numpy as np
 
     level = integer("level", level, 0)
     points_per_edge = integer("points_per_edge", points_per_edge, 1)
     k = integer("k", k, 2)  # k = 1 compares no key below the top returned one
-    if seed is not None:
-        seed = integer("seed", seed, 0)
+    seed = integer("seed", seed, 0)
     info = level_info(seq, level)
     points = info.nodes + info.cells * points_per_edge
     if points > _MAX_DIMENSION:
@@ -138,14 +119,19 @@ def compare_spectra(
     reach = _first_key_bound(k)  # the block walk reads no key past it
     analytic = level_spectrum(seq, level, min(cutoff, eigenvalue_of_key(reach))).entries
     # degenerate clusters are only fully captured with a block at least as
-    # wide as the copies a cluster must supply to the k lowest
-    widest, running, kth_key = 8, 0, None
+    # wide as the copies a cluster must supply to the k lowest.  Its top
+    # level is the sector r: level s has a V family at key I_s and no key
+    # below, so the walk meets level s exactly when I_s <= the k-th copy's
+    # key.  A cutoff that stops the walk first lies at key 1.6 (m + 1) I_level,
+    # past I_level, so r = level.  The sector mesh has more than k points:
+    # the k copies and, being bipartite, 4 / h^2 above them
+    widest, running, solved = 8, 0, 0
     for e in analytic:
         if running >= k:
             break
         widest = max(widest, min(e.multiplicity, k - running))
         running += e.multiplicity
-        kth_key = e.m if running >= k else None
+        solved = max(solved, *(c.level for c in e.contributions))
     block = min(widest + 4, k + 8)
 
     def solve(graph, m):
@@ -157,11 +143,11 @@ def compare_spectra(
         mapped = continuum_eigenvalues(graph, m, result.values)
         return result, mapped, np.rint(2.0 * np.sqrt(mapped) / math.pi).astype(np.int64)
 
-    solved, solved_m = _sector(seq, level, points_per_edge, k, kth_key)
     count = None
-    if solved < level:
+    if solved < level:  # the sector keeps h: m_r = (m + 1) I_level / I_r - 1
+        solved_m = (points_per_edge + 1) * info.scale // seq.scale(solved) - 1
         result, mapped, keys = solve(build_graph(seq, solved), solved_m)
-        rng = np.random.default_rng(0 if seed is None else seed)
+        rng = np.random.default_rng(seed)
         try:
             count = mesh_count(graph, points_per_edge, int(keys[-1]) - 1, rng)
         except FactorizationError:

@@ -116,10 +116,10 @@ def _matrix_scale(a: sp.csr_matrix) -> float:
     return scale if scale > 0 else 1.0
 
 
-def _starting_block(dim: int, width: int, seed: int | None) -> np.ndarray:
+def _starting_block(dim: int, width: int, seed: int) -> np.ndarray:
     import numpy as np
 
-    rng = np.random.default_rng(0 if seed is None else seed)
+    rng = np.random.default_rng(seed)
     block = rng.standard_normal((dim, width))
     block[:, 0] = 1.0  # all-ones lead vector
     q, _ = np.linalg.qr(block)
@@ -235,7 +235,7 @@ def lowest_eigenvalues(
     k: int,
     tol: float = 1e-8,
     *,
-    seed: int | None = None,
+    seed: int = 0,
     block_size: int = 32,
     factor: Callable[[float], Callable[[np.ndarray], np.ndarray]],
 ) -> EigenResult:
@@ -259,8 +259,7 @@ def lowest_eigenvalues(
 
     k = integer("k", k, 1)
     block_size = integer("block_size", block_size, 1)
-    if seed is not None:
-        seed = integer("seed", seed, 0)
+    seed = integer("seed", seed, 0)
     dim = matrix.dimension
     if k >= dim:
         raise ValidationError(f"k {k} must be below the dimension {dim}")
@@ -278,7 +277,7 @@ def lowest_eigenvalues(
     a = matrix.to_csr()
     scale = _matrix_scale(a)
     solve = factor(_SHIFT)
-    rng = np.random.default_rng(1 if seed is None else seed + 1)
+    rng = np.random.default_rng(seed + 1)
 
     # mapped, not from the heap, so that it goes back to the OS on return
     basis = np.ndarray((dim, held), order="F", buffer=mmap.mmap(-1, 8 * dim * held))

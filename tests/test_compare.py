@@ -11,6 +11,7 @@ from laakso import (
     compare_spectra,
     counting_function,
     discretize,
+    level_info,
     level_spectrum,
     mesh_spacing,
     parse_sequence,
@@ -82,7 +83,7 @@ def test_one_solver_call_on_the_discretized_matrix(monkeypatch):
     monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", spy)
     seq = parse_sequence("2,3")
     for (level, m, k, seed), (solved, solved_m) in [
-        ((2, 4, 20, None), (2, 4)),
+        ((2, 4, 20, 0), (2, 4)),
         ((5, 8, 60, 31), (3, 53)),
     ]:
         calls.clear()
@@ -109,9 +110,20 @@ def _solved_dimensions(monkeypatch):
 
 
 def _unreduced(monkeypatch, seq, level, m, k, seed):
-    """compare_spectra's report when it solves F_level itself."""
+    """compare_spectra's report when it solves F_level itself: its table with
+    every contribution relabelled to level `level`, so the walk finds no
+    coarser sector.  The rows read only keys and multiplicities."""
+
+    def at_level(seq, n, lambda_max):
+        table = level_spectrum(seq, n, lambda_max)
+        entries = tuple(
+            e._replace(contributions=tuple(c._replace(level=n) for c in e.contributions))
+            for e in table.entries
+        )
+        return table._replace(entries=entries)
+
     with monkeypatch.context() as patch:
-        patch.setattr(laakso.compare, "_sector", lambda seq, level, m, k, kth_key: (level, m))
+        patch.setattr(laakso.compare, "level_spectrum", at_level)
         return compare_spectra(seq, level, m, k, seed=seed)
 
 
@@ -148,6 +160,45 @@ def test_uncertified_sector_solve_falls_back_to_the_full_mesh(
     assert (report.solved_level, report.certificate) == (level, None)
     assert report.matrix_dimension == dims[-1]
     assert report.all_multiplicities_match and report.k_converged == k
+
+
+class _Sized(Exception):
+    """Raised by the solver spy once it has the matrix dimension."""
+
+
+@pytest.mark.parametrize("spec", ["2", "3", "7", "2,3", "3,4", "2,5", "2,3,4", "seq:3,2,2,5"])
+def test_sector_is_the_coarsest_level_below_the_kth_key(monkeypatch, spec):
+    """compare solves F_r at m_r = (m + 1) I_n / I_r - 1, r the largest level
+    with I_r at most the key of the k-th copy, or n when the trust cutoff
+    stops the table first."""
+    dims = []
+
+    def spy(matrix, *args, **kwargs):
+        dims.append(matrix.dimension)
+        raise _Sized
+
+    monkeypatch.setattr(laakso.compare, "lowest_eigenvalues", spy)
+    seq = parse_sequence(spec)
+    for n in range(5):
+        info = level_info(seq, n)
+        for m in (1, 3, 8):
+            points = info.nodes + info.cells * m
+            if points > 2**17:
+                continue
+            table = level_spectrum(seq, n, trust_cutoff(build_graph(seq, n), m)).entries
+            running = np.cumsum([e.multiplicity for e in table])
+            for k in (2, 6, 20, 60):
+                reached = np.flatnonzero(running >= min(k, points - 1))
+                r = n
+                if len(reached):
+                    kth_key = table[reached[0]].m
+                    r = max(s for s in range(n + 1) if seq.scale(s) <= kth_key)
+                sector = level_info(seq, r)
+                m_r = (m + 1) * info.scale // sector.scale - 1
+                dims.clear()
+                with pytest.raises(_Sized):
+                    compare_spectra(seq, n, m, k)
+                assert dims == [sector.nodes + sector.cells * m_r], (n, m, k)
 
 
 def test_deeper_level_at_scale():
@@ -220,7 +271,8 @@ def _reported_as_the_cutoff_table(monkeypatch, seq, level, m, k, seed, solve):
         ("2,3", 5, 8, 60, 31, 1),  # the mesh benchmark's three cases
         ("2,3", 3, 36, 60, 31, 1),
         ("3,4", 3, 12, 60, 31, 1),
-        ("2,3", 3, 36, 40, None, 1),  # the README compare
+        # the README compare, run without --seed: seed 0, None in the id
+        pytest.param("2,3", 3, 36, 40, 0, 1, id="2,3-3-36-40-None-1"),
     ],
 )
 def test_first_k_table_reports_as_the_cutoff_table(monkeypatch, spec, level, m, k, seed, tables):

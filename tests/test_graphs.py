@@ -434,13 +434,10 @@ class _ExactFirst:
         return 0.5 * (low + high) if self.draws == 1 else self.rng.uniform(low, high)
 
 
-def test_singular_minor_redraws_the_point(monkeypatch):
-    """At the exact half-key 1.5 a leading minor of the level-5 benchmark
-    mesh's Schur complement is singular to rounding: the pivot floor
-    refuses it, the point is drawn again, and the count is still that of
-    keys 0 and 1."""
-    seq = parse_sequence("2,3")
-    outcomes, count = [], laakso.graphs._negative_count
+def _spy_on_count(monkeypatch, count):
+    """Route mesh_count's _negative_count through `count`; the returned list
+    records each call's count, or None where it raised FactorizationError."""
+    outcomes = []
 
     def spy(matrix):
         try:
@@ -451,10 +448,50 @@ def test_singular_minor_redraws_the_point(monkeypatch):
         return outcomes[-1]
 
     monkeypatch.setattr(laakso.graphs, "_negative_count", spy)
+    return outcomes
+
+
+def test_singular_minor_redraws_the_point(monkeypatch):
+    """At the exact half-key 1.5 a leading minor of the level-5 benchmark
+    mesh's Schur complement is singular to rounding: the pivot floor
+    refuses it, the point is drawn again, and the count is still that of
+    keys 0 and 1."""
+    seq = parse_sequence("2,3")
+    outcomes = _spy_on_count(monkeypatch, laakso.graphs._negative_count)
     rng = _ExactFirst()
     assert mesh_count(build_graph(seq, 5), 8, 1, rng) == 1
     assert outcomes == [None, 1]
     assert rng.draws == 2
+
+
+def test_unsigned_count_gives_up_after_four_points(monkeypatch):
+    """A count that never forms is drawn at four points of the gap, then
+    mesh_count raises FactorizationError."""
+
+    def refuse(matrix):
+        raise FactorizationError("a pivot is too small to sign")
+
+    outcomes = _spy_on_count(monkeypatch, refuse)
+    rng = _ExactFirst()
+    with pytest.raises(FactorizationError, match="no point of the gap"):
+        mesh_count(build_graph(parse_sequence("2,3"), 2), 4, 1, rng)
+    assert outcomes == [None] * 4
+    assert rng.draws == 4
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0.0, 0.0], [0.0, 0.0]], "exactly singular"),
+        ([[0.0, 1.0], [1.0, 0.0]], "pivoted off the diagonal"),
+    ],
+    ids=["zero", "swap"],
+)
+def test_count_refuses_a_factor_it_cannot_read(rows, message):
+    """An exactly zero pivot, or a factor that swapped rows apart from
+    columns, gives no inertia: _negative_count raises FactorizationError."""
+    with pytest.raises(FactorizationError, match=message):
+        laakso.graphs._negative_count(sp.csr_matrix(np.array(rows)))
 
 
 def test_chain_above_its_dirichlet_value_raises():

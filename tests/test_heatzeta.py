@@ -415,9 +415,11 @@ def test_closed_vanishes_at_the_trivial_zeros(seq, n):
 
 
 def test_direct_diverges_at_and_below_abscissa():
+    """Also just above it: at d_s/2 + 1e-4 the tail needs about 2.7e5 (J2)
+    and 2.1e5 (J23) more levels, over the direct sum's 20,000-level limit."""
     for seq in (J2, J23):
         abscissa = dimensions(seq).spectral / 2.0
-        for s in (abscissa, abscissa - 0.3):
+        for s in (abscissa, abscissa - 0.3, abscissa + 1e-4):
             with pytest.raises(DivergenceError):
                 spectral_zeta_direct(seq, s)
 
@@ -937,6 +939,8 @@ def test_fit_input_validation():
     for log_period in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="log_period"):
             estimate_spectral_dimension(wide, log_period)
+    with pytest.raises(ValidationError, match="averaging window exceeds the sample span"):
+        estimate_spectral_dimension(wide, 10.0)
 
 
 def test_oscillation_log_period_values():
@@ -1014,20 +1018,44 @@ def _exact_zeta_at_zero(seq):
     return -bracket / 2
 
 
-@pytest.mark.parametrize(
-    "pattern",
-    [["10"] * 239 + ["11"], ["10"] * 299 + ["11"]],
-    ids=["10x239,11", "10x299,11"],
-)
+_WIDE_BLOCKS = [
+    pytest.param(["10"] * 239 + ["11"], id="10x239,11"),
+    pytest.param(["10"] * 299 + ["11"], id="10x299,11"),
+]
+# P ~ 9.99e305 fits a double, I_(p+1) ~ 1e309 does not, so the closed
+# terms take log I - log 2 for log(I/2)
+_PAST_DOUBLE = ["1000"] * 101 + ["999"]
+
+
+@pytest.mark.parametrize("pattern", _WIDE_BLOCKS + [pytest.param(_PAST_DOUBLE, id="1000x101,999")])
 def test_primitive_wide_block_sums_its_closed_zeta(pattern):
-    """Primitive blocks near 10^240 and 10^300 fit a double, but
+    """Primitive blocks near 10^240, 10^300 and 10^306 fit a double, but
     their closed terms' counts do not: those enter through their
-    logarithms.  At s = 0 the ratio w = 2^p P is past the range too, and is
-    divided out of its series first.  The direct route and exact
-    arithmetic check both."""
+    logarithms, and past the last block I/2 does too.  The direct route
+    checks them."""
     seq = parse_sequence(",".join(pattern))
     assert seq.period == len(pattern)
-    for s in (2.0, 3.0 + 1.0j):
+    for s in (2.0, 1.5 + 2.0j, 3.0 + 1.0j):
         closed = spectral_zeta_closed(seq, s)
         assert abs(spectral_zeta_direct(seq, s) - closed) <= 1e-13 * abs(closed)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    _WIDE_BLOCKS
+    + [
+        pytest.param(
+            _PAST_DOUBLE,
+            id="1000x101,999",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="zeta_L(0) is off by 1.7e-11 relative; ROADMAP item 5",
+            ),
+        )
+    ],
+)
+def test_primitive_wide_block_zeta_at_zero(pattern):
+    """At s = 0 the ratio w = 2^p P is past the range too, and is divided
+    out of its series first.  Exact arithmetic checks the value."""
+    seq = parse_sequence(",".join(pattern))
     assert zeta_at_zero(seq) == pytest.approx(float(_exact_zeta_at_zero(seq)), rel=1e-12)

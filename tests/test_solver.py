@@ -79,7 +79,13 @@ def test_validation():
         solve(mat, 2, block_size=0)
     with pytest.raises(ValidationError):
         solve(mat, 2, block_size=-3)
-    for bad in (dict(block_size=2.5), dict(seed=-1), dict(seed=1.5), dict(seed="1")):
+    for bad in (
+        dict(block_size=2.5),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed="1"),
+        dict(seed=None),
+    ):
         with pytest.raises(ValidationError):
             solve(mat, 2, **bad)
     with pytest.raises(ValidationError):
