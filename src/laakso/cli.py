@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from . import refdata
@@ -121,17 +122,16 @@ def _config(args, **extra) -> dict:
 
 
 def cmd_spectrum(args) -> int:
-    seq = parse_sequence(args.sequence)
     if args.count is not None:
         if args.lambda_max is not None or args.level_max is not None:
             raise ValidationError("--count excludes --lambda-max and --level-max")
-        table = first_distinct(seq, args.count)
+        table = first_distinct(args.seq, args.count)
     elif args.lambda_max is None:
         raise ValidationError("spectrum needs --count or --lambda-max")
     elif args.level_max is not None:
-        table = level_spectrum(seq, args.level_max, args.lambda_max)
+        table = level_spectrum(args.seq, args.level_max, args.lambda_max)
     else:
-        table = full_spectrum(seq, args.lambda_max)
+        table = full_spectrum(args.seq, args.lambda_max)
 
     mismatches = []
     if args.expect == "table1":
@@ -170,8 +170,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    seq = parse_sequence(args.sequence)
-    report = compare_spectra(seq, args.level, args.mesh, args.k, seed=args.seed or 0)
+    report = compare_spectra(args.seq, args.level, args.mesh, args.k, seed=args.seed or 0)
     rows = [
         {
             "analytic": r.analytic_value,
@@ -209,8 +208,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_dims(args) -> int:
-    seq = parse_sequence(args.sequence)
-    dims = dimensions(seq)._asdict()
+    dims = dimensions(args.seq)._asdict()
     rows = [[repr(value) for value in dims.values()]]
     _emit(args, {"config": _config(args), **dims}, rows, list(dims))
     return 0
@@ -222,13 +220,12 @@ def cmd_heat(args) -> int:
             "--asymptotic and --fit-ds read the limit space, which a level-capped "
             "trace is not; drop --level-cap"
         )
-    seq = parse_sequence(args.sequence)
     ts = _parse_t_grid(args.t)
     # what needs the limit space's period comes before any trace is summed, so
     # an explicit prefix, which has none, is refused at every t
-    log_period = oscillation_log_period(seq) if args.fit_ds else None
-    asym = [heat_trace_asymptote(seq, t) for t in ts] if args.asymptotic else None
-    samples = heat_trace_grid(seq, ts, args.tol, level_cap=args.level_cap)
+    log_period = oscillation_log_period(args.seq) if args.fit_ds else None
+    asym = [heat_trace_asymptote(args.seq, t) for t in ts] if args.asymptotic else None
+    samples = heat_trace_grid(args.seq, ts, args.tol, level_cap=args.level_cap)
     payload = {
         "config": _config(
             args,
@@ -254,14 +251,14 @@ def cmd_heat(args) -> int:
             row.append(repr(a))
     if args.fit_ds:
         fitted = estimate_spectral_dimension(samples, log_period)
-        rep = dimensions(seq)
+        rep = dimensions(args.seq)
         payload["fit"] = {
             "log_period": log_period,
             "spectral_dimension": fitted,
             "expected": rep.spectral,
         }
         payload["dimensions"] = rep._asdict()
-        lattice = poles(seq)
+        lattice = poles(args.seq)
         payload["poles"] = {
             "real_part": lattice.real_part,
             "spacing": lattice.spacing,
@@ -271,7 +268,6 @@ def cmd_heat(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    seq = parse_sequence(args.sequence)
     routes = [
         (name, route)
         for name, route in (("closed", spectral_zeta_closed), ("direct", spectral_zeta_direct))
@@ -282,7 +278,7 @@ def cmd_zeta(args) -> int:
         s = _number(complex, s_text, "s")
         row, flat = {"s": s_text}, [s_text]
         for name, route in routes:
-            z = route(seq, s)
+            z = route(args.seq, s)
             row[name] = [z.real, z.imag]
             flat += [repr(z.real), repr(z.imag)]
         if args.mode == "both":
@@ -300,9 +296,8 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    seq = parse_sequence(args.sequence)
     lo, hi = _parse_m_range(args.m)
-    lattice = poles(seq, (lo, hi))
+    lattice = poles(args.seq, (lo, hi))
     members = list(zip(range(lo, hi + 1), lattice.members))
     payload = {
         "config": _config(args, m=args.m),
@@ -378,22 +373,12 @@ def _join_dash_values(argv: list[str]) -> list[str]:
     rejoined with a following value that starts with a dash and a digit
     or a point.
     """
-    import re
-
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in ("-m", "--s")
-            and i + 1 < len(argv)
-            and re.match(r"-[\d.]", argv[i + 1])
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in ("-m", "--s") and re.match(r"-[\d.]", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -402,7 +387,8 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_dash_values(list(argv)))
+        args = parser.parse_args(_join_dash_values(argv))
+        args.seq = parse_sequence(args.sequence)
         return args.func(args)
     except ReferenceMismatch as err:
         print(f"reference mismatch:\n{err}", file=sys.stderr)

@@ -65,9 +65,6 @@ from .sequences import JSequence, _log_block, dimensions
 from .special import _MAX_ABS_S as _MAX_ABS_2S, _power_tail, complex_gamma, riemann_zeta
 from .spectrum import _family_table, _level_cap, _levels
 
-_PI_SQ = math.pi * math.pi
-_LOG_PI_SQ = math.log(_PI_SQ)
-_EXP_FLOOR = 745.0  # exp(-745) is the smallest subnormal double, 5e-324
 _POLE_TOL = 1e-12  # |1 - q| below which the closed form reports a pole
 _MIN_TOL = 1e-300  # smallest heat-trace tol; a deep row's share may still underflow to 0
 _TINY_DENOMINATOR = 2**1074  # 1 / the smallest subnormal double
@@ -129,20 +126,26 @@ def _theta(scale: int, row, t: float, budget: float) -> float:
     return _times(row.count, value)
 
 
-def _min_exponent(scale: int, t: float) -> float:
-    """log of (lambda_min(level) * t) where lambda_min = pi^2 I^2 / 4."""
-    return _LOG_PI_SQ + 2.0 * math.log(scale) - math.log(4.0) + math.log(t)
+def _boltzmann(key: int, t: float) -> float:
+    """exp(-lambda t) at lambda = (pi key / 2)^2, the lowest eigenvalue of a level
+    of scale key.  0 past key 2^1000, where lambda t > 1e279 at any t >= 5e-324."""
+    if key.bit_length() > 1000:
+        return 0.0
+    root = (math.pi / 2.0) * key * math.sqrt(t)  # sqrt(lambda t); lambda may overflow
+    return math.exp(-root * root)
 
 
 def _remaining_levels_bound(
     seq: JSequence, scale_first: int, weight_first: int, t: float
 ) -> float:
     """Certified bound on the total contribution of the first omitted level
-    (scale I, weight = its total multiplicity count) and every level after it."""
-    root = (math.pi / 2.0) * scale_first * math.sqrt(t)  # sqrt(lambda_min t); lambda_min may overflow
-    u = math.exp(-root * root)
-    rho = 2.0 * seq.j_max
-    if u > 0.5 or rho * u**3 >= 0.5:
+    (scale I, weight = its total multiplicity count) and every level after it;
+    inf when no geometric series bounds them."""
+    u = _boltzmann(scale_first, t)
+    if not u:  # every later level has a larger scale, so its factors underflow too
+        return 0.0
+    rho = 2.0 * seq.j_max if seq.j_max <= sys.float_info.max / 2.0 else math.inf
+    if u > 0.5 or not rho * u**3 < 0.5:  # not <: inf * 0 is NaN, which bounds nothing
         return math.inf
     # weights grow at most like rho per level while the Boltzmann factors
     # contract like u^(1+3i); sum the dominating geometric series
@@ -201,10 +204,8 @@ def heat_trace(
 
     if seq.max_level is not None:
         # cheapest possible continuation: the 2^(cap+1) V's of j = 2 at level cap+1, key 2 I_cap
-        expo = _min_exponent(2 * seq.scale(level_cap), t)
-        lower = 0.0
-        if expo < math.log(_EXP_FLOOR):
-            lower = (1 << (level_cap + 1)) * math.exp(-math.exp(expo))
+        u = _boltzmann(2 * seq.scale(level_cap), t)
+        lower = (1 << (level_cap + 1)) * u if u else 0.0  # u > 0 keeps the count below 2^1000
         if lower > tol:
             raise TailToleranceError(
                 f"levels beyond the cap {level_cap} contribute at least "

@@ -149,23 +149,16 @@ def parse_sequence(spec: str) -> JSequence:
     "seq:a,b,..." -> explicit finite prefix
     """
     text = spec.strip()
-    explicit = False
-    if text.startswith("seq:"):
-        explicit = True
-        text = text[len("seq:"):]
-    if not text:
-        raise ValidationError(f"empty sequence spec {spec!r}")
-    parts = [p.strip() for p in text.split(",")]
+    body = text.removeprefix("seq:")
     values = []
-    for part in parts:
-        if not part:
-            raise ValidationError(f"empty entry in sequence spec {spec!r}")
-        try:
-            v = int(part)
+    for entry in body.split(","):
+        try:  # int() strips whitespace and refuses an empty entry itself
+            values.append(int(entry))
         except ValueError:
-            raise ValidationError(f"entry {part!r} is not an integer") from None
-        values.append(v)
-    return JSequence(kind=EXPLICIT if explicit else PERIODIC, values=tuple(values))
+            raise ValidationError(
+                f"entry {entry.strip()!r} of sequence spec {spec!r} is not an integer"
+            ) from None
+    return JSequence(kind=EXPLICIT if body != text else PERIODIC, values=tuple(values))
 
 
 def level_info(seq: JSequence, n: int) -> LevelInfo:

@@ -321,6 +321,25 @@ def test_heat_explicit_cap_failure_is_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "spec, t, extra, z",
+    [
+        (str(10**400), "1", [], 1.0000517231862038),
+        (f"2,{10**400}", "1e-3", [], 18.341241161527712),
+        (f"seq:2,{10**400}", "1e-3", [], 18.341241161527712),
+        (f"2,{10**400}", "1e-3", ["--level-cap", "1"], 18.341241161527712),
+        (str(10**400), "1", ["--level-cap", "1"], 1.0000517231862038),
+    ],
+    ids=["huge", "2-huge", "seq-2-huge", "2-huge-cap1", "huge-cap1"],
+)
+def test_heat_entry_past_the_double_range_runs(tmp_path, spec, t, extra, z):
+    """An entry with no float is an exact integer route: heat exits 0, and
+    the level it scales adds nothing."""
+    code, text = run(tmp_path, "heat", "-j", spec, "--t", t, *extra)
+    assert code == 0
+    assert [sample["z"] for sample in json.loads(text)["samples"]] == [z]
+
+
 def test_heat_csv(tmp_path):
     code, text = run(
         tmp_path, "heat", "-j", "2", "--t", "1e-4:1e-3:3log", "--format", "csv"
@@ -388,6 +407,19 @@ def test_zeta_negative_complex_s_after_a_space(tmp_path, capsys):
     assert main(head + ["--s=-0.45-3j"] + tail) == 0
     joined = capsys.readouterr().out
     assert spaced and spaced == joined
+
+
+def test_dash_led_values_join_only_their_own_option(tmp_path, capsys):
+    """Only a dash-led token right after -m or --s is joined to it: `--s=-1.5`
+    stays as typed, and in `-m -m -3:3` the first -m takes no value."""
+    code, text = run(tmp_path, "zeta", "-j", "2", "--s=-1.5", "--s", "-2.5", "--mode", "closed")
+    assert code == 0
+    assert [row["closed"][0] for row in json.loads(text)["values"]] == [
+        0.5751164222958851, -2.725147174222179,
+    ]
+    code, _ = run(tmp_path, "poles", "-j", "2", "-m", "-m", "-3:3")
+    assert code == 1
+    assert capsys.readouterr().err == "invalid input: argument -m: expected one argument\n"
 
 
 # -- poles ---------------------------------------------------------------------

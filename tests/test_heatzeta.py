@@ -243,6 +243,33 @@ def test_trace_explicit_matches_periodic_when_levels_dormant():
     assert capped.z == pytest.approx(full.z, abs=1e-12)
 
 
+_HUGE = 10**400  # past the double range
+
+
+@pytest.mark.parametrize(
+    "spec, t, cap, twos_cap",
+    [
+        (str(_HUGE), 1.0, None, 0),
+        (str(_HUGE), 1.0, 1, 0),
+        (f"{10**308}", 1.0, None, 0),
+        (f"2,{_HUGE}", 1e-3, None, 1),
+        (f"seq:2,{_HUGE}", 1e-3, None, 1),
+        (f"2,{_HUGE}", 1e-3, 1, 1),
+        (f"2,{10**308}", 1e-3, None, 1),
+        ("seq:" + ",".join(["2"] * 2101), 1e-3, None, None),
+    ],
+    ids=["huge", "huge-cap1", "1e308", "2-huge", "seq-2-huge", "2-huge-cap1", "2-1e308", "2101-twos"],
+)
+def test_trace_past_a_level_whose_scale_has_no_float(spec, t, cap, twos_cap):
+    """A level of scale past 2^1000 has exp(-lambda t) = 0 at every t the
+    trace takes, so the walk stops there with nothing added: the sample is
+    the constant 2's up to the level before.  The 2101-entry prefix's
+    continuation count 2^2102 has no float either, and is not formed."""
+    sample = heat_trace(parse_sequence(spec), t, level_cap=cap)
+    twos = heat_trace(J2, t, level_cap=twos_cap)
+    assert (sample.z, sample.tail_bound) == (twos.z, twos.tail_bound)
+
+
 @pytest.mark.parametrize("spec", ["2", "3", "2,3", "3,4", "2,5"])
 @pytest.mark.parametrize("cap", [1, 2, 3, 4])
 def test_trace_level_cap_targets_the_level_capped_spectrum(spec, cap):

@@ -58,6 +58,30 @@ def test_parse_rejects_malformed(bad):
         parse_sequence(bad)
 
 
+@pytest.mark.parametrize(
+    "spec, result",
+    [
+        (" seq: 2 , 3 ", JSequence("explicit", (2, 3))),
+        ("+2", JSequence("periodic", (2,))),
+        ("2,2", JSequence("periodic", (2,))),
+        # a refused spec maps to the entry its message names
+        ("", ""),
+        ("seq:", ""),
+        ("2,3,", ""),
+        ("2,,3", ""),
+        ("x", "x"),
+        ("2.0", "2.0"),
+    ],
+)
+def test_parse_table(spec, result):
+    if isinstance(result, JSequence):
+        assert parse_sequence(spec) == result
+        return
+    with pytest.raises(ValidationError) as err:
+        parse_sequence(spec)
+    assert str(err.value) == f"entry {result!r} of sequence spec {spec!r} is not an integer"
+
+
 def test_parse_error_names_offending_entry():
     with pytest.raises(ValidationError, match="^entry 1 must be an integer >= 2"):
         parse_sequence("seq:2,1")
