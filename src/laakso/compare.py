@@ -5,8 +5,8 @@ the functions even under the copy swaps of levels r + 1 .. n are the mesh of
 F_r at the same spacing h, and below key I_(r+1) the F_n mesh has no other
 eigenvalue (graphs' docstring).  So compare solves F_r for the largest r
 with I_r at most the key of the k-th copy, the top level the table walk
-that sizes the block meets, and certifies it on F_n: a Sylvester count of
-the F_n mesh (graphs.mesh_count) below the top returned key must equal the
+that sizes the block meets, and certifies it on F_n: a Sylvester count on
+the graph F_n (graphs.key_count) below the top returned key must equal the
 values returned below it.  A count that differs or cannot be formed sends compare
 to the F_n mesh itself, so the rows are those of an F_n solve either way.
 Each value is mapped exactly onto its continuum value
@@ -29,7 +29,7 @@ from .graphs import (
     chain_factor,
     continuum_eigenvalues,
     discretize,
-    mesh_count,
+    key_count,
     trust_cutoff,
 )
 from .sequences import JSequence, level_info
@@ -65,8 +65,8 @@ class ComparisonReport(NamedTuple):
     clusters: tuple[tuple[float, int], ...]  # per key: (mean continuum value, copies)
     rows: tuple[ComparisonRow, ...]
     solved_level: int  # r: the solve ran on the sector discretize(F_r, m_r)
-    # for r < n, the F_n mesh's eigenvalues below the top returned key, by
-    # mesh_count; it equals the returned values below that key.  None for r = n
+    # for r < n, a Sylvester count on the graph F_n below the top returned
+    # key; it equals the returned values below that key.  None for r = n
     certificate: int | None
 
     @property
@@ -98,7 +98,7 @@ def compare_spectra(
     Below the trust cutoff, the table reaches first_distinct's key bound for the
     first k copies, or the top returned key when missed copies put it further.
     The solve runs on F_r, r the top level the block walk meets; below level,
-    mesh_count on F_level must certify it, or F_level is solved after all.
+    a Sylvester count on the graph F_level certifies it, or F_level is solved.
     """
     import numpy as np
 
@@ -149,7 +149,7 @@ def compare_spectra(
         result, mapped, keys = solve(build_graph(seq, solved), solved_m)
         rng = np.random.default_rng(seed)
         try:
-            count = mesh_count(graph, points_per_edge, int(keys[-1]) - 1, rng)
+            count = key_count(graph, int(keys[-1]) - 1, rng)
         except FactorizationError:
             pass
         if count != np.count_nonzero(keys < keys[-1]):  # not certified: solve F_level

@@ -17,10 +17,17 @@ k h < pi is the mesh eigenvalue (4/h^2) sin^2(k h / 2), with its
 multiplicity.  continuum_eigenvalues maps back, and trust_cutoff stops at
 k h = 0.8 pi, short of the Nyquist point.  Every edge carries the same
 m-point chain, so chain_factor solves the shifted operator by eliminating
-the chains onto the vertices of F_n, and mesh_count counts its eigenvalues
-below a point by Sylvester's law of inertia on the same Schur complement
-(spectrum slicing: Grimes, Lewis and Simon, SIAM J. Matrix Anal. Appl. 15,
-1994).
+the chains onto the vertices of F_n.
+
+key_count counts eigenvalues with no mesh, by a Sylvester count on the
+graph F_n (spectrum slicing: Grimes, Lewis and Simon, SIAM J. Matrix Anal.
+Appl. 15, 1994).  With D the degree diagonal and A the adjacency matrix,
+parallel edges counted, von Below's identity (von Below 1985;
+Berkolaiko-Kuchment, Introduction to Quantum Graphs, 2013, ch. 3) puts
+E floor(theta / pi) + n_-(cos theta D - A) eigenvalues below k^2 at
+theta = k L when sin theta > 0, and E floor(theta / pi) + V - n_-(cos theta
+D - A) when sin theta < 0.  Below the Nyquist key the mesh is exact, so this
+is also the mesh's count.
 
 Swapping the two copies glued at step n is a symmetry of the F_n mesh.  A
 function even under it takes equal values on both copies, and these are the
@@ -35,8 +42,8 @@ level s vanishes at that level's glued vertices, so its key is at least
 I_s, and below key I_(r+1) the two meshes have the same eigenvalues.
 
 numpy is imported on first use (the graph and mesh arrays) and scipy on
-first use of the mesh route (CSR assembly and conversion), so importing this
-module loads neither.
+first use of a sparse matrix (the mesh route and the count), so importing
+this module loads neither.
 """
 
 from __future__ import annotations
@@ -164,10 +171,11 @@ def discretize(graph: MetricGraph, points_per_edge: int) -> SparseSymmetricMatri
     return SparseSymmetricMatrix(dim, mat.indptr, mat.indices, mat.data)
 
 
-def _schur_assembly(graph: MetricGraph, points_per_edge: int):
-    """assemble(sigma) -> (chain, gather, pull, schur) for A - sigma I, A =
-    discretize(graph, points_per_edge): the one place the chains are
-    eliminated.  mesh_spacing validates points_per_edge.
+def chain_factor(graph: MetricGraph, points_per_edge: int):
+    """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
+    A = discretize(graph, points_per_edge) and any sigma below the chains'
+    first Dirichlet value (4/h^2) sin^2(pi / 2(m + 1)), above which it
+    raises FactorizationError.  mesh_spacing validates points_per_edge.
 
     The m interior points of every edge form the same m x m tridiagonal
     block C = (2/h^2 - sigma) I - (1/h^2) (off-diagonals), tied to its end
@@ -177,15 +185,22 @@ def _schur_assembly(graph: MetricGraph, points_per_edge: int):
     pull (E m x V) holds each chain end's weight c on its vertex, and
     gather = pull' (I kron C^-1) needs only C^-1's end rows.  Per edge that
     is c_u^2 C^-1_00 at (u, u), c_v^2 C^-1_(m-1,m-1) at (v, v) and
-    c_u c_v C^-1_(0,m-1) at (u, v) and (v, u).  C is factored once by
-    LAPACK's tridiagonal Cholesky (pttrf), `chain` = (d, e), and serves every
-    chain at a few flops per point for any m.  C's eigenvalues are the
-    chain's Dirichlet values (4/h^2) sin^2(i pi / 2(m + 1)) - sigma, so the
-    factor exists for sigma below the first of them, and pttrf's nonzero
-    info raises FactorizationError above it.
+    c_u c_v C^-1_(0,m-1) at (u, v) and (v, u).  C is factored once per sigma
+    by LAPACK's tridiagonal Cholesky (pttrf), (d, e), and serves every chain
+    at a few flops per point for any m.  C's eigenvalues are the chain's
+    Dirichlet values (4/h^2) sin^2(i pi / 2(m + 1)) - sigma, so the factor
+    exists for sigma below the first of them, and pttrf's nonzero info
+    raises FactorizationError above it.  SuperLU factors the Schur
+    complement once per sigma.
+
+    A solve takes one right-hand side column at a time, the vertex solve
+    aside: b_V - gather b_chains, the vertex solve, then b_chains - pull x_V
+    and one sweep of C.  So it forms no array of every chain's two end
+    values per column; at m = 1 one would be larger than the solution block.
     """
     import numpy as np
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     from scipy.linalg import lapack
 
     m = points_per_edge
@@ -203,7 +218,7 @@ def _schur_assembly(graph: MetricGraph, points_per_edge: int):
     # pull[e m + i, w]: vertex w's weight on point i of chain e, nonzero at its ends only
     pull = (couple @ sp.kron(sp.identity(ne), unit.T)).T.tocsr()
 
-    def assemble(sigma: float):
+    def factor(sigma: float):
         diagonal = 2.0 * inv_h2 - sigma
         # the wrapper wants at least one off-diagonal entry; m = 1 never reads it
         d, e, info = lapack.dpttrf(np.full(m, diagonal), np.full(max(m - 1, 1), -inv_h2))
@@ -212,33 +227,7 @@ def _schur_assembly(graph: MetricGraph, points_per_edge: int):
         ends, _ = lapack.dpttrs(d, e, unit)  # C^-1 columns 0 and m - 1
         # gather[w, e m + i]: vertex w's weight on point i of chain e under C^-1
         gather = (couple @ sp.kron(sp.identity(ne), ends.T)).tocsr()
-        return (d, e), gather, pull, diagonal * sp.identity(nv) - gather @ pull
-
-    return assemble
-
-
-def chain_factor(graph: MetricGraph, points_per_edge: int):
-    """factor(sigma) -> solve, where solve(B) = (A - sigma I)^-1 B for
-    A = discretize(graph, points_per_edge) and any sigma below the chains'
-    first Dirichlet value (4/h^2) sin^2(pi / 2(m + 1)), above which it
-    raises FactorizationError.  _schur_assembly eliminates the chains, and
-    SuperLU factors the Schur complement once.
-
-    A solve takes one right-hand side column at a time, the vertex solve
-    aside: b_V - gather b_chains, the vertex solve, then b_chains - pull x_V
-    and one sweep of C.  So it forms no array of every chain's two end
-    values per column; at m = 1 one would be larger than the solution block.
-    """
-    import numpy as np
-    import scipy.sparse.linalg as spla
-    from scipy.linalg import lapack
-
-    m, nv, ne = points_per_edge, graph.vertex_count, graph.edge_count
-    assemble = _schur_assembly(graph, m)
-
-    def factor(sigma: float):
-        (d, e), gather, pull, schur = assemble(sigma)
-        lu = spla.splu(schur.tocsc())
+        lu = spla.splu((diagonal * sp.identity(nv) - gather @ pull).tocsc())
 
         def solve(b: np.ndarray) -> np.ndarray:
             x = np.array(b, order="F")
@@ -282,29 +271,31 @@ def _negative_count(matrix: sp.spmatrix) -> int:
     return int(np.count_nonzero(pivots < 0))
 
 
-def mesh_count(graph: MetricGraph, points_per_edge: int, key: int, rng) -> int:
-    """How many eigenvalues of discretize(graph, points_per_edge) stand for
-    continuum keys at most `key`, for key + 1 at most 2 I_n, the key of the
-    chains' first Dirichlet value (I_n = 1 / graph.edge_length).
+def key_count(graph: MetricGraph, key: int, rng) -> int:
+    """How many eigenvalues of F_n have continuum keys at most `key`.
 
-    The count is taken at a point kappa = key + 1/2 + U(-1/4, 1/4) of the
-    gap (key, key + 1), which holds no eigenvalue, at the mesh value
-    sigma = (4/h^2) sin^2(kappa pi h / 4) of lambda = (kappa pi / 2)^2.  As
-    _schur_assembly's chains are positive definite there, Haynsworth's
-    inertia additivity puts every negative eigenvalue of A - sigma I in the
-    Schur complement: the count is its _negative_count.  A pivot too small
-    to sign draws the point again from `rng`, four draws in all; then, or
-    when a chain is not positive definite, FactorizationError.
+    The count is von Below's (module docstring), taken at a point
+    kappa = key + 1/2 + U(-1/4, 1/4) of the gap (key, key + 1), which holds
+    no eigenvalue: theta = kappa pi L / 2, where sin theta is never 0.  A
+    pivot too small to sign draws the point again from `rng`, four draws in
+    all; then FactorizationError.
     """
-    h = mesh_spacing(graph, points_per_edge)
-    assemble = _schur_assembly(graph, points_per_edge)
+    key = integer("key", key, 0)
+    import numpy as np
+    import scipy.sparse as sp
+
+    nv, ne = graph.vertex_count, graph.edge_count
+    u, v = graph.edges.T
+    # COO -> CSR sums the parallel edges' entries
+    adjacency = sp.csr_matrix((np.ones(2 * ne), (np.r_[u, v], np.r_[v, u])), shape=(nv, nv))
+    degree = sp.diags(np.bincount(graph.edges.ravel(), minlength=nv).astype(float))
     for _ in range(4):
-        kappa = key + 0.5 + rng.uniform(-0.25, 0.25)
-        schur = assemble((2.0 / h * math.sin(kappa * math.pi * h / 4.0)) ** 2)[-1]
+        theta = (key + 0.5 + rng.uniform(-0.25, 0.25)) * math.pi * graph.edge_length / 2.0
         try:
-            return _negative_count(schur)
+            below = _negative_count(math.cos(theta) * degree - adjacency)
         except FactorizationError:
-            pass
+            continue
+        return ne * math.floor(theta / math.pi) + (below if math.sin(theta) > 0 else nv - below)
     raise FactorizationError(f"no point of the gap above key {key} gave a signed factor")
 
 

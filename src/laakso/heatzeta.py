@@ -453,8 +453,15 @@ def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
 
 
 def zeta_at_zero(seq: JSequence) -> float:
-    """zeta_L(0) by analytic continuation of the closed form."""
-    return spectral_zeta_closed(seq, 0.0).real
+    """zeta_L(0) = -bracket(0)/2, as zeta_R(0) = -1/2, in exact arithmetic: at
+    s = 0 a term of _closed_terms is its count sum a + b, and the period
+    series sum to 1/(1 - 2^p P) (dominant) and 1/(1 - 2^p) (subdominant)."""
+    from fractions import Fraction  # here, as it loads decimal, which no other route needs
+
+    ratios = {"head": 0, "dominant": 2**seq.period * seq.block, "subdominant": 2**seq.period}
+    terms = _closed_terms(seq)
+    bracket = sum(Fraction(sum(a + b for _, a, b in terms[f]), 1 - q) for f, q in ratios.items())
+    return float(-bracket / 2)
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,7 @@ def test_uncertified_sector_solve_falls_back_to_the_full_mesh(
     that cannot be formed, certifies nothing: compare solves F_level after
     all, and reports as an unreduced solve."""
     seq = parse_sequence(spec)
-    monkeypatch.setattr(laakso.compare, "mesh_count", stub(laakso.compare.mesh_count))
+    monkeypatch.setattr(laakso.compare, "key_count", stub(laakso.compare.key_count))
     solved = _solved_dimensions(monkeypatch)
     report = compare_spectra(seq, level, m, k, seed=seed)
     assert solved == dims

@@ -32,7 +32,7 @@ from laakso import (
     trust_cutoff,
 )
 from laakso.errors import FactorizationError
-from laakso.graphs import _subdivide, mesh_count
+from laakso.graphs import _subdivide, key_count
 from laakso.sequences import PERIODIC, JSequence
 from laakso.solver import _SHIFT
 from conftest import brute_force_census, superlu_factor
@@ -361,7 +361,7 @@ def test_mesh_spacing_definition(spec, m):
     assert mesh_spacing(g, m) == pytest.approx(g.edge_length / (m + 1))
 
 
-# -- the sectors of the copy swaps, and the Sylvester count --------------------
+# -- the sectors of the copy swaps, and the Sylvester count on the graph -------
 
 # (sequence, level n, m, level r, m_r = (m + 1) I_n / I_r - 1)
 SECTORS = [
@@ -402,22 +402,25 @@ def test_even_sector_is_the_coarser_mesh(spec, n, m, r, m_r):
     assert np.count_nonzero(full < edge) == np.count_nonzero(sector < edge)
 
 
-COUNTED = [("2,3", 3, 2), ("3,4", 2, 4), ("2,5", 2, 4), ("2", 3, 2), ("2,3", 6, 4)]
+# (sequence, level n, step between the tested gaps)
+COUNTED = [
+    ("2,3", 3, 1), ("3,4", 2, 1), ("3,4", 3, 1), ("2,5", 2, 1), ("2", 3, 1),
+    ("2,3", 5, 6), ("2,3", 6, 96),
+]
 
 
-@pytest.mark.parametrize("spec, n, m", COUNTED)
-def test_mesh_count_is_the_cumulative_count(spec, n, m):
-    """At seeded points of the gaps below min(60, 2 I_n), the Sylvester count
-    of the mesh equals the exact table's count of keys at most the gap's
-    lower key."""
+@pytest.mark.parametrize("spec, n, step", COUNTED)
+def test_key_count_is_the_cumulative_count(spec, n, step):
+    """At seeded points of the gaps below 8 I_n, four times the chains'
+    first Dirichlet key, the Sylvester count on the graph equals the exact
+    table's count of keys at most the gap's lower key."""
     seq = parse_sequence(spec)
     graph = build_graph(seq, n)
-    top = min(60, 2 * seq.scale(n))
+    top = 8 * seq.scale(n)
     table = level_spectrum(seq, n, eigenvalue_of_key(top))
     rng = np.random.default_rng(7)
-    gaps = range(top) if n < 6 else range(0, top, 6)
-    for key in gaps:
-        assert mesh_count(graph, m, key, rng) == counting_function(
+    for key in range(0, top, step):
+        assert key_count(graph, key, rng) == counting_function(
             table, eigenvalue_of_key(key)
         ), key
 
@@ -435,7 +438,7 @@ class _ExactFirst:
 
 
 def _spy_on_count(monkeypatch, count):
-    """Route mesh_count's _negative_count through `count`; the returned list
+    """Route key_count's _negative_count through `count`; the returned list
     records each call's count, or None where it raised FactorizationError."""
     outcomes = []
 
@@ -452,21 +455,21 @@ def _spy_on_count(monkeypatch, count):
 
 
 def test_singular_minor_redraws_the_point(monkeypatch):
-    """At the exact half-key 1.5 a leading minor of the level-5 benchmark
-    mesh's Schur complement is singular to rounding: the pivot floor
+    """At the exact half-key 1.5 a leading minor of cos theta D - A on the
+    level-5 benchmark graph is singular to rounding: the pivot floor
     refuses it, the point is drawn again, and the count is still that of
     keys 0 and 1."""
     seq = parse_sequence("2,3")
     outcomes = _spy_on_count(monkeypatch, laakso.graphs._negative_count)
     rng = _ExactFirst()
-    assert mesh_count(build_graph(seq, 5), 8, 1, rng) == 1
+    assert key_count(build_graph(seq, 5), 1, rng) == 1
     assert outcomes == [None, 1]
     assert rng.draws == 2
 
 
 def test_unsigned_count_gives_up_after_four_points(monkeypatch):
     """A count that never forms is drawn at four points of the gap, then
-    mesh_count raises FactorizationError."""
+    key_count raises FactorizationError."""
 
     def refuse(matrix):
         raise FactorizationError("a pivot is too small to sign")
@@ -474,7 +477,7 @@ def test_unsigned_count_gives_up_after_four_points(monkeypatch):
     outcomes = _spy_on_count(monkeypatch, refuse)
     rng = _ExactFirst()
     with pytest.raises(FactorizationError, match="no point of the gap"):
-        mesh_count(build_graph(parse_sequence("2,3"), 2), 4, 1, rng)
+        key_count(build_graph(parse_sequence("2,3"), 2), 1, rng)
     assert outcomes == [None] * 4
     assert rng.draws == 4
 
@@ -496,14 +499,15 @@ def test_count_refuses_a_factor_it_cannot_read(rows, message):
 
 def test_chain_above_its_dirichlet_value_raises():
     """Past the chains' first Dirichlet value (key 2 I_n) the tridiagonal
-    Cholesky factor does not exist: the solve's factor and the count raise
-    FactorizationError instead of reading a wrong factor."""
+    Cholesky factor does not exist: the solve's factor raises
+    FactorizationError instead of reading a wrong factor.  The count on the
+    graph has no chains, and counts there too."""
     graph = build_graph(parse_sequence("2,3"), 2)  # I_2 = 6
     m = 4
     with pytest.raises(FactorizationError):
         chain_factor(graph, m)(_mesh_value(graph, m, 12.5))
-    assert mesh_count(graph, m, 10, np.random.default_rng(1)) == counting_function(
-        level_spectrum(parse_sequence("2,3"), 2, 500.0), eigenvalue_of_key(10)
-    )
-    with pytest.raises(FactorizationError):
-        mesh_count(graph, m, 12, np.random.default_rng(1))
+    table = level_spectrum(parse_sequence("2,3"), 2, 500.0)
+    for key in (10, 12):
+        assert key_count(graph, key, np.random.default_rng(1)) == counting_function(
+            table, eigenvalue_of_key(key)
+        )

@@ -7,12 +7,15 @@ excluded and are never asserted against (they are retained so the dataset
 is complete).
 """
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from laakso import eigenvalue_of_key, full_spectrum, parse_sequence
+from laakso import build_graph, eigenvalue_of_key, full_spectrum, parse_sequence
 from laakso import refdata
+from laakso.graphs import key_count
 
 # Low-spectrum reference rows per sequence: (x, multiplicity, excluded) with
 # lambda = (x pi)^2.  Excluded rows carry recorded multiplicities that the
@@ -88,3 +91,20 @@ def test_table2_known_exclusions():
         if flag
     }
     assert excluded == {("3,2", 9.0): 36, ("3,2", 13.0): 4, ("3,4", 12.0): 2}
+
+
+@pytest.mark.parametrize("spec, key, exact", [("3,2", 18, 26), ("3,2", 26, 1), ("3,4", 24, 20)])
+def test_graph_count_settles_the_excluded_rows(spec, key, exact):
+    """Below key I_(n+1) the space and F_n have the same eigenvalues, so two
+    Sylvester counts on the graph F_n, at the gaps either side of the key,
+    give its multiplicity.  On each excluded row it is the exact table's,
+    not the dataset's."""
+    seq = parse_sequence(spec)
+    n = next(n for n in itertools.count() if seq.scale(n + 1) > key)
+    graph = build_graph(seq, n)
+    rng = np.random.default_rng(7)
+    multiplicity = key_count(graph, key, rng) - key_count(graph, key - 1, rng)
+    (recorded,) = (m for x, m, excluded in TABLE2[spec] if excluded and 2 * x == key)
+    table = full_spectrum(seq, eigenvalue_of_key(key + 1))
+    assert multiplicity == exact == {e.m: e.multiplicity for e in table.entries}[key]
+    assert recorded != exact

@@ -17,7 +17,7 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
     [
         ["mesh_convergence.py", "-j", "2,3", "-n", "1", "--meshes", "4,8", "-k", "6"],
         ["mesh_oneoff.py", "-j", "2,3", "-n", "1", "-m", "4", "-k", "6"],
-        # solves the level-2 sector, so the child forms the level-3 count
+        # solves the level-2 sector, so the child forms a Sylvester count on the graph F_3
         pytest.param(
             ["mesh_oneoff.py", "-j", "2", "-n", "3", "-m", "2", "-k", "6"], id="mesh_oneoff.py-sector"
         ),
