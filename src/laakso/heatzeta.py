@@ -392,8 +392,8 @@ def _terms_sum(
 def _bracket(seq: JSequence, s: complex) -> complex:
     """The level sum multiplying zeta_R(2s)/pi^(2s) in zeta_L(s): the head plus
     the period series of _closed_terms, ratios w = 2^p P^(1-2s) (dominant)
-    and v = 2^p P^(-2s) (subdominant).  A ratio past the double range (blocks
-    near 10^300 at small Re s) divides its series and 1 - q by |q| first."""
+    and v = 2^p P^(-2s) (subdominant).  A ratio or series past the double
+    range (blocks near 10^300 at small Re s) is summed in units of |q|."""
     p = seq.period
     log_block = _log_block(seq)
     log_w = p * math.log(2.0) + (1.0 - 2.0 * s) * log_block
@@ -403,20 +403,20 @@ def _bracket(seq: JSequence, s: complex) -> complex:
     for log_q, family in ((log_w, "dominant"), (log_v, "subdominant")):
         try:
             q = cmath.exp(log_q)
+            if abs(1.0 - q) < _POLE_TOL:
+                fine = fine_pole_spacing(seq)
+                nearest = complex(_pole_real_part(seq, family), round(s.imag / fine) * fine)
+                raise PoleError(
+                    f"s = {s} is within {_POLE_TOL} of a {family} pole of the closed-form zeta",
+                    nearest_pole=nearest,
+                )
+            series = _terms_sum(terms[family], s)
+            if not cmath.isfinite(series):
+                raise OverflowError
+            total += series / (1.0 - q)
         except OverflowError:
             unit = math.exp(-log_q.real) - cmath.exp(1j * log_q.imag)  # (1 - q) / |q|
             total += _terms_sum(terms[family], s, log_q.real) / unit
-            continue
-        if abs(1.0 - q) < _POLE_TOL:
-            fine = fine_pole_spacing(seq)
-            raise PoleError(
-                f"s = {s} is within {_POLE_TOL} of a {family} pole of the "
-                "closed-form zeta",
-                nearest_pole=complex(
-                    _pole_real_part(seq, family), round(s.imag / fine) * fine
-                ),
-            )
-        total += _terms_sum(terms[family], s) / (1.0 - q)
     return total
 
 
@@ -434,9 +434,11 @@ def spectral_zeta_closed(seq: JSequence, s: complex) -> complex:
 
     Valid at any s away from the pole lattices and from s = 1/2, where the
     Riemann factor has its pole; in particular s = 0 gives the constant
-    term of the small-t trace expansion.
+    term of the small-t trace expansion, the exact zeta_at_zero.
     """
     s = _checked_s(s)
+    if s == 0:
+        return complex(zeta_at_zero(seq))
     if abs(2.0 * s - 1.0) < 1e-9:
         raise PoleError(
             "s = 1/2 is the pole of the zeta_R(2s) factor",

@@ -161,25 +161,21 @@ def parse_sequence(spec: str) -> JSequence:
     return JSequence(kind=EXPLICIT if body != text else PERIODIC, values=tuple(values))
 
 
+def _size(n: int, scale: int) -> tuple[int, int]:
+    """(E_n, V_n) = (2^n I_n, 2^(n-1) (I_n + 3)) of F_n from I_n; (1, 2) at n = 0."""
+    return scale << n, ((scale + 3) << n) >> 1
+
+
 def level_info(seq: JSequence, n: int) -> LevelInfo:
     """Exact I_n, N_n, and node count of F_n."""
     n = integer("level", n, 0)
     scale = seq.scale(n)  # raises LevelRangeError beyond an explicit prefix
-    cells = (1 << n) * scale
-    if n == 0:
-        nodes = 2
-    else:
-        nodes = (1 << (n - 1)) * (scale + 3)
-    return LevelInfo(scale=scale, cells=cells, nodes=nodes)
+    return LevelInfo(scale, *_size(n, scale))
 
 
 def shape_census(seq: JSequence, n: int) -> ShapeCensus:
-    """Counts of V's, loops, and crosses in F_n (n >= 1).
-
-    V count doubles each level; loops appear j_n - 2 per parent cell; a cross
-    appears wherever the parent graph had a degree-4 node, so none exist at
-    n = 1 and F_0 (a single interval) has no shapes at all.
-    """
+    """Counts of V's, loops, and crosses in F_n (n >= 1), derived in the
+    spectrum module's docstring as the components of a cut copy of F_(n-1)."""
     n = integer("level", n, 1)  # no shapes exist on the unit interval
     return _census(seq, n, seq.scale(n - 1))
 
@@ -188,11 +184,9 @@ def _census(seq: JSequence, n: int, scale_prev: int) -> ShapeCensus:
     """shape_census from I_(n-1), which a level walk carries along: each
     level then costs shifts and small products, not the power that forms
     I_(n-1) afresh."""
-    jn = seq.j(n)
-    v_count = 1 << n
-    loop_count = ((jn - 2) * scale_prev) << (n - 1)
-    cross_count = 0 if n == 1 else (scale_prev - 1) << (n - 2)
-    return ShapeCensus(scale_prev * jn, v_count, loop_count, cross_count)
+    jn, tips = seq.j(n), 1 << n
+    edges_prev, nodes_prev = _size(n - 1, scale_prev)
+    return ShapeCensus(scale_prev * jn, tips, (jn - 2) * edges_prev, nodes_prev - tips)
 
 
 def _log_block(seq: JSequence) -> float:

@@ -8,6 +8,17 @@ m = I_n (step k + phase), and _family_table is the only place that lists
 them.  The exact spectrum here and the heat trace and zeta sums in heatzeta
 all read that table, level by level through _levels.
 
+The rows come from the copy swaps.  A function odd under the level-n swap
+and even under the later ones vanishes at the glued vertices: it solves the
+Dirichlet problem on one copy of F_(n-1), subdivided and cut there.  That
+copy falls apart into a Neumann-Dirichlet arm at each of the 2^n tips (modes
+at the odd multiples of I_n: the V row), (j_n - 2) E_(n-1) Dirichlet
+segments (even multiples: the loop row) and a four-arm star with Dirichlet
+tips at each of the V_(n-1) - 2^n other vertices (1 mode at odd and 3 at
+even multiples: cross-quarter plus the doubled cross-full row).  So odd
+multiples carry V + cross = V_(n-1) modes and even ones loop + 3 cross =
+j_n E_(n-1) - V_(n-1).  Level 0, even under every swap, is the Neumann line.
+
 A float lambda enters once, as the integer key bound _key_bound: the tables,
 the counts and the merge of coincident eigenvalues across families compare
 keys m exactly, with no floating-point ties.
@@ -104,25 +115,18 @@ def _family_table(
     seq: JSequence, n: int, scale_prev: int | None = None
 ) -> tuple[int, tuple[_FamilyRow, ...]]:
     """I_n and the row of every family that has a copy at level n; the level
-    walk passes scale_prev = I_(n-1), so no level forms I_n afresh.
-
-    The line (the unit interval) is level 0, its row the keys 2, 4, ...; its
-    constant mode, lambda = 0, is no row's key.  V and loop families start at
-    level 1 and both cross families at level 2; a family without copies
-    (loops when j_n = 2) has no row.
-    """
+    walk passes scale_prev = I_(n-1), so no level forms I_n afresh.  Level 0
+    is the line, its row the keys 2, 4, ... (its constant mode, lambda = 0, is
+    no row's key); loops when j_n = 2 and crosses at level 1 have no row."""
     if n == 0:
         return 1, (_FamilyRow(LINE, 1, 2, 0),)
     census = shape_census(seq, n) if scale_prev is None else _census(seq, n, scale_prev)
     rows = (
         _FamilyRow(V, census.v_count, 2, 1),
         _FamilyRow(LOOP, census.loop_count, 2, 0),
+        _FamilyRow(CROSS_FULL, 2 * census.cross_count, 2, 0),
+        _FamilyRow(CROSS_QUARTER, census.cross_count, 1, 0),
     )
-    if n >= 2:
-        rows += (
-            _FamilyRow(CROSS_FULL, 2 * census.cross_count, 2, 0),
-            _FamilyRow(CROSS_QUARTER, census.cross_count, 1, 0),
-        )
     return census.scale, tuple(row for row in rows if row.count)
 
 

@@ -1,9 +1,9 @@
-"""Shared test helpers: independent brute-force oracles over built graphs,
+"""Shared test helpers: an independent census of a built graph's components,
 and SuperLU on the assembled matrix as the reference factor."""
 
-from collections import Counter, defaultdict
+import numpy as np
 
-from laakso import MetricGraph, SparseSymmetricMatrix, build_graph
+from laakso import SparseSymmetricMatrix, build_graph
 from laakso.sequences import JSequence
 
 
@@ -22,58 +22,33 @@ def superlu_factor(matrix: SparseSymmetricMatrix):
     return factor
 
 
-def _adjacency(graph: MetricGraph) -> dict[int, Counter]:
-    adj: dict[int, Counter] = defaultdict(Counter)
-    for u, v in graph.edges:
-        adj[u][v] += 1
-        adj[v][u] += 1
-    return adj
+def cut_copy_census(seq: JSequence, n: int) -> tuple[int, int, int]:
+    """(arms, segments, stars): the components of copy 0 of F_n, cut at the
+    vertices glued at step n, by direct graph inspection.
 
-
-def parallel_pair_count(graph: MetricGraph) -> int:
-    """Unordered vertex pairs joined by two parallel edges (= loop shapes)."""
-    adj = _adjacency(graph)
-    return sum(1 for u, c in adj.items() for v, mult in c.items() if u < v and mult == 2)
-
-
-def co_neighbor_pair_count(graph: MetricGraph) -> int:
-    """Nonadjacent degree-4 pairs whose four (distinct) neighbors coincide."""
-    adj = _adjacency(graph)
-    degree = {v: sum(c.values()) for v, c in adj.items()}
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for vertex, c in adj.items():
-        if degree[vertex] != 4:
-            continue
-        groups[tuple(sorted(c.elements()))].append(vertex)
-    count = 0
-    for key, members in groups.items():
-        if len(members) == 2 and len(set(key)) == 4:
-            a, b = members
-            if adj[a][b] == 0:
-                count += 1
-    return count
-
-
-def brute_force_census(seq: JSequence, n: int) -> tuple[int, int, int]:
-    """(v_count, loop_count, cross_count) of F_n by direct graph inspection.
-
-    V's are degree-1 tips paired off; loops are parallel-edge pairs; crosses
-    are co-neighbor K_{2,4} pairs.  One wrinkle: when the new subdivision
-    step is binary (j_n = 2), the two midpoints of each parent loop's
-    parallel edges also land in a K_{2,4} co-neighbor configuration, so the
-    parent graph's measured loop count is subtracted.  Everything here is
-    measured on constructed graphs; no closed-form counts are consulted.
+    Copy 0 is the first half of build_graph's edges, and its glued vertices
+    are the ones both halves touch, so no count formula is consulted.  Every
+    edge end at a glued vertex gets its own tip; a component with no old
+    vertex is a segment, one with one edge an arm, one with four edges a star.
     """
-    graph = build_graph(seq, n)
-    adj = _adjacency(graph)
-    degree = {v: sum(c.values()) for v, c in adj.items()}
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
 
-    tips = sum(1 for d in degree.values() if d == 1)
-    assert tips % 2 == 0
-    v_count = tips // 2
-    loop_count = parallel_pair_count(graph)
-
-    cross_count = co_neighbor_pair_count(graph)
-    if n >= 2 and seq.j(n) == 2:
-        cross_count -= parallel_pair_count(build_graph(seq, n - 1))
-    return v_count, loop_count, cross_count
+    edges = build_graph(seq, n).edges
+    copy, other = np.split(edges, 2)
+    glued = np.isin(copy, other)
+    ends = copy.copy()
+    ends[glued] = edges.max() + 1 + np.arange(np.count_nonzero(glued))
+    _, ends = np.unique(ends.ravel(), return_inverse=True)
+    ends = ends.reshape(-1, 2)
+    size = ends.max() + 1
+    links = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])), shape=(size, size))
+    count, labels = connected_components(links, directed=False)
+    edge_counts = np.bincount(labels[ends[:, 0]], minlength=count)
+    has_old = np.zeros(count, dtype=bool)
+    has_old[labels[ends[~glued]]] = True
+    segments = np.count_nonzero(~has_old)
+    arms = np.count_nonzero(has_old & (edge_counts == 1))
+    stars = np.count_nonzero(has_old & (edge_counts == 4))
+    assert arms + segments + stars == count
+    return arms, segments, stars

@@ -35,7 +35,8 @@ from laakso.errors import FactorizationError
 from laakso.graphs import _subdivide, key_count
 from laakso.sequences import PERIODIC, JSequence
 from laakso.solver import _SHIFT
-from conftest import brute_force_census, superlu_factor
+from laakso.spectrum import CROSS_FULL, CROSS_QUARTER, LOOP, V, _family_table
+from conftest import cut_copy_census, superlu_factor
 
 SEQS = ["2", "3", "2,3", "3,2"]
 
@@ -191,13 +192,16 @@ def test_subdivide_numbers_edge_by_edge():
     assert _subdivide(ends, 5, 1).tolist() == ends.tolist()
 
 
-@pytest.mark.parametrize("spec", SEQS)
+@pytest.mark.parametrize("spec", SEQS + ["3,4", "2,5", "7", "2,3,4"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_brute_force_census_matches_formulas(spec, n):
+    # the cut copy's arms, segments and stars are the V, loop and cross rows
     seq = parse_sequence(spec)
-    got = brute_force_census(seq, n)
-    c = shape_census(seq, n)
-    assert got == (c.v_count, c.loop_count, c.cross_count)
+    arms, segments, stars = cut_copy_census(seq, n)
+    rows = {row.shape: row.count for row in _family_table(seq, n)[1]}
+    counts = (rows.get(V, 0), rows.get(LOOP, 0), rows.get(CROSS_QUARTER, 0), rows.get(CROSS_FULL, 0))
+    assert counts == (arms, segments, stars, 2 * stars)
+    assert tuple(shape_census(seq, n))[1:] == (arms, segments, stars)
 
 
 def test_connectivity():
